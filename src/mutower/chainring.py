@@ -8,15 +8,29 @@ q^N whose ideals form the chain (1) > (pi) > ... > (pi^N) = 0.
 Concrete model.  The unramified part is the Galois ring GR(p^M, f) =
 Z[x]/(p^M, h(x)) for a fixed monic degree-f lift h of an irreducible
 polynomial over F_p; for e > 1 the ring is the Eisenstein extension by
-pi^e = p over it.  A scalar is
+pi^e = p over it.  An element has the O-coordinates (c_0, ..., c_{ef-1})
+on the basis pi^i x^j (entry i*f + j), the pi^i coordinates reduced mod
+p^{ceil((N-i)/e)}.  A scalar is
 
   * a plain int in [0, p^N)                     when e == f == 1,
-  * a tuple of e tuples of f ints otherwise, component i holding the
-    Galois-ring coordinates of the pi^i digit, reduced mod p^{ceil((N-i)/e)}.
+  * a tuple of e tuples of f ints otherwise (component i holds the pi^i
+    coordinates).
 
 Canonical forms are equal iff the ring elements are equal, so scalars compare
 with ==.  All operations are pure; rings and scalars are immutable and safe to
 share between threads.
+
+Matrices.  A matrix over O/pi^N is one integer array of O-coordinates of
+shape (rows, cols, e*f), and it has one diagonalization: restriction of
+scalars.  Every row x of the matrix spans the O-multiples b * x of the basis
+elements b, so multiplying by a structure tensor of O turns the array into a
+(rows*ef) x (cols*ef) matrix over Z/p^K whose cokernel is the original one as
+an abelian group.  For e = 1 (pi = p) that cokernel is (+) (O/p^v)
+= (+) (Z/p^v)^f, so one elimination at K = N gives every O-valuation f times.
+For e > 1 the Z-module structure forgets the pi-adic one (O/pi^2 and (O/pi)^2
+agree over Z_p at e = 2), so one elimination per n <= N, with the rows of
+pi^n appended, gives ord_q(coker / pi^n), and the valuations follow from the
+differences of those orders.
 """
 
 from __future__ import annotations
@@ -28,11 +42,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import InvalidInput
-
-# Marker reserved for module-level interpretation of orders that saturate at
-# the truncation N.  cokernel_ordq itself always returns an exact finite
-# integer; see the saturation handling in lambda_mod.
-INFINITE = "INFINITE"
 
 
 def _is_prime(n: int) -> bool:
@@ -139,22 +148,12 @@ def _is_irreducible(h, p):
 def galois_modulus(p: int, f: int) -> Tuple[int, ...]:
     """Monic degree-f integer lift used to realize the Galois ring GR(p^M, f).
 
-    The Conway polynomial is used when the optional ``conway_polynomials``
-    package is importable; otherwise the lexicographically least monic
-    irreducible lift (constant coefficient first) is chosen.  The choice only
-    fixes the element representation; every computed order is independent of
-    it.
+    The lexicographically least monic irreducible lift (constant coefficient
+    first) is chosen.  The choice only fixes the element representation; every
+    computed order is independent of it.
     """
     if f == 1:
         return (0, 1)
-    try:  # pragma: no cover - optional dependency
-        import conway_polynomials
-
-        db = conway_polynomials.database()
-        coeffs = db[p][f]
-        return tuple(int(c) % p for c in coeffs)
-    except Exception:
-        pass
     for code in range(p ** f):
         lower = []
         c = code
@@ -185,6 +184,38 @@ class RingBase:
     def q(self) -> int:
         return self.p ** self.f
 
+    def mul(self, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
+        """Exact product in O = Z_q[pi]/(pi^e - p) of two O-coordinate vectors
+        (entry i*f + j is the x^j coordinate of the pi^i digit): Galois-ring
+        convolution reduced by h in each digit, digits >= e folded down with a
+        factor of p."""
+        e, f = self.e, self.f
+        h = galois_modulus(self.p, f)
+        out = [0] * (e * f)
+        for i in range(e):
+            ai = a[i * f : (i + 1) * f]
+            if not any(ai):
+                continue
+            for j in range(e):
+                bj = b[j * f : (j + 1) * f]
+                if not any(bj):
+                    continue
+                res = [0] * (2 * f - 1)
+                for s, x in enumerate(ai):
+                    if x:
+                        for t, y in enumerate(bj):
+                            res[s + t] += x * y
+                for s in range(2 * f - 2, f - 1, -1):
+                    c = res[s]
+                    if c:
+                        for t in range(f):
+                            res[s - f + t] -= c * h[t]
+                scale = self.p ** ((i + j) // e)
+                k = (i + j) % e
+                for t in range(f):
+                    out[k * f + t] += scale * res[t]
+        return tuple(out)
+
 
 class ChainRing:
     """The truncation O/pi^N together with its exact scalar arithmetic.
@@ -209,7 +240,9 @@ class ChainRing:
         self.prec = tuple(-((-(N - i)) // e) for i in range(e))
         self.M = self.prec[0]
         self.pM = p ** self.M
-        self.h = galois_modulus(p, f)
+        # Integer type of O-coordinate arrays over this ring: int64 unless
+        # restricting or eliminating them could overflow it.
+        self.dtype = _kernel_dtype(self.pM, e * f)
         if self.is_simple:
             self.zero = 0
             self.one = 1
@@ -309,42 +342,10 @@ class ChainRing:
             return (-x) % (self.p ** self.N)
         return self._canon([[-c for c in comp] for comp in x])
 
-    def _gr_mul(self, a, b):
-        # Galois-ring product: polynomial convolution reduced by the monic
-        # modulus h, over Z (canonicalization happens in the caller).
-        f = self.f
-        res = [0] * (2 * f - 1)
-        for i in range(f):
-            ai = a[i]
-            if ai:
-                for j in range(f):
-                    res[i + j] += ai * b[j]
-        for i in range(2 * f - 2, f - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(f):
-                    res[i - f + j] -= c * self.h[j]
-        return res[:f]
-
     def mul(self, x, y):
         if self.is_simple:
             return (x * y) % (self.p ** self.N)
-        e = self.e
-        comps = [[0] * self.f for _ in range(e)]
-        for i in range(e):
-            if all(c == 0 for c in x[i]):
-                continue
-            for j in range(e):
-                if all(c == 0 for c in y[j]):
-                    continue
-                prod = self._gr_mul(x[i], y[j])
-                k = i + j
-                scale = self.p ** (k // e)  # pi^e = p
-                k %= e
-                for t in range(self.f):
-                    comps[k][t] += scale * prod[t]
-        return self._canon(comps)
+        return self.from_coeffs(self.base.mul(self.to_coeffs(x), self.to_coeffs(y)))
 
     def is_zero(self, x) -> bool:
         if self.is_simple:
@@ -489,34 +490,67 @@ class DiagonalForm:
     col_count: int
 
 
-@lru_cache(maxsize=64)
-def _val_table(p: int, N: int) -> np.ndarray:
-    mod = p ** N
-    table = np.zeros(mod, dtype=np.int64)
-    for v in range(1, N):
+def _kernel_dtype(mod: int, terms: int):
+    """int64 when a sum of ``terms`` products of two residues mod ``mod``, plus
+    one more residue, stays below 2^63; Python ints (object) otherwise."""
+    return np.int64 if terms * (mod - 1) ** 2 + mod < 2 ** 63 else object
+
+
+# Largest modulus whose valuation table is worth its memory; larger moduli
+# find pivots by scanning residues instead.
+VAL_TABLE_MAX = 2 ** 20
+
+
+@lru_cache(maxsize=16)
+def _val_table(p: int, K: int) -> np.ndarray:
+    mod = p ** K
+    table = np.zeros(mod, dtype=np.int8)  # K <= 20 below VAL_TABLE_MAX
+    for v in range(1, K):
         table[p ** v :: p ** v] = v
-    table[0] = N
+    table[0] = K
     table.setflags(write=False)
     return table
 
 
-def _diagonalize_numpy(ring: ChainRing, A: np.ndarray) -> DiagonalForm:
-    p, N = ring.p, ring.N
-    mod = p ** N
+def _scan_pivot(sub: np.ndarray, p: int, K: int) -> Tuple[int, int]:
+    """(row-major position, valuation) of the first entry of minimal p-adic
+    valuation; valuation K when the block is zero."""
+    pv = p
+    for v in range(K):
+        hit = sub % pv != 0  # entries of valuation <= v
+        pos = int(np.argmax(hit))
+        if hit.flat[pos]:
+            return pos, v
+        pv *= p
+    return 0, K
+
+
+def _diagonalize_numpy(A: np.ndarray, p: int, K: int) -> List[int]:
+    """Diagonalize A over Z/p^K by invertible row and column operations,
+    pivoting on an entry of minimal p-adic valuation (ties broken by (row,
+    col) lexicographic order); returns the pivot valuations, all below K.
+
+    A holds residues in [0, p^K), as int64 (see _kernel_dtype) or as Python
+    ints, and is overwritten.
+    """
+    mod = p ** K
     nrows, ncols = A.shape
-    val_table = _val_table(p, N)
+    table = _val_table(p, K) if A.dtype == np.int64 and mod <= VAL_TABLE_MAX else None
 
     vals: List[int] = []
     d = 0
     top = min(nrows, ncols)
     while d < top:
         sub = A[d:, d:]
-        tv = val_table[sub]
-        pos = int(np.argmin(tv))  # row-major argmin = (row, col) lex tie-break
-        i, j = divmod(pos, sub.shape[1])
-        v = int(tv[i, j])
-        if v >= N:
+        if table is not None:
+            tv = table[sub]
+            pos = int(np.argmin(tv))  # row-major argmin = (row, col) lex tie-break
+            v = int(tv.flat[pos])
+        else:
+            pos, v = _scan_pivot(sub, p, K)
+        if v >= K:
             break
+        i, j = divmod(pos, sub.shape[1])
         i += d
         j += d
         if i != d:
@@ -537,73 +571,59 @@ def _diagonalize_numpy(ring: ChainRing, A: np.ndarray) -> DiagonalForm:
         A[d, d + 1 :] = 0
         vals.append(v)
         d += 1
-    return DiagonalForm(tuple(sorted(vals)), ncols - len(vals), nrows, ncols)
+    return vals
 
 
-def _diagonalize_generic(ring: ChainRing, rows, ncols: int) -> DiagonalForm:
-    N = ring.N
-    A = [list(r) for r in rows]
-    nrows = len(A)
-    vals: List[int] = []
-    d = 0
-    top = min(nrows, ncols)
-    while d < top:
-        best = None
-        best_v = N
-        for i in range(d, nrows):
-            for j in range(d, ncols):
-                v = ring.val(A[i][j])
-                if v < best_v:
-                    best_v = v
-                    best = (i, j)
-        if best is None:
-            break
-        i, j = best
-        v = best_v
-        if i != d:
-            A[d], A[i] = A[i], A[d]
-        if j != d:
-            for r in A:
-                r[d], r[j] = r[j], r[d]
-        uinv = ring.inv(ring.unit_part(A[d][d]))
-        A[d] = [ring.mul(uinv, x) for x in A[d]]
-        for i in range(d + 1, nrows):
-            x = A[i][d]
-            if ring.is_zero(x):
-                continue
-            fct = ring.div_pi_pow(x, v)
-            A[i] = [ring.sub(A[i][k], ring.mul(fct, A[d][k])) for k in range(ncols)]
-        for j in range(d + 1, ncols):
-            A[d][j] = ring.zero
-        vals.append(v)
-        d += 1
-    return DiagonalForm(tuple(sorted(vals)), ncols - len(vals), nrows, ncols)
+@lru_cache(maxsize=None)
+def _structure_tensor(base: RingBase) -> np.ndarray:
+    """T[a, s, t] = coordinate t of b_a * b_s for the basis b_{i*f+j} = pi^i x^j."""
+    k = base.e * base.f
+    basis = [tuple(int(a == s) for s in range(k)) for a in range(k)]
+    T = np.array([[base.mul(a, s) for s in basis] for a in basis], dtype=object)
+    T.setflags(write=False)
+    return T
 
 
-def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalForm:
-    """Diagonal normal form of a relation matrix by invertible row/column
-    operations, pivoting on an entry of minimal pi-valuation (ties broken by
-    (row, col) lexicographic order).
+def _restrict(ring: ChainRing, A: np.ndarray, mod: int) -> np.ndarray:
+    """The (rows*ef) x (cols*ef) matrix over Z/mod (p^K, K <= M) whose row
+    (i, a) holds the coordinates of b_a times row i of the coordinate array A;
+    zero rows are dropped when ef > 1."""
+    nrows, ncols, k = A.shape
+    if k == 1:
+        return np.remainder(A.reshape(nrows, ncols), mod)
+    T = (_structure_tensor(ring.base) % mod).astype(A.dtype)
+    R = np.tensordot(A % mod, T, axes=([2], [1]))  # [i, c, a, t]
+    R = R.transpose(0, 2, 1, 3).reshape(nrows * k, ncols * k) % mod
+    return R[np.any(R != 0, axis=1)]
 
-    ``rows`` is a sequence of length-``ncols`` scalar rows (or a 2d int array
-    for a simple ring); ``ncols`` is mandatory for empty matrices.  The
-    multiset of diagonal valuations together with the free-column count is an
-    isomorphism invariant of the cokernel.
-    """
-    fast = ring.is_simple and ring.p ** ring.N <= 2 ** 31
+
+def _pi_power_rows(ring: ChainRing, n: int, K: int, ncols: int) -> np.ndarray:
+    """The nonzero rows b_a * pi^n * e_c over Z/p^K, restricted like _restrict:
+    pi^i x^j * pi^n = p^((i+n)//e) * pi^((i+n)%e) x^j."""
+    e, f = ring.e, ring.f
+    k = e * f
+    coords, values = [], []
+    for i in range(e):
+        s, t = divmod(i + n, e)
+        if s < K:
+            coords += [t * f + j for j in range(f)]
+            values += [ring.p ** s] * f
+    R = np.zeros((ncols * len(coords), ncols * k), dtype=ring.dtype)
+    cols = (np.arange(ncols)[:, None] * k + np.array(coords, dtype=np.int64)).ravel()
+    R[np.arange(len(cols)), cols] = values * ncols
+    return R
+
+
+def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray:
+    k = ring.e * ring.f
     if isinstance(rows, np.ndarray):
-        if rows.ndim != 2:
-            raise InvalidInput("expected a 2d array")
-        if not fast:
-            raise InvalidInput("array input requires a simple small ring")
-        nrows, nc = rows.shape
-        if ncols is not None and ncols != nc:
+        if rows.ndim == 2 and k == 1:
+            rows = rows[:, :, None]
+        if rows.ndim != 3 or rows.shape[2] != k:
+            raise InvalidInput(f"expected an array of shape (rows, cols, {k}) for {ring!r}")
+        if ncols is not None and ncols != rows.shape[1]:
             raise InvalidInput("ncols disagrees with the array shape")
-        if nrows == 0 or nc == 0:
-            return DiagonalForm((), nc, nrows, nc)
-        A = rows.astype(np.int64, copy=True) % (ring.p ** ring.N)
-        return _diagonalize_numpy(ring, A)
-
+        return rows.astype(ring.dtype, copy=False)
     rows = [list(r) for r in rows]
     if ncols is None:
         if not rows:
@@ -612,23 +632,42 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     for r in rows:
         if len(r) != ncols:
             raise InvalidInput("ragged matrix")
-    if not rows or ncols == 0:
-        return DiagonalForm((), ncols, len(rows), ncols)
-    if fast:
-        mod = ring.p ** ring.N
-        try:
-            A = np.array(rows, dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InvalidInput(f"non-integer entries for {ring!r}") from exc
-        if A.ndim != 2:
-            raise InvalidInput("ragged matrix")
-        if (A < 0).any() or (A >= mod).any():
-            raise InvalidInput(f"entries outside the canonical range of {ring!r}")
-        return _diagonalize_numpy(ring, A)
-    for r in rows:
         for x in r:
             ring.check_scalar(x)
-    return _diagonalize_generic(ring, rows, ncols)
+    coords = [[ring.to_coeffs(x) for x in r] for r in rows]
+    return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k)
+
+
+def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalForm:
+    """Diagonal normal form of a relation matrix over O/pi^N, by restriction
+    of scalars (see the module docstring).
+
+    ``rows`` is a sequence of length-``ncols`` scalar rows, or an integer
+    array of O-coordinates of shape (rows, cols, e*f) (a 2d array when e = f
+    = 1); ``ncols`` is mandatory for empty matrices.  The multiset of
+    diagonal valuations together with the free-column count is an
+    isomorphism invariant of the cokernel.
+    """
+    A = _coordinate_array(ring, rows, ncols)
+    nrows, nc, k = A.shape
+    if nrows == 0 or nc == 0:
+        return DiagonalForm((), nc, nrows, nc)
+    p, e, f, N = ring.p, ring.e, ring.f, ring.N
+    if e == 1:
+        # pi = p: every O-valuation appears f times over Z/p^N.
+        vals = sorted(_diagonalize_numpy(_restrict(ring, A, p ** N), p, N))
+        return DiagonalForm(tuple(vals[::f]), nc - len(vals) // f, nrows, nc)
+    # orders[n] = ord_q(coker / pi^n) = sum_v min(v, n) + n * free, so
+    # d[n] = orders[n] - orders[n-1] = #{v >= n} + free, with d[0] = nc.
+    orders = [0]
+    for n in range(1, N + 1):
+        K = -(-n // e)
+        R = np.concatenate([_restrict(ring, A, p ** K), _pi_power_rows(ring, n, K, nc)])
+        vals = _diagonalize_numpy(R, p, K)
+        orders.append((sum(vals) + K * (nc * k - len(vals))) // f)
+    d = [nc] + [orders[n] - orders[n - 1] for n in range(1, N + 1)]
+    diag = tuple(v for v in range(N) for _ in range(d[v] - d[v + 1]))
+    return DiagonalForm(diag, d[N], nrows, nc)
 
 
 def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:

@@ -21,7 +21,7 @@ from . import compare as cmp
 from . import invariants as inv
 from . import modfile, synth
 from .chainring import ChainRing, RingBase
-from .errors import GridMismatch, InvalidInput, MutowerError, NotConverged, InconsistentProfile, ProfileTooShort
+from .errors import InconsistentProfile, InvalidInput, MutowerError, NotConverged, ProfileTooShort
 from .groupring import GroupSpec
 
 EXIT_OK = 0
@@ -48,7 +48,10 @@ def _parse_ring(text: Optional[str]) -> Optional[RingBase]:
     parts = text.split(",")
     if len(parts) != 3:
         raise InvalidInput("--ring expects p,e,f")
-    p, e, f = (int(t) for t in parts)
+    try:
+        p, e, f = (int(t) for t in parts)
+    except ValueError as exc:
+        raise InvalidInput(f"bad --ring value {text!r}") from exc
     return RingBase(p, e, f)
 
 
@@ -172,6 +175,11 @@ def _verdict_dict(v: cmp.Verdict) -> dict:
     return out
 
 
+def _emit_verdict(config: dict, verdict: cmp.Verdict, args) -> int:
+    _emit({"config": config, "verdict": _verdict_dict(verdict)}, args.format, args.out)
+    return {cmp.EQUAL: EXIT_OK, cmp.UNEQUAL: EXIT_UNEQUAL}.get(verdict.kind, EXIT_INCONCLUSIVE)
+
+
 def run_invariants(args) -> int:
     P = modfile.load_presentation(args.module)
     m_range = _parse_levels(args.levels) or inv.default_m_range(P.spec)
@@ -204,13 +212,7 @@ def run_compare(args) -> int:
         args, {"left": args.left, "right": args.right, "mode": args.mode, "m_range": m_range}
     )
     verdict = cmp.compare_modules(P, Q, mode=args.mode, m_range=m_range, n_max=args.n_max)
-    report = {"config": config, "verdict": _verdict_dict(verdict)}
-    _emit(report, args.format, args.out)
-    if verdict.kind == cmp.EQUAL:
-        return EXIT_OK
-    if verdict.kind == cmp.UNEQUAL:
-        return EXIT_UNEQUAL
-    return EXIT_INCONCLUSIVE
+    return _emit_verdict(config, verdict, args)
 
 
 def run_tower(args) -> int:
@@ -221,13 +223,7 @@ def run_tower(args) -> int:
     B = modfile.load_tower_csv(args.right, base.p, args.dim, label=args.right)
     config = _config_dict(args, {"left": args.left, "right": args.right, "dim": args.dim})
     verdict = cmp.tower_compare(A, B, Fraction(args.error_c))
-    report = {"config": config, "verdict": _verdict_dict(verdict)}
-    _emit(report, args.format, args.out)
-    if verdict.kind == cmp.EQUAL:
-        return EXIT_OK
-    if verdict.kind == cmp.UNEQUAL:
-        return EXIT_UNEQUAL
-    return EXIT_INCONCLUSIVE
+    return _emit_verdict(config, verdict, args)
 
 
 def _default_gts(count: int, seed: int):
@@ -378,13 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "selftest":
             return run_selftest(args)
         raise InvalidInput(f"unknown command {args.command!r}")
-    except GridMismatch as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except MutowerError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_ERROR
-    except OSError as exc:
+    except (MutowerError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR
 

@@ -20,9 +20,11 @@ from .errors import GridMismatch, InvalidInput, NotConverged, InconsistentProfil
 from .invariants import (
     DEFAULT_N_MAX,
     ElementaryRep,
+    elementary_from_mu,
     fit_mu,
     mu_profile,
     recover_elementary,
+    round_level,
 )
 from .lambda_mod import Presentation
 
@@ -172,29 +174,16 @@ def _fit_series(series: TowerSeries, n: int):
     return fit_mu(orders, series.p, series.r)
 
 
-def _round_at(series: TowerSeries, n: int, m: int):
-    scale = series.p ** (series.r * m)
-    k, rem = divmod(series.data[(n, m)], scale)
-    if 2 * rem == scale:
-        return None  # half-integer tie
-    return k + 1 if 2 * rem > scale else k
+def _round_at(series: TowerSeries, n: int, m: int) -> Optional[int]:
+    k, tie = round_level(series.data[(n, m)], series.p, series.r, m)
+    return None if tie else k
 
 
-def _recover_from_mu(mu: Dict[int, int]) -> Optional[ElementaryRep]:
-    ns = sorted(mu)
-    if not ns or ns != list(range(1, len(ns) + 1)):
+def _rep_or_none(mu: Dict[int, int]) -> Optional[ElementaryRep]:
+    try:
+        return elementary_from_mu(mu)
+    except (InvalidInput, InconsistentProfile, ProfileTooShort):
         return None
-    deltas = [mu[ns[0]]] + [mu[b] - mu[a] for a, b in zip(ns, ns[1:])]
-    if any(d < 0 for d in deltas):
-        return None
-    if any(b > a for a, b in zip(deltas, deltas[1:])):
-        return None
-    if len(deltas) >= 2 and deltas[-1] not in (0, deltas[-2]):
-        return None
-    if len(deltas) == 1 and deltas[-1] != 0:
-        return None
-    mults = [deltas[i] - deltas[i + 1] for i in range(len(deltas) - 1)]
-    return ElementaryRep.from_data(deltas[-1], mults)
 
 
 def tower_compare(
@@ -247,8 +236,8 @@ def tower_compare(
         mu_b[n] = fb
     if problem is not None:
         return Verdict(INCONCLUSIVE, reason=problem, mu_profiles=(mu_a, mu_b))
-    rep_a = _recover_from_mu(mu_a)
-    rep_b = _recover_from_mu(mu_b)
+    rep_a = _rep_or_none(mu_a)
+    rep_b = _rep_or_none(mu_b)
     return Verdict(
         EQUAL,
         mu_profiles=(mu_a, mu_b),

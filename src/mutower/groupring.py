@@ -27,7 +27,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .chainring import ChainRing, RingBase, galois_modulus, _is_prime
+from .chainring import ChainRing, RingBase, _is_prime
 from .errors import InvalidInput
 
 ABELIAN = "abelian"
@@ -253,45 +253,6 @@ def poly_sub(x: GroupRingPoly, y: GroupRingPoly) -> GroupRingPoly:
     return poly_add(x, poly_neg(y))
 
 
-def _coeff_mul(base: RingBase, a: Sequence[int], b: Sequence[int]) -> Tuple[int, ...]:
-    # Exact product in O = Z_q[pi]/(pi^e - p): Galois convolution mod h per
-    # pi-block, blocks >= e folded down with a factor of p.
-    e, f = base.e, base.f
-    h = galois_modulus(base.p, f)
-
-    def gr_mul(u, v):
-        res = [0] * (2 * f - 1) if f > 1 else [u[0] * v[0]]
-        if f > 1:
-            for i in range(f):
-                if u[i]:
-                    for j in range(f):
-                        res[i + j] += u[i] * v[j]
-            for i in range(2 * f - 2, f - 1, -1):
-                c = res[i]
-                if c:
-                    res[i] = 0
-                    for j in range(f):
-                        res[i - f + j] -= c * h[j]
-        return res[:f]
-
-    out = [0] * (e * f)
-    for i in range(e):
-        ai = a[i * f : (i + 1) * f]
-        if not any(ai):
-            continue
-        for j in range(e):
-            bj = b[j * f : (j + 1) * f]
-            if not any(bj):
-                continue
-            prod = gr_mul(ai, bj)
-            k = i + j
-            scale = base.p ** (k // e)
-            k %= e
-            for t in range(f):
-                out[k * f + t] += scale * prod[t]
-    return tuple(out)
-
-
 def poly_mul(spec: GroupSpec, base: RingBase, x: GroupRingPoly, y: GroupRingPoly) -> GroupRingPoly:
     """Exact product in O[[G]], using the preset's normal-form rewriting
     (b a = a^(1+p) b for the metacyclic preset)."""
@@ -300,7 +261,7 @@ def poly_mul(spec: GroupSpec, base: RingBase, x: GroupRingPoly, y: GroupRingPoly
     terms = []
     for cx, ex in x.terms:
         for cy, ey in y.terms:
-            terms.append((_coeff_mul(base, cx, cy), spec.exponent_product(ex, ey)))
+            terms.append((base.mul(cx, cy), spec.exponent_product(ex, ey)))
     return _norm_terms(terms)
 
 
@@ -321,23 +282,3 @@ def reduce_poly(x: GroupRingPoly, spec: GroupSpec, m: int, ring: ChainRing) -> L
         idx = level.index(exps)
         vec[idx] = ring.add(vec[idx], ring.from_coeffs(coeffs))
     return vec
-
-
-def regular_rep(ring: ChainRing, level: GroupLevel, vec: Sequence) -> List[List]:
-    """Matrix of right multiplication by the group-ring element ``vec`` on the
-    free module with basis G/G_m; row k lists the coordinates of g_k * x.
-
-    Right multiplication commutes with the left module structure, so these
-    blocks expand presentations of left modules faithfully, and the map is a
-    ring homomorphism into chain-ring matrices.
-    """
-    L = level.order
-    tab = level.table()
-    M = [[ring.zero] * L for _ in range(L)]
-    for h, c in enumerate(vec):
-        if ring.is_zero(c):
-            continue
-        for k in range(L):
-            col = int(tab[k, h])
-            M[k][col] = ring.add(M[k][col], c)
-    return M

@@ -8,10 +8,11 @@ The engine computes o(n, m) = ord_q((M/pi^n)_{G_m}) on a grid and exploits
 
 so mu_n is the nearest integer to o(n, m)/p^(rm) at the top levels (mu is a
 nonnegative integer, which makes the rounding exact once the error term is
-dominated).  The first differences D_n = mu_n - mu_(n-1) are nonincreasing
-and eventually constant at the rank; the multiplicities are their second
-differences.  A profile is only trusted once the rounded value agrees at the
-top two levels and the normalized residual is non-increasing there.
+dominated).  The first differences D_n = mu_n - mu_(n-1) are nonnegative,
+nonincreasing and eventually constant at the rank; the multiplicities are
+their second differences.  A profile is only trusted once the rounded value
+agrees at the top two levels and the normalized residual is non-increasing
+there.
 """
 
 from __future__ import annotations
@@ -79,6 +80,14 @@ class ElementaryRep:
         )
 
 
+def round_level(order: int, p: int, r: int, m: int) -> Tuple[int, bool]:
+    """Nearest integer to order / p^(rm), and whether it is a half-integer tie
+    (which rounds down)."""
+    scale = p ** (r * m)
+    k, rem = divmod(order, scale)
+    return (k + 1 if 2 * rem > scale else k), 2 * rem == scale
+
+
 def fit_mu(orders: Dict[int, int], p: int, r: int) -> Tuple[int, bool, Fraction]:
     """Round orders/p^(rm) at the top level; certify by agreement at the top
     two levels (half-integer ties count as non-converged).  The fitted C is
@@ -88,16 +97,8 @@ def fit_mu(orders: Dict[int, int], p: int, r: int) -> Tuple[int, bool, Fraction]
     if len(ms) < 2:
         raise InvalidInput("need at least two levels")
     top, second = ms[-1], ms[-2]
-
-    def round_at(m):
-        scale = p ** (r * m)
-        k, rem = divmod(orders[m], scale)
-        if 2 * rem == scale:
-            return k, True
-        return (k + 1 if 2 * rem > scale else k), False
-
-    mu_top, tie_top = round_at(top)
-    mu_sec, tie_sec = round_at(second)
+    mu_top, tie_top = round_level(orders[top], p, r, top)
+    mu_sec, tie_sec = round_level(orders[second], p, r, second)
     mu = mu_top
 
     def norm_res(m):
@@ -157,47 +158,57 @@ def mu_profile(
         conv[n] = ok
         c_hat[n] = c
 
-    deltas = [mu[1]] + [mu[n] - mu[n - 1] for n in range(2, n_max + 1)]
+    first_differences(mu)  # rejects a profile of the wrong shape
+    return MuProfile(mu, raw, conv, tuple(ms), c_hat)
+
+
+def first_differences(mu: Dict[int, int]) -> List[int]:
+    """D_n = mu_n - mu_(n-1) for n = 1..n_max (mu_0 = 0).  Raises
+    InconsistentProfile unless they are nonnegative and nonincreasing, as
+    mu(M/pi^n) = n rank + sum min(n, alpha_i) forces."""
+    ns = sorted(mu)
+    if not ns or ns != list(range(1, len(ns) + 1)):
+        raise InvalidInput("profile must cover n = 1..n_max")
+    deltas = [mu[n] - mu.get(n - 1, 0) for n in ns]
     for i, d in enumerate(deltas):
         if d < 0:
             raise InconsistentProfile(f"mu decreases at n={i + 1}")
         if i > 0 and d > deltas[i - 1]:
             raise InconsistentProfile(f"mu differences increase at n={i + 1}")
-    return MuProfile(mu, raw, conv, tuple(ms), c_hat)
+    return deltas
+
+
+def elementary_from_mu(mu: Dict[int, int]) -> ElementaryRep:
+    """Difference method: D_n = rank + #{alpha_i >= n}, so the stabilized
+    tail of the first differences is the free rank and s_i = D_i - D_(i+1).
+
+    Stabilization is accepted when the last two differences agree or the last
+    difference is zero (a nonincreasing nonnegative sequence stays at zero);
+    otherwise ProfileTooShort.
+    """
+    deltas = first_differences(mu)
+    n_max = len(deltas)
+    if deltas[-1] != 0 and (n_max < 2 or deltas[-1] != deltas[-2]):
+        raise ProfileTooShort(
+            f"differences did not stabilize by n_max={n_max}; retry with n_max={n_max + 1}"
+        )
+    mults = [a - b for a, b in zip(deltas, deltas[1:])]
+    return ElementaryRep.from_data(deltas[-1], mults)
 
 
 def recover_elementary(profile: MuProfile) -> ElementaryRep:
-    """Difference method: D_n = mu_n - mu_(n-1) is rank + #{alpha_i >= n};
-    the stabilized tail is the free rank and s_i = D_i - D_(i+1).
-
-    Stabilization is accepted when the last two differences agree or the last
-    difference is zero (a nonincreasing nonnegative sequence stays at zero).
-    The reconstruction identity is re-verified over the whole profile.
-    """
-    n_max = profile.n_max
+    """The elementary representation of a converged profile by the difference
+    method (elementary_from_mu); the reconstruction identity is re-verified
+    over the whole profile."""
     ns = sorted(profile.mu)
-    if ns != list(range(1, n_max + 1)):
+    if not ns or ns != list(range(1, ns[-1] + 1)):
         raise InvalidInput("profile must cover n = 1..n_max")
     bad = [n for n in ns if not profile.converged[n]]
     if bad:
         raise NotConverged(f"profile not converged at n={bad} (needs more levels)")
-    mu = profile.mu
-    deltas = {n: mu[n] - mu.get(n - 1, 0) for n in ns}
-    if n_max >= 2:
-        stabilized = deltas[n_max] == deltas[n_max - 1] or deltas[n_max] == 0
-    else:
-        stabilized = deltas[n_max] == 0
-    if not stabilized:
-        raise ProfileTooShort(
-            f"differences did not stabilize by n_max={n_max}; retry with n_max={n_max + 1}"
-        )
-    free_rank = deltas[n_max]
-    mults = [deltas[n] - deltas[n + 1] for n in range(1, n_max)]
-    if any(s < 0 for s in mults):
-        raise InconsistentProfile("negative multiplicity from the difference method")
-    rep = ElementaryRep.from_data(free_rank, mults)
+    rep = elementary_from_mu(profile.mu)
     for n in ns:
-        if rep.mu_of_quotient(n) != mu[n]:
+        if rep.mu_of_quotient(n) != profile.mu[n]:
             raise InconsistentProfile(
                 f"reconstruction identity fails at n={n}: profile is not of the "
                 "guaranteed shape"

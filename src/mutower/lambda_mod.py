@@ -10,7 +10,8 @@ The two computational primitives are
 
   * coinvariants_ordq: ord_q of (O/pi^N)[G/G_m] (x)_Lambda M, obtained by
     reducing every entry to the level-m group ring, expanding through the
-    regular representation into a chain-ring matrix and diagonalizing;
+    regular representation into an array of O-coordinates and diagonalizing
+    it by restriction of scalars (chainring);
 
   * koszul_homology_ordq: for the abelian presets, the exact q-order of
     H_i(G_m, M) as degree-i Koszul homology of (g_1^(p^m) - 1, ...,
@@ -113,45 +114,29 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 
 def _expanded_matrix(P: Presentation, m: int, N: int):
     """Reduce all entries at level m and expand through the right-regular
-    representation into an (rels*L) x (gens*L) chain-ring matrix; all-zero
+    representation into an (rels*L) x (gens*L) matrix over O/pi^N, held as
+    an integer array of O-coordinates of shape (rows, gens*L, e*f); all-zero
     rows are dropped."""
     ring = ChainRing.from_base(P.base, N)
     level = group_level(P.spec, m)
     L = level.order
     tab = level.table()
-    if ring.is_simple and ring.p ** N <= 2 ** 31:
-        mod = ring.p ** N
-        A = np.zeros((P.rels * L, P.gens * L), dtype=np.int64)
-        rows_idx = np.arange(L)
-        for i in range(P.rels):
-            for j in range(P.gens):
-                entry = P.matrix[i][j]
-                if entry.is_zero:
-                    continue
-                vec = reduce_poly(entry, P.spec, m, ring)
-                for h, c in enumerate(vec):
-                    if c:
-                        A[i * L + rows_idx, j * L + tab[:, h]] += c
-        A %= mod
-        keep = np.any(A != 0, axis=1)
-        return ring, A[keep], P.gens * L
-    rows: List[List] = []
+    A = np.zeros((P.rels * L, P.gens * L, ring.e * ring.f), dtype=ring.dtype)
+    rows_idx = np.arange(L)
     for i in range(P.rels):
-        block = [[ring.zero] * (P.gens * L) for _ in range(L)]
         for j in range(P.gens):
             entry = P.matrix[i][j]
             if entry.is_zero:
                 continue
             vec = reduce_poly(entry, P.spec, m, ring)
             for h, c in enumerate(vec):
-                if ring.is_zero(c):
-                    continue
-                for k in range(L):
-                    col = j * L + int(tab[k, h])
-                    block[k][col] = ring.add(block[k][col], c)
-        rows.extend(block)
-    rows = [r for r in rows if not all(ring.is_zero(x) for x in r)]
-    return ring, rows, P.gens * L
+                if not ring.is_zero(c):
+                    # Row k of the block is g_k * entry; every row of the
+                    # table is a permutation, so each cell is written once
+                    # and stays canonical.
+                    A[i * L + rows_idx, j * L + tab[:, h]] += ring.to_coeffs(c)
+    keep = np.any(A != 0, axis=(1, 2))
+    return ring, A[keep], P.gens * L
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:
@@ -285,14 +270,13 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     ci = len(subsets_i)
     clo = len(subsets_lo)
 
-    def diff_image(J: Tuple[int, ...], g: int) -> Element:
-        # d(e_J (x) e_g) = sum_l (-1)^l t_{J[l]} e_{J \ J[l]} (x) e_g
+    def boundary(J: Tuple[int, ...], g: int, index: Dict[Tuple[int, ...], int]) -> Element:
+        # d(e_J (x) e_g) = sum_l (-1)^l t_{J[l]} e_{J \ J[l]} (x) e_g, the
+        # (|J|-1)-subsets placed in blocks by ``index``
         elem: Element = {}
         for l, j in enumerate(J):
-            J2 = J[:l] + J[l + 1 :]
-            blk = lo_index[J2]
-            piece = _embed(ts[j], blk * b + g)
-            for t, c in piece.items():
+            blk = index[J[:l] + J[l + 1 :]]
+            for t, c in _embed(ts[j], blk * b + g).items():
                 cc = ring.neg(c) if l % 2 else c
                 cur = elem.get(t)
                 new = cc if cur is None else ring.add(cur, cc)
@@ -302,7 +286,7 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
                     elem[t] = new
         return elem
 
-    mapped = [diff_image(J, g) for J in subsets_i for g in range(b)]
+    mapped = [boundary(J, g, lo_index) for J in subsets_i for g in range(b)]
     sub_lo = [_shift_block(u, blk * b) for blk in range(clo) for u in U]
     K = preimage_gens(ctx, clo * b, mapped, sub_lo)
     if not K:
@@ -310,24 +294,10 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
 
     D: List[Element] = []
     if i < r:
-        subsets_hi = list(combinations(range(r), i + 1))
         i_index = {J: t for t, J in enumerate(subsets_i)}
-
-        for J3 in subsets_hi:
+        for J in combinations(range(r), i + 1):
             for g in range(b):
-                elem: Element = {}
-                for l, j in enumerate(J3):
-                    J2 = J3[:l] + J3[l + 1 :]
-                    blk = i_index[J2]
-                    piece = _embed(ts[j], blk * b + g)
-                    for t, c in piece.items():
-                        cc = ring.neg(c) if l % 2 else c
-                        cur = elem.get(t)
-                        new = cc if cur is None else ring.add(cur, cc)
-                        if ring.is_zero(new):
-                            elem.pop(t, None)
-                        else:
-                            elem[t] = new
+                elem = boundary(J, g, i_index)
                 if elem:
                     D.append(elem)
     D.extend(_shift_block(u, blk * b) for blk in range(ci) for u in U)

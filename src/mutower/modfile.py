@@ -58,19 +58,30 @@ def _as_int(v) -> int:
     raise InvalidInput(f"expected an integer, got {v!r}")
 
 
+def _field(obj, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"module file: {where} must be an object, got {type(obj).__name__}")
+    if key not in obj:
+        raise InvalidInput(f"module file missing field: {where}.{key}")
+    return obj[key]
+
+
+def _list(v, where: str) -> list:
+    if not isinstance(v, list):
+        raise InvalidInput(f"module file: {where} must be a list, got {type(v).__name__}")
+    return v
+
+
 def presentation_from_dict(d: dict) -> Presentation:
-    try:
-        ring = d["ring"]
-        group = d["group"]
-        gens = _as_int(d["gens"])
-        rels = _as_int(d["rels"])
-        matrix = d["matrix"]
-    except (KeyError, TypeError) as exc:
-        raise InvalidInput(f"module file missing field: {exc}") from exc
-    base = RingBase(_as_int(ring["p"]), _as_int(ring["e"]), _as_int(ring["f"]))
-    kind = group.get("kind")
+    ring = _field(d, "ring", "module")
+    group = _field(d, "group", "module")
+    gens = _as_int(_field(d, "gens", "module"))
+    rels = _as_int(_field(d, "rels", "module"))
+    matrix = _list(_field(d, "matrix", "module"), "matrix")
+    base = RingBase(*(_as_int(_field(ring, k, "ring")) for k in ("p", "e", "f")))
+    kind = _field(group, "kind", "group")
     if kind == ABELIAN:
-        spec = GroupSpec.abelian(base.p, _as_int(group["r"]))
+        spec = GroupSpec.abelian(base.p, _as_int(_field(group, "r", "group")))
     elif kind == METACYCLIC:
         spec = GroupSpec.metacyclic(base.p)
         if "r" in group and _as_int(group["r"]) != 2:
@@ -81,17 +92,16 @@ def presentation_from_dict(d: dict) -> Presentation:
         raise InvalidInput(f"matrix has {len(matrix)} rows, expected rels = {rels}")
     rows = []
     for i, row in enumerate(matrix):
+        row = _list(row, f"matrix[{i}]")
         if len(row) != gens:
             raise InvalidInput(f"matrix row {i} has {len(row)} entries, expected {gens}")
         out_row = []
         for j, entry in enumerate(row):
             terms = []
-            for t in entry:
-                try:
-                    c = tuple(_as_int(x) for x in t["c"])
-                    e = tuple(_as_int(x) for x in t["e"])
-                except (KeyError, TypeError) as exc:
-                    raise InvalidInput(f"bad term at matrix[{i}][{j}]: {exc}") from exc
+            for t in _list(entry, f"matrix[{i}][{j}]"):
+                where = f"matrix[{i}][{j}] term"
+                c = tuple(_as_int(x) for x in _list(_field(t, "c", where), where + " c"))
+                e = tuple(_as_int(x) for x in _list(_field(t, "e", where), where + " e"))
                 terms.append((c, e))
             out_row.append(_norm_terms(terms) if terms else GroupRingPoly(()))
         rows.append(tuple(out_row))

@@ -1,9 +1,16 @@
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import hermite_normal_form
 
-from mutower.chainring import ChainRing, cokernel_ordq, diagonalize
+from mutower.chainring import ChainRing, _diagonalize_numpy, cokernel_ordq, diagonalize, ordq_from_form
 from mutower.errors import InvalidInput
+from mutower.groupring import pi_pow_coeffs
 from mutower.synth import brute_force_ordq
 
 RINGS = [
@@ -140,17 +147,156 @@ def test_invariance_under_permutation_and_units():
         assert cokernel_ordq(ring, scaled) == base
 
 
-def test_generic_path_matches_simple_path():
-    # e = f = 1 generic elimination must agree with the numpy fast path
-    from mutower.chainring import _diagonalize_generic
+def structured_array(rng, p, K, nrows, ncols):
+    """Random residues mod p^K scaled by random p-powers, so that pivots of
+    every valuation occur."""
+    mod = p ** K
+    A = [[rng.randrange(mod) * p ** rng.choice([0, 0, 1, 2, K]) % mod for _ in range(ncols)] for _ in range(nrows)]
+    return np.array(A, dtype=np.int64)
 
-    ring = ChainRing(3, 1, 1, 3)
+
+@pytest.mark.parametrize("p, K", [(2, 5), (3, 4), (3, 14), (37, 6)])
+def test_object_kernel_matches_int64_kernel(p, K):
+    # (2, 5), (3, 4): valuation table against the object scan; (3, 14) and
+    # (37, 6) exceed VAL_TABLE_MAX, so both dtypes scan.
     rng = random.Random(7)
-    for _ in range(20):
-        rows = rand_matrix(ring, rng, 3, 4)
-        fast = diagonalize(ring, rows)
-        slow = _diagonalize_generic(ring, rows, 4)
-        assert fast == slow
+    for _ in range(12):
+        A = structured_array(rng, p, K, rng.randrange(1, 9), rng.randrange(1, 9))
+        assert _diagonalize_numpy(A.copy(), p, K) == _diagonalize_numpy(A.astype(object), p, K)
+
+
+def test_object_kernel_beyond_int64():
+    # p^K > 2^63: the ring computes on Python ints end to end
+    ring = ChainRing(5, 1, 1, 30)
+    assert ring.dtype is object
+    assert cokernel_ordq(ring, [[5 ** 29, 0], [1, 5]]) == 30  # O/pi^N (+) 0
+    form = diagonalize(ring, [[5 ** 7, 5 ** 12], [0, 5 ** 20]])
+    assert form.diag_valuations == (7, 20) and form.free_cols == 0
+    # restriction through the structure tensor on Python ints: e > 1, f > 1
+    ram = ChainRing(2, 2, 1, 128)
+    assert ram.dtype is object
+    form = diagonalize(ram, [[ram.pi_pow(7), ram.one], [ram.zero, ram.pi_pow(100)]])
+    assert form.diag_valuations == (0, 107) and form.free_cols == 0
+    unr = ChainRing(3, 1, 2, 41)
+    assert unr.dtype is object
+    form = diagonalize(unr, [[unr.from_coeffs((0, 3 ** 5))], [unr.pi_pow(9)]])
+    assert form.diag_valuations == (5,) and form.free_cols == 0
+
+
+def test_large_modulus_needs_no_valuation_table():
+    # p^N = 3^19 would need a 9 GB valuation table
+    ring = ChainRing(3, 1, 1, 19)
+    rng = random.Random(5)
+    rows = structured_array(rng, 3, 19, 6, 6)
+    tracemalloc.start()
+    try:
+        form = diagonalize(ring, rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2 ** 20
+    assert len(form.diag_valuations) + form.free_cols == 6
+
+
+# Rings with e > 1, f > 1 and both, and Z_p itself, at truncations small
+# enough for brute-force enumeration.
+ORACLE_RINGS = [ChainRing(2, 2, 1, 3), ChainRing(2, 1, 2, 2), ChainRing(3, 2, 2, 2), ChainRing(3, 1, 1, 3)]
+
+
+@st.composite
+def small_matrices(draw):
+    ring = draw(st.sampled_from(ORACLE_RINGS))
+    ncols = draw(st.integers(1, 2))
+    nrows = draw(st.integers(0, 3 if ring.size <= 32 else 2))
+    k = ring.e * ring.f
+    coeffs = st.lists(st.integers(0, ring.pM - 1), min_size=k, max_size=k)
+    rows = [[ring.from_coeffs(draw(coeffs)) for _ in range(ncols)] for _ in range(nrows)]
+    return ring, rows, ncols
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(small_matrices())
+def test_restriction_of_scalars_matches_bruteforce(case):
+    ring, rows, ncols = case
+    assert cokernel_ordq(ring, rows, ncols) == brute_force_ordq(ring, rows, ncols)
+
+
+def z_restriction(ring, rows, ncols, n):
+    """[A; pi^n I] over Z with scalar arithmetic: row (i, a) holds the
+    O-coordinates of b_a * A[i] for the basis b_a = pi^i x^j of O, and the
+    rows b_a * pi^n e_c are exact O-products."""
+    base = ring.base
+    k = ring.e * ring.f
+    unit = [tuple(int(s == a) for s in range(k)) for a in range(k)]
+    basis = [ring.from_coeffs(u) for u in unit]
+    out = []
+    for row in rows:
+        for b in basis:
+            out.append([c for x in row for c in ring.to_coeffs(ring.mul(b, x))])
+    pi_n = pi_pow_coeffs(base, n)
+    for col in range(ncols):
+        for u in unit:
+            line = [0] * (ncols * k)
+            line[col * k : (col + 1) * k] = base.mul(pi_n, u)
+            out.append(line)
+    return out
+
+
+def sympy_ordq(ring, rows, ncols, n):
+    """ord_q of coker(A) over O/pi^n from sympy's Hermite normal form over Z.
+
+    The row lattice of the restriction contains p^K Z^(ncols*ef) (K =
+    ceil(n/e)), so sympy's modular Hermite form (modulo that determinant
+    bound) is a square basis of it and |coker| is the product of its
+    diagonal.  sympy's Smith form over ZZ is not used: on some of these
+    30 x 30 inputs its integer elimination ran for minutes."""
+    k = ring.e * ring.f
+    K = -(-n // ring.e)
+    H = hermite_normal_form(Matrix(z_restriction(ring, rows, ncols, n)).T, D=ring.p ** (K * ncols * k))
+    assert H.shape == (ncols * k, ncols * k)
+    total = 0
+    for i in range(ncols * k):
+        d = abs(int(H[i, i]))
+        while d % ring.p == 0:
+            d //= ring.p
+            total += 1
+        assert d == 1
+    assert total % ring.f == 0
+    return total // ring.f
+
+
+def pi_adic_matrix(ring, rng, nrows, ncols):
+    """Random matrix with row and column pi-power scalings, so the cokernel
+    has summands of several exponents."""
+    rv = [rng.choice([0, 0, 1, 2]) for _ in range(nrows)]
+    cv = [rng.choice([0, 0, 1]) for _ in range(ncols)]
+    return [
+        [ring.mul(ring.random_scalar(rng), ring.pi_pow(rv[i] + cv[j])) for j in range(ncols)]
+        for i in range(nrows)
+    ]
+
+
+@pytest.mark.parametrize(
+    "ring, nrows, ncols",
+    [
+        (ChainRing(2, 2, 1, 4), 13, 15),
+        (ChainRing(2, 1, 2, 3), 13, 15),
+        (ChainRing(3, 2, 2, 3), 7, 8),
+        (ChainRing(3, 1, 1, 4), 28, 30),
+        (ChainRing(37, 1, 1, 6), 10, 12),
+    ],
+    ids=repr,
+)
+def test_diagonal_form_matches_sympy_hermite_form(ring, nrows, ncols):
+    # Every truncation n <= N: ordq_from_form at each n pins down the whole
+    # valuation multiset, not only the total order.
+    rng = random.Random(ring.p * 100 + ring.e * 10 + ring.f)
+    for _ in range(3):
+        rows = pi_adic_matrix(ring, rng, nrows, ncols)
+        form = diagonalize(ring, rows, ncols)
+        assert form.free_cols >= ncols - nrows
+        for n in range(1, ring.N + 1):
+            assert ordq_from_form(form, ring.N, n) == sympy_ordq(ring, rows, ncols, n)
 
 
 def test_diagonal_valuations_sorted_ascending():

@@ -96,6 +96,20 @@ def test_invariants_parse_error_exit_code(tmp_path):
     assert cli.main(["invariants", str(path)]) == 1
 
 
+@pytest.mark.parametrize(
+    "field, value", [("ring", {}), ("ring", 3), ("group", []), ("matrix", 5)], ids=str
+)
+def test_malformed_module_file_exit_code(tmp_path, capsys, field, value):
+    d = presentation_to_dict(make_module(GroundTruth(0, (1,), seed=1), AB1, BASE3))
+    d[field] = value
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(d))
+    with pytest.raises(InvalidInput):
+        presentation_from_dict(d)
+    assert cli.main(["invariants", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_compare_command_exit_codes(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -126,6 +140,8 @@ def test_tower_command(tmp_path):
     cpath = tmp_path / "c.csv"
     save_tower_csv(C, str(cpath))
     assert cli.main(["tower", str(a), str(cpath), "--dim", "1", "--ring", "3,1,1"]) == 1
+    # so is a non-integer --ring
+    assert cli.main(["tower", str(a), str(eq), "--dim", "1", "--ring", "3,x,1"]) == 1
 
 
 def test_reports_are_byte_identical(tmp_path):

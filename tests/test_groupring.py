@@ -16,8 +16,8 @@ from mutower.groupring import (
     poly_sub,
     quotient_order,
     reduce_poly,
-    regular_rep,
 )
+from mutower.lambda_mod import _expanded_matrix, presentation
 
 
 def test_quotient_order_examples():
@@ -71,40 +71,30 @@ def test_reduce_poly_metacyclic_rewriting():
     assert nonzero == [((1, 1), 1)]
 
 
+def regular_rep(spec, base, x, m, N):
+    """Right-regular representation of x on (O/pi^N)[G/G_m]: the expansion
+    of the 1x1 presentation [[x]], as an L x L integer matrix (e = f = 1).
+    Row k holds the coordinates of g_k * x; the expansion drops zero rows,
+    which happens exactly when x vanishes at this level."""
+    _, A, L = _expanded_matrix(presentation(spec, base, 1, [[x]]), m, N)
+    assert A.shape[0] in (0, L)
+    return A[:, :, 0] if A.shape[0] else np.zeros((L, L), dtype=np.int64)
+
+
 def test_regular_rep_identity_and_pi():
     spec = GroupSpec.abelian(3, 1)
     base = RingBase(3, 1, 1)
-    ring = ChainRing(3, 1, 1, 2)
-    level = group_level(spec, 1)
-    one = reduce_poly(poly_int(base, 1, 1), spec, 1, ring)
-    eye = regular_rep(ring, level, one)
-    assert eye == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    pi = reduce_poly(poly_pi_pow(base, 1, 1), spec, 1, ring)
-    assert regular_rep(ring, level, pi) == [
-        [3 if i == j else 0 for j in range(3)] for i in range(3)
-    ]
+    eye = regular_rep(spec, base, poly_int(base, 1, 1), 1, 2)
+    assert eye.tolist() == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    pi = regular_rep(spec, base, poly_pi_pow(base, 1, 1), 1, 2)
+    assert pi.tolist() == [[3 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
 def test_regular_rep_swap():
     # abelian r=1, p=2, m=1, x = g1: permutation swapping {1, g1}
     spec = GroupSpec.abelian(2, 1)
     base = RingBase(2, 1, 1)
-    ring = ChainRing(2, 1, 1, 1)
-    vec = reduce_poly(poly_gen(base, 1, 1), spec, 1, ring)
-    assert regular_rep(ring, group_level(spec, 1), vec) == [[0, 1], [1, 0]]
-
-
-def _matmul(ring, A, B):
-    n = len(A)
-    out = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            a = A[i][k]
-            if ring.is_zero(a):
-                continue
-            for j in range(n):
-                out[i][j] = ring.add(out[i][j], ring.mul(a, B[k][j]))
-    return out
+    assert regular_rep(spec, base, poly_gen(base, 1, 1), 1, 1).tolist() == [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize(
@@ -114,7 +104,7 @@ def _matmul(ring, A, B):
 )
 def test_regular_rep_is_ring_homomorphism(spec):
     base = RingBase(spec.p, 1, 1)
-    ring = ChainRing(spec.p, 1, 1, 2)
+    mod = spec.p ** 2
     rng = random.Random(41)
     r = spec.r
 
@@ -134,21 +124,14 @@ def test_regular_rep_is_ring_homomorphism(spec):
     for m in (0, 1, 2):
         if spec.p ** (spec.r * m) > 81:
             continue
-        level = group_level(spec, m)
         for _ in range(4):
             x, y = rand_poly(), rand_poly()
-            rx = regular_rep(ring, level, reduce_poly(x, spec, m, ring))
-            ry = regular_rep(ring, level, reduce_poly(y, spec, m, ring))
-            rxy = regular_rep(
-                ring, level, reduce_poly(poly_mul(spec, base, x, y), spec, m, ring)
-            )
-            assert rxy == _matmul(ring, rx, ry)
-            rsum = regular_rep(
-                ring, level, reduce_poly(poly_add(x, y), spec, m, ring)
-            )
-            assert rsum == [
-                [ring.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(rx, ry)
-            ]
+            rx = regular_rep(spec, base, x, m, 2)
+            ry = regular_rep(spec, base, y, m, 2)
+            rxy = regular_rep(spec, base, poly_mul(spec, base, x, y), m, 2)
+            assert (rxy == (rx @ ry) % mod).all()
+            rsum = regular_rep(spec, base, poly_add(x, y), m, 2)
+            assert (rsum == (rx + ry) % mod).all()
 
 
 @pytest.mark.parametrize(

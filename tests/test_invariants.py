@@ -6,6 +6,7 @@ import pytest
 from mutower.chainring import RingBase
 from mutower.errors import (
     InconsistentInput,
+    InconsistentProfile,
     NotConverged,
     ProfileTooShort,
 )
@@ -123,6 +124,31 @@ def test_recover_rejects_non_model_profile():
     # deltas (2, 1): tail neither repeated nor zero
     with pytest.raises(ProfileTooShort):
         recover_elementary(prof)
+
+
+def test_recover_rejects_negative_differences():
+    # deltas (2, -1, -1) "stabilize" but would give free rank -1
+    prof = MuProfile(
+        {1: 2, 2: 1, 3: 0},
+        {},
+        {1: True, 2: True, 3: True},
+        (0, 1),
+        {n: Fraction(0) for n in (1, 2, 3)},
+    )
+    with pytest.raises(InconsistentProfile):
+        recover_elementary(prof)
+
+
+@pytest.mark.parametrize(
+    "base, levels",
+    [(RingBase(2, 2, 1), None), (RingBase(2, 1, 2), None), (RingBase(3, 2, 2), [0, 1, 2])],
+    ids=repr,
+)
+def test_roundtrip_over_ramified_and_unramified_rings(base, levels):
+    spec = GroupSpec.abelian(base.p, 1)
+    for gt in [GroundTruth(0, (1, 2), seed=1), GroundTruth(1, (1,), seed=2), GroundTruth(0, (3,), seed=3)]:
+        rep = recover_elementary(mu_profile(make_module(gt, spec, base), 6, levels))
+        assert rep == gt.expected_rep()
 
 
 def test_roundtrip_with_obfuscation_seeds():
