@@ -31,6 +31,15 @@ For e > 1 the Z-module structure forgets the pi-adic one (O/pi^2 and (O/pi)^2
 agree over Z_p at e = 2), so one elimination per n <= N, with the rows of
 pi^n appended, gives ord_q(coker / pi^n), and the valuations follow from the
 differences of those orders.
+
+Unit blocks.  A level-m expansion over O = Z_p is an array of L x L blocks,
+each the matrix rho(x) of an element x of the p-group ring (Z/p^K)[Q], Q =
+G/G_m of order L (row k = g_k * x).  That ring is local, so rho(x) is
+invertible exactly when the augmentation of x (the sum of any row of the
+block) is a unit mod p, and Schur complements and division by p keep the
+block structure.  Before the per-pivot loop, _eliminate_unit_blocks removes
+every such block as a whole with float64 matrix products, which are exact
+below 2^53.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidInput
+from .errors import InvalidInput, SingularBlock
 
 
 def _is_prime(n: int) -> bool:
@@ -574,6 +583,82 @@ def _diagonalize_numpy(A: np.ndarray, p: int, K: int) -> List[int]:
     return vals
 
 
+def _float_exact(L: int, mod: int) -> bool:
+    """Whether float64 products of L x L blocks of residues mod ``mod``, plus
+    one more residue, stay below 2^53, where every integer is exact."""
+    return L * (mod - 1) ** 2 + mod < 2 ** 53
+
+
+def _block_inverse(B: np.ndarray, p: int, K: int) -> np.ndarray:
+    """Inverse over Z/p^K of a group-ring block rho(x) (float64 residues) whose
+    augmentation a is a unit mod p, by Newton iteration X <- X (2I - B X)
+    from a^-1 I.
+
+    The error I - B X starts in the augmentation ideal and squares at every
+    step.  That ideal is nilpotent of index at most L mod p (Jennings), so
+    the error vanishes after ceil(log2(K L)) steps; a block that is not of
+    this form raises SingularBlock instead of returning a wrong inverse.
+    """
+    mod = p ** K
+    L = B.shape[0]
+    a = int(B[0].sum()) % mod
+    if a % p == 0:
+        raise SingularBlock(f"block augmentation {a} is not a unit mod {p}")
+    eye = np.eye(L)
+    X = eye * pow(a, -1, mod)
+    for _ in range((K * L - 1).bit_length() + 1):
+        E = (eye - B @ X) % mod
+        if not E.any():
+            return X
+        X = (X + X @ E) % mod
+    raise SingularBlock(f"Newton inversion of a {L}x{L} block mod {p}^{K} did not converge")
+
+
+def _swap_blocks(S: np.ndarray, i: int, L: int, axis: int) -> None:
+    """Swap block row (axis 0) or block column (axis 1) i of S with block 0."""
+    if i:
+        S = S if axis == 0 else S.T
+        S[:L], S[i * L : (i + 1) * L] = S[i * L : (i + 1) * L].copy(), S[:L].copy()
+
+
+def _eliminate_unit_blocks(W: np.ndarray, p: int, K: int, L: int) -> Tuple[List[int], np.ndarray, int, int]:
+    """Eliminate the unit L x L blocks of W (float64 residues mod p^K, shape
+    (r L, c L), overwritten) as whole blocks, dividing by p whenever no unit
+    block is left and every entry is divisible by p.
+
+    Returns (pivot valuations, residual, K', shift): the residual is an int64
+    matrix over Z/p^K' whose pivot valuations, plus shift, are the rest of
+    W's.  Requires _float_exact(L, p^K).
+    """
+    mod = p ** K
+    vals: List[int] = []
+    shift = 0
+    d = 0  # the first d rows and columns are eliminated
+    while d < min(W.shape):
+        S = W[d:, d:]
+        nr, nc = S.shape[0] // L, S.shape[1] // L
+        aug = S[::L].reshape(nr, nc, L).sum(axis=2) % p
+        hit = np.flatnonzero(aug)
+        if hit.size:
+            i, j = divmod(int(hit[0]), nc)  # first unit block, row-major
+            _swap_blocks(S, i, L, 0)
+            _swap_blocks(S, j, L, 1)
+            XA = _block_inverse(S[:L, :L], p, K) @ S[:L, L:] % mod
+            T = S[L:, L:]
+            T -= S[L:, :L] @ XA
+            np.remainder(T, mod, out=T)
+            vals += [shift] * L
+            d += L
+        elif K > 1 and not np.fmod(S, p).any():
+            S /= p
+            K -= 1
+            mod //= p
+            shift += 1
+        else:
+            break
+    return vals, W[d:, d:].astype(np.int64), K, shift
+
+
 @lru_cache(maxsize=None)
 def _structure_tensor(base: RingBase) -> np.ndarray:
     """T[a, s, t] = coordinate t of b_a * b_s for the basis b_{i*f+j} = pi^i x^j."""
@@ -614,16 +699,23 @@ def _pi_power_rows(ring: ChainRing, n: int, K: int, ncols: int) -> np.ndarray:
     return R
 
 
-def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray:
+def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> Tuple[np.ndarray, int]:
+    """(array of shape (rows, cols, e*f), block side L)."""
     k = ring.e * ring.f
+    L = 1
     if isinstance(rows, np.ndarray):
-        if rows.ndim == 2 and k == 1:
+        if rows.ndim == 4:
+            nb, L, nc, _ = rows.shape
+            if L == 0 or nc % L:
+                raise InvalidInput("block array columns are not a multiple of the block side")
+            rows = rows.reshape(nb * L, nc, rows.shape[3])
+        elif rows.ndim == 2 and k == 1:
             rows = rows[:, :, None]
         if rows.ndim != 3 or rows.shape[2] != k:
             raise InvalidInput(f"expected an array of shape (rows, cols, {k}) for {ring!r}")
         if ncols is not None and ncols != rows.shape[1]:
             raise InvalidInput("ncols disagrees with the array shape")
-        return rows.astype(ring.dtype, copy=False)
+        return rows.astype(ring.dtype, copy=False), L
     rows = [list(r) for r in rows]
     if ncols is None:
         if not rows:
@@ -635,7 +727,7 @@ def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray
         for x in r:
             ring.check_scalar(x)
     coords = [[ring.to_coeffs(x) for x in r] for r in rows]
-    return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k)
+    return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k), L
 
 
 def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalForm:
@@ -644,18 +736,30 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
 
     ``rows`` is a sequence of length-``ncols`` scalar rows, or an integer
     array of O-coordinates of shape (rows, cols, e*f) (a 2d array when e = f
-    = 1); ``ncols`` is mandatory for empty matrices.  The multiset of
-    diagonal valuations together with the free-column count is an
-    isomorphism invariant of the cokernel.
+    = 1); ``ncols`` is mandatory for empty matrices.  A 4d array of shape
+    (block rows, L, cols, e*f) is a level expansion whose L x L blocks are
+    group-ring elements (see the module docstring); over O = Z_p, for L > 1,
+    its unit blocks are eliminated whole when float64 is exact for them.  The
+    multiset of diagonal valuations together with the free-column count is
+    an isomorphism invariant of the cokernel.
     """
-    A = _coordinate_array(ring, rows, ncols)
+    A, L = _coordinate_array(ring, rows, ncols)
     nrows, nc, k = A.shape
     if nrows == 0 or nc == 0:
         return DiagonalForm((), nc, nrows, nc)
     p, e, f, N = ring.p, ring.e, ring.f, ring.N
     if e == 1:
         # pi = p: every O-valuation appears f times over Z/p^N.
-        vals = sorted(_diagonalize_numpy(_restrict(ring, A, p ** N), p, N))
+        mod = p ** N
+        if L > 1 and k == 1 and _float_exact(L, mod):
+            # The residues go straight into a float64 working array that only
+            # the callee holds, so it is freed before the residual's loop.
+            vals, R, K, shift = _eliminate_unit_blocks(
+                np.remainder(A.reshape(nrows, nc), mod, out=np.empty((nrows, nc))), p, N, L
+            )
+        else:
+            vals, R, K, shift = [], _restrict(ring, A, mod), N, 0
+        vals = sorted(vals + [v + shift for v in _diagonalize_numpy(R, p, K)])
         return DiagonalForm(tuple(vals[::f]), nc - len(vals) // f, nrows, nc)
     # orders[n] = ord_q(coker / pi^n) = sum_v min(v, n) + n * free, so
     # d[n] = orders[n] - orders[n-1] = #{v >= n} + free, with d[0] = nc.

@@ -273,21 +273,24 @@ def run_synth(args) -> int:
 
 def run_selftest(args) -> int:
     rng = random.Random(args.seed)
+    config = _config_dict(
+        args,
+        {"cases": args.cases, "oracle_cases": args.oracle_cases, "inject_corruption": args.inject_corruption},
+    )
     results = []
-    failures = 0
 
     def record(name, passed, total):
-        nonlocal failures
-        ok = passed == total
-        if not ok:
-            failures += 1
-        results.append({"property": name, "passed": passed, "total": total, "ok": ok})
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {passed}/{total}\n")
+        results.append({"property": name, "passed": passed, "total": total, "ok": passed == total})
+
+    def finish(extra: dict) -> int:
+        ok = all(r["ok"] for r in results)
+        report = {"config": config, "properties": results, "status": "PASS" if ok else "FAIL"}
+        _emit({**report, **extra}, args.format, args.out)
+        return EXIT_OK if ok else EXIT_ERROR
 
     if args.cases == 0:
-        sys.stdout.write("WARNING  empty corpus: vacuous pass\n")
         record("vacuous", 0, 0)
-        return EXIT_OK
+        return finish({"warning": "empty corpus: vacuous pass"})
 
     # oracle agreement on random small matrices
     pool = [ChainRing(2, 1, 1, 2), ChainRing(2, 1, 1, 3), ChainRing(3, 1, 1, 2)]
@@ -355,8 +358,7 @@ def run_selftest(args) -> int:
         if rp == rg:
             garnished += 1
     record("pseudo-null-invisibility", garnished, g_total)
-
-    return EXIT_OK if failures == 0 else EXIT_ERROR
+    return finish({})
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -10,7 +10,11 @@ class InvalidInput(MutowerError):
 
 
 class TooLarge(MutowerError):
-    """Requested brute-force enumeration exceeds the safety bound."""
+    """A requested enumeration or dense expansion exceeds its safety bound."""
+
+
+class SingularBlock(MutowerError):
+    """A block taken as a unit pivot has no inverse over Z/p^K."""
 
 
 class NonAbelianUnsupported(MutowerError):

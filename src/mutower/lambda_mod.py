@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .chainring import ChainRing, DiagonalForm, RingBase, diagonalize, ordq_from_form
-from .errors import InvalidInput, NonAbelianUnsupported, SaturationWarning
+from .errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from .groupring import (
     ABELIAN,
     GroupRingPoly,
@@ -112,31 +112,54 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
     )
 
 
+# Largest dense expansion a level may build: the L x L group table, the
+# expanded coordinate array and the float64 working copy of the unit-block
+# elimination together.
+EXPANSION_BUDGET_BYTES = 2 ** 30
+
+
 def _expanded_matrix(P: Presentation, m: int, N: int):
     """Reduce all entries at level m and expand through the right-regular
     representation into an (rels*L) x (gens*L) matrix over O/pi^N, held as
-    an integer array of O-coordinates of shape (rows, gens*L, e*f); all-zero
-    rows are dropped."""
+    an integer array of O-coordinates of shape (rels, L, gens*L, e*f) that
+    keeps the block rows as an axis; relations that vanish at level m get no
+    block row.
+
+    Raises TooLarge, before allocating anything, when the expansion would
+    exceed EXPANSION_BUDGET_BYTES."""
     ring = ChainRing.from_base(P.base, N)
     level = group_level(P.spec, m)
     L = level.order
+    cells = P.rels * L * P.gens * L
+    need = 8 * L * L + 8 * cells * (ring.e * ring.f + 1)
+    if need > EXPANSION_BUDGET_BYTES:
+        raise TooLarge(
+            f"level m={m} expands to {L}x{L} group-ring blocks, about "
+            f"{need / 2 ** 30:.1f} GiB of dense arrays (budget "
+            f"{EXPANSION_BUDGET_BYTES / 2 ** 30:.0f} GiB); lower --levels"
+        )
+    # The nonzero coefficients of each relation at this level.  A relation
+    # that vanishes here would give L zero rows, so it gets no block row.
+    kept = []
+    for row in P.matrix:
+        terms = [
+            (j, h, ring.to_coeffs(c))
+            for j, entry in enumerate(row)
+            if not entry.is_zero
+            for h, c in enumerate(reduce_poly(entry, P.spec, m, ring))
+            if not ring.is_zero(c)
+        ]
+        if terms:
+            kept.append(terms)
     tab = level.table()
-    A = np.zeros((P.rels * L, P.gens * L, ring.e * ring.f), dtype=ring.dtype)
+    A = np.zeros((len(kept), L, P.gens * L, ring.e * ring.f), dtype=ring.dtype)
     rows_idx = np.arange(L)
-    for i in range(P.rels):
-        for j in range(P.gens):
-            entry = P.matrix[i][j]
-            if entry.is_zero:
-                continue
-            vec = reduce_poly(entry, P.spec, m, ring)
-            for h, c in enumerate(vec):
-                if not ring.is_zero(c):
-                    # Row k of the block is g_k * entry; every row of the
-                    # table is a permutation, so each cell is written once
-                    # and stays canonical.
-                    A[i * L + rows_idx, j * L + tab[:, h]] += ring.to_coeffs(c)
-    keep = np.any(A != 0, axis=(1, 2))
-    return ring, A[keep], P.gens * L
+    for i, terms in enumerate(kept):
+        for j, h, coeffs in terms:
+            # Row k of the block is g_k * entry; every row of the table is a
+            # permutation, so each cell is written once and stays canonical.
+            A[i, rows_idx, j * L + tab[:, h]] = coeffs
+    return ring, A, P.gens * L
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:

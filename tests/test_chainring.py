@@ -8,10 +8,31 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from mutower.chainring import ChainRing, _diagonalize_numpy, cokernel_ordq, diagonalize, ordq_from_form
-from mutower.errors import InvalidInput
-from mutower.groupring import pi_pow_coeffs
-from mutower.synth import brute_force_ordq
+from mutower import chainring
+from mutower.chainring import (
+    ChainRing,
+    RingBase,
+    _block_inverse,
+    _diagonalize_numpy,
+    _eliminate_unit_blocks,
+    _float_exact,
+    cokernel_ordq,
+    diagonalize,
+    ordq_from_form,
+)
+from mutower.errors import InvalidInput, SingularBlock
+from mutower.groupring import (
+    GroupSpec,
+    pi_pow_coeffs,
+    poly_add,
+    poly_gen,
+    poly_int,
+    poly_mul,
+    poly_sub,
+    poly_zero,
+)
+from mutower.lambda_mod import _expanded_matrix, presentation, quotient_pi
+from mutower.synth import Garnish, GroundTruth, brute_force_ordq, make_module
 
 RINGS = [
     ChainRing(2, 1, 1, 2),
@@ -317,3 +338,105 @@ def test_mixed_ring_entries_rejected():
     big = ChainRing(3, 2, 2, 3)
     with pytest.raises(InvalidInput):
         diagonalize(big, [[1]])  # simple scalar fed to an Eisenstein ring
+
+
+# ---------------------------------------------------------------------------
+# Unit-block elimination on level expansions (4d arrays).
+
+BLOCK_SPECS = [
+    GroupSpec.abelian(2, 1),
+    GroupSpec.abelian(3, 1),
+    GroupSpec.abelian(2, 2),
+    GroupSpec.abelian(3, 2),
+    GroupSpec.metacyclic(3),
+]
+
+
+def scalar_form(ring, A, ncols):
+    """The same expansion as one (rows, cols, 1) array: the per-pivot path."""
+    return diagonalize(ring, A.reshape(A.shape[0] * A.shape[1], ncols, 1), ncols)
+
+
+@st.composite
+def level_expansions(draw):
+    spec = draw(st.sampled_from(BLOCK_SPECS))
+    m = draw(st.integers(0, 2))
+    alphas = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
+    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
+    N = draw(st.integers(1, 6))
+    return _expanded_matrix(quotient_pi(make_module(gt, spec), N), m, N)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(level_expansions())
+def test_unit_blocks_match_per_pivot_path(case):
+    ring, A, ncols = case
+    assert diagonalize(ring, A, ncols) == scalar_form(ring, A, ncols)
+
+
+def test_garnished_residual_goes_to_per_pivot_kernel():
+    # (pi, g1 - 1): g1 - 1 has augmentation 0 but is not divisible by p, so
+    # the block pass stops with a residual for _diagonalize_numpy.
+    spec = GroupSpec.abelian(3, 2)
+    P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(1),), seed=3), spec), 6)
+    ring, A, ncols = _expanded_matrix(P, 2, 6)
+    L = A.shape[1]
+    _, residual, _, _ = _eliminate_unit_blocks(A[..., 0].reshape(-1, ncols).astype(np.float64), 3, 6, L)
+    assert residual.size and (residual % 3).any()
+    assert diagonalize(ring, A, ncols) == scalar_form(ring, A, ncols)
+
+
+def test_zero_block_rows():
+    spec = GroupSpec.abelian(3, 1)
+    base = RingBase(3, 1, 1)
+    # g^3 - 1 vanishes at level 1, so the expansion drops its block row
+    vanishing = poly_sub(poly_gen(base, 1, 1, power=3), poly_int(base, 1, 1))
+    P = presentation(spec, base, 2, [[vanishing, poly_zero()], [poly_int(base, 3, 1), poly_gen(base, 1, 1)]])
+    ring, A, ncols = _expanded_matrix(quotient_pi(P, 2), 1, 4)
+    assert A.shape == (3, 3, 6, 1)
+    form = diagonalize(ring, A, ncols)
+    assert form == scalar_form(ring, A, ncols) and form.row_count == 9
+    # explicit zero block rows, kept in the array, change nothing
+    padded = np.concatenate([np.zeros_like(A[:1]), A, np.zeros_like(A[:2])])
+    padded_form = diagonalize(ring, padded, ncols)
+    assert (padded_form.diag_valuations, padded_form.free_cols) == (form.diag_valuations, form.free_cols)
+
+
+def test_modulus_above_float_bound_keeps_per_pivot_path(monkeypatch):
+    spec = GroupSpec.abelian(3, 1)
+    assert _float_exact(81, 3 ** 6)
+    assert not _float_exact(9, 3 ** 16)
+    P = quotient_pi(make_module(GroundTruth(1, (2, 5), seed=8), spec), 16)
+    ring, A, ncols = _expanded_matrix(P, 2, 16)
+    expected = scalar_form(ring, A, ncols)
+
+    def refuse(*args):
+        raise AssertionError("float64 block elimination above 2^53")
+
+    monkeypatch.setattr(chainring, "_eliminate_unit_blocks", refuse)
+    assert diagonalize(ring, A, ncols) == expected
+    assert expected.diag_valuations.count(2) == 9 and expected.diag_valuations.count(5) == 9
+
+
+def regular_block(spec, x, m, K):
+    """rho(x) over Z/p^K at level m, as float64 residues."""
+    _, A, _ = _expanded_matrix(presentation(spec, RingBase(spec.p, 1, 1), 1, [[x]]), m, K)
+    return A[0, :, :, 0].astype(np.float64)
+
+
+def test_block_inverse_of_unit_and_singular_blocks():
+    spec = GroupSpec.metacyclic(3)
+    base = RingBase(3, 1, 1)
+    a, b = poly_gen(base, 1, 2), poly_gen(base, 2, 2)
+    unit = poly_add(poly_int(base, 1, 2), poly_mul(spec, base, a, b))  # augmentation 2
+    block = regular_block(spec, unit, 1, 5)
+    X = _block_inverse(block, 3, 5)
+    assert ((block @ X) % 3 ** 5 == np.eye(9)).all()
+    # a - 1 lies in the augmentation ideal: not a unit
+    with pytest.raises(SingularBlock):
+        _block_inverse(regular_block(spec, poly_sub(a, poly_int(base, 1, 2)), 1, 5), 3, 5)
+    # unit row sum, but singular and not a group-ring block: Newton must not
+    # return
+    with pytest.raises(SingularBlock):
+        _block_inverse(np.array([[1.0, 0.0], [1.0, 0.0]]), 3, 5)

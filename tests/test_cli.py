@@ -6,7 +6,7 @@ from mutower import cli
 from mutower.chainring import RingBase
 from mutower.compare import TowerSeries
 from mutower.errors import InvalidInput
-from mutower.groupring import GroupSpec
+from mutower.groupring import GroupLevel, GroupSpec
 from mutower.modfile import (
     load_presentation,
     load_tower_csv,
@@ -110,6 +110,23 @@ def test_malformed_module_file_exit_code(tmp_path, capsys, field, value):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_oversized_levels_exit_code(tmp_path, capsys, monkeypatch):
+    # level 5 of abelian(3, 2) would need a 28 GB group table; the guard keeps
+    # it from being built even if the budget check were missing
+    real_table = GroupLevel.table
+
+    def guarded_table(level):
+        assert level.order <= 3 ** 8, "oversized group table built"
+        return real_table(level)
+
+    monkeypatch.setattr(GroupLevel, "table", guarded_table)
+    path = tmp_path / "m.json"
+    write_module(path, GroundTruth(0, (1,), seed=1), spec=GroupSpec.abelian(3, 2))
+    assert cli.main(["invariants", str(path), "--levels", "0,5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lower --levels" in err
+
+
 def test_compare_command_exit_codes(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -175,6 +192,23 @@ def test_selftest_command(tmp_path, capsys):
     assert cli.main(["selftest", "--cases", "0"]) == 0
     out = capsys.readouterr().out
     assert "vacuous" in out
+
+
+def test_selftest_report_follows_out_and_format(tmp_path, capsys):
+    argv = ["selftest", "--cases", "2", "--oracle-cases", "5"]
+    assert cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "PASS" and report["config"]["cases"] == 2
+    assert [r["property"] for r in report["properties"]] == [
+        "oracle-agreement",
+        "roundtrip",
+        "obfuscation-soundness",
+        "pseudo-null-invisibility",
+    ]
+    out = tmp_path / "selftest.txt"
+    assert cli.main(argv + ["--format", "text", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert "status: PASS" in out.read_text()
 
 
 def test_selftest_detects_injected_corruption(capsys):

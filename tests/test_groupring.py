@@ -74,11 +74,11 @@ def test_reduce_poly_metacyclic_rewriting():
 def regular_rep(spec, base, x, m, N):
     """Right-regular representation of x on (O/pi^N)[G/G_m]: the expansion
     of the 1x1 presentation [[x]], as an L x L integer matrix (e = f = 1).
-    Row k holds the coordinates of g_k * x; the expansion drops zero rows,
-    which happens exactly when x vanishes at this level."""
+    Row k holds the coordinates of g_k * x; the expansion drops the block
+    row, which happens exactly when x vanishes at this level."""
     _, A, L = _expanded_matrix(presentation(spec, base, 1, [[x]]), m, N)
-    assert A.shape[0] in (0, L)
-    return A[:, :, 0] if A.shape[0] else np.zeros((L, L), dtype=np.int64)
+    assert A.shape[0] in (0, 1)
+    return A[0, :, :, 0] if A.shape[0] else np.zeros((L, L), dtype=np.int64)
 
 
 def test_regular_rep_identity_and_pi():

@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 import warnings
 
 import pytest
 
 from mutower.chainring import RingBase
-from mutower.errors import InvalidInput, NonAbelianUnsupported, SaturationWarning
+from mutower.errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from mutower.groupring import (
+    GroupLevel,
     GroupRingPoly,
     GroupSpec,
     poly_gen,
@@ -20,6 +22,8 @@ from mutower.lambda_mod import (
     presentation,
     quotient_pi,
 )
+from mutower.invariants import mu_profile
+from mutower.synth import GroundTruth, make_module
 
 BASE2 = RingBase(2, 1, 1)
 BASE3 = RingBase(3, 1, 1)
@@ -214,3 +218,25 @@ def test_presentation_validation():
         presentation(spec, RingBase(2, 1, 1), 1, [])  # prime mismatch
     with pytest.raises(InvalidInput):
         presentation(spec, BASE3, 2, [[poly_int(BASE3, 1, 1)]])  # ragged
+
+
+def test_expansion_budget_refuses_before_allocating(monkeypatch):
+    # abelian(3, 2) at level 5: L = 3^10, so the L x L table alone would take
+    # 28 GB.  The guard stops any table beyond level 4 from being built even
+    # if the budget check were missing.
+    real_table = GroupLevel.table
+
+    def guarded_table(level):
+        assert level.order <= 3 ** 8, "oversized group table built"
+        return real_table(level)
+
+    monkeypatch.setattr(GroupLevel, "table", guarded_table)
+    P = make_module(GroundTruth(0, (1,), seed=1), GroupSpec.abelian(3, 2))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge, match="lower --levels"):
+            mu_profile(P, 6, [0, 5])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
