@@ -246,15 +246,27 @@ def _shift_block(elem: Element, offset: int) -> Element:
     return {(pos + offset, mono): c for (pos, mono), c in elem.items()}
 
 
+# Largest Koszul chain module koszul_homology_ordq may take: p^(r m) * b *
+# C(r, i), the rank over O/pi^N of the degree-i chains of the free cover
+# Lambda^b at level m.  The staircase count of quotient_ordq walks up to that
+# many cells, and the Groebner bases grow with it.  The largest tested case
+# has 162 (abelian(3,2), m = 2, b = 1, i = 1).
+KOSZUL_BUDGET_CELLS = 2 ** 20
+
+
 def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     """ord_q(H_i(G_m, M)) for pi-power-torsion M of exponent <= N.
 
     Degree 0 equals coinvariants_ordq; higher degrees require an abelian
     preset (Koszul complex on the commuting operators g_j^(p^m) - 1).
+    Raises TooLarge, before any Groebner work, when the degree-i chains
+    exceed KOSZUL_BUDGET_CELLS.
     """
     spec = P.spec
     if i < 0 or i > spec.r:
         raise InvalidInput(f"Koszul degree {i} outside [0, {spec.r}]")
+    if m < 0:
+        raise InvalidInput("level m must be >= 0")
     if spec.kind != ABELIAN:
         if i == 0:
             return coinvariants_ordq(P, m, N)
@@ -267,6 +279,12 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     r = spec.r
     if b == 0:
         return 0
+    cells = spec.p ** (r * m) * b * comb(r, i)
+    if cells > KOSZUL_BUDGET_CELLS:
+        raise TooLarge(
+            f"Koszul degree {i} at level m={m} has {cells} chain coordinates "
+            f"(p^(r m) b C(r, i); budget {KOSZUL_BUDGET_CELLS}); lower m"
+        )
     # relation rows as elements of S^b
     U: List[Element] = []
     for row in P.matrix:

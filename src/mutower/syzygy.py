@@ -12,8 +12,22 @@ degree-lexicographic with a position tie-break, optionally preceded by a
 block flag so that a leading block can be eliminated (module elimination
 order).  Every basis element is normalized to leading coefficient pi^v; a
 strong basis is maintained by completing S-polynomials together with the
-annihilator multiples pi^(N-v) * g, as in the standard chain-ring Buchberger
-theory.
+annihilator multiples pi^(N-v) * g, as in the Buchberger theory of strong
+bases over chain rings (Norton and Salagean).
+
+The Buchberger loop stores each basis element's leading term and leading
+valuation v once, when the element is appended, and reduces with a heap of
+terms.  Pairs leave a heap ordered by the total degree of the lcm of their
+leading monomials (the normal strategy).  The S-pair (i, j) is skipped by the
+chain criterion (Gebauer and Moeller, 1988) when some k has LT_k dividing
+lcm(LT_i, LT_j) in the same position, v_k <= max(v_i, v_j), and the pairs
+(i, k) and (j, k) have already left the heap: the syzygy of (i, j) is then
+the sum of multiples pi^a T^c of those of (i, k) and (k, j), and the
+coefficient condition is what keeps every a >= 0.  The annihilator pairs
+are always reduced.  There is no product criterion
+(coprime leading monomials): its proof multiplies the two elements together,
+which has no meaning in a free module of rank > 1, and skipping those pairs
+makes Koszul orders wrong or the quotient look infinite.
 
 The two consumers are:
 
@@ -28,7 +42,8 @@ The two consumers are:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import heapq
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chainring import ChainRing
 from .errors import InvalidInput
@@ -45,9 +60,13 @@ class PolyContext:
         self.nvars = nvars
 
     def key(self, split: int):
+        """Sort key of the term order: block flag, total degree, the
+        exponents lexicographically, then lower positions first.  The key is
+        a flat tuple of integers, so its negation reverses the order."""
+
         def _key(term: Term):
             pos, mono = term
-            return (1 if pos < split else 0, sum(mono), mono, -pos)
+            return (1 if pos < split else 0, sum(mono), *mono, -pos)
 
         return _key
 
@@ -82,96 +101,140 @@ def leading_term(ctx: PolyContext, elem: Element, keyfn) -> Term:
     return max(elem, key=keyfn)
 
 
-def _divides(lt: Term, t: Term) -> bool:
-    return lt[0] == t[0] and all(a <= b for a, b in zip(lt[1], t[1]))
+def _divides(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
 
 
-def normal_form(ctx: PolyContext, elem: Element, basis: List[Element], keyfn) -> Element:
+def normal_form(
+    ctx: PolyContext,
+    elem: Element,
+    basis: List[Element],
+    keyfn,
+    lead: Optional[List[Tuple[Term, int]]] = None,
+) -> Element:
     """Full strong reduction of ``elem`` by ``basis`` (leading coefficients of
-    ``basis`` are pi^v after normalization)."""
+    ``basis`` are pi^v after normalization).
+
+    ``lead`` lists the leading term and its coefficient's valuation of each
+    basis element; it is computed here when not given.  Terms are reduced
+    from the largest down, taken from a heap: reducing a term only adds
+    smaller ones.  The result lists its terms in decreasing order, so its
+    first key is its leading term."""
     ring = ctx.ring
+    if lead is None:
+        lead = []
+        for g in basis:
+            lt = leading_term(ctx, g, keyfn)
+            lead.append((lt, ring.val(g[lt])))
     work = dict(elem)
+    heap = [(tuple(-x for x in keyfn(t)), t) for t in work]
+    heapq.heapify(heap)
     out: Element = {}
-    lts = [(leading_term(ctx, g, keyfn), g) for g in basis]
-    lt_vals = [ring.val(g[lt]) for lt, g in lts]
-    while work:
-        t = max(work, key=keyfn)
-        c = work.pop(t)
+    while heap:
+        t = heapq.heappop(heap)[1]
+        c = work.pop(t, None)
+        if c is None:
+            # cancelled after it was pushed
+            continue
         vc = ring.val(c)
-        red = None
-        for (lt, g), vg in zip(lts, lt_vals):
-            if vg <= vc and _divides(lt, t):
-                red = (lt, g, vg)
+        pos, mono = t
+        for g, ((lpos, lmono), vg) in zip(basis, lead):
+            if vg <= vc and lpos == pos and _divides(lmono, mono):
                 break
-        if red is None:
+        else:
             out[t] = c
             continue
-        lt, g, vg = red
-        # factor * lc(g) == c exactly, so the term is killed.
-        factor = ring.mul(ring.unit_part(c), ring.pi_pow(vc - vg))
-        shift = tuple(a - b for a, b in zip(t[1], lt[1]))
-        work[t] = c
-        _add_into(ctx, work, g, factor, shift, True)
-        work.pop(t, None)
+        # factor * pi^vg == c exactly, so the term is killed and only the
+        # tail of g, all of it below t, is added.
+        factor = ring.div_pi_pow(c, vg)
+        shift = tuple(a - b for a, b in zip(mono, lmono))
+        for (gpos, gmono), cg in g.items():
+            if gpos == lpos and gmono == lmono:
+                continue
+            s = (gpos, tuple(a + b for a, b in zip(gmono, shift)))
+            val = ring.mul(factor, cg)
+            if ring.is_zero(val):
+                continue
+            cur = work.get(s)
+            if cur is None:
+                work[s] = ring.neg(val)
+                heapq.heappush(heap, (tuple(-x for x in keyfn(s)), s))
+                continue
+            new = ring.sub(cur, val)
+            if ring.is_zero(new):
+                del work[s]
+            else:
+                work[s] = new
     return out
 
 
-def _normalize(ctx: PolyContext, elem: Element, keyfn) -> Element:
-    lt = leading_term(ctx, elem, keyfn)
-    u = ctx.ring.unit_part(elem[lt])
-    return scale_elem(ctx, elem, ctx.ring.inv(u))
-
-
 def strong_groebner(ctx: PolyContext, gens: Sequence[Element], split: int = 0) -> List[Element]:
-    """Strong Groebner basis of the submodule generated by ``gens``."""
+    """Strong Groebner basis of the submodule generated by ``gens``, by the
+    Buchberger loop of the module docstring: pairs in the normal strategy's
+    order, the chain criterion on S-pairs, every annihilator pair reduced."""
     ring = ctx.ring
     keyfn = ctx.key(split)
     basis: List[Element] = []
+    lead: List[Tuple[Term, int]] = []
+    by_pos: Dict[int, List[int]] = {}
+    # (lcm degree, lcm key, j, i); i == j marks an annihilator pair
+    pairs: List[tuple] = []
+    treated = set()
+
+    def push(i: int, j: int, lcm: Term) -> None:
+        heapq.heappush(pairs, (sum(lcm[1]), keyfn(lcm), j, i))
+
+    def append(elem: Element, lt: Term) -> None:
+        v = ring.val(elem[lt])
+        u = ring.unit_part(elem[lt])
+        if u != ring.one:
+            elem = scale_elem(ctx, elem, ring.inv(u))
+        k = len(basis)
+        basis.append(elem)
+        lead.append((lt, v))
+        pos, mono = lt
+        if v:
+            push(k, k, lt)
+        same = by_pos.setdefault(pos, [])
+        for i in same:
+            push(i, k, (pos, tuple(max(a, b) for a, b in zip(lead[i][0][1], mono))))
+        same.append(k)
+
     for g in gens:
         g = _clean(ctx, dict(g))
         if g:
-            basis.append(_normalize(ctx, g, keyfn))
+            append(g, leading_term(ctx, g, keyfn))
 
-    pending: List[Tuple[str, int, int]] = []
-    for i in range(len(basis)):
-        pending.append(("ann", i, i))
-        for j in range(i):
-            pending.append(("spair", j, i))
-
-    def lt_of(i):
-        return leading_term(ctx, basis[i], keyfn)
-
-    while pending:
-        kind, i, j = pending.pop(0)
-        gi, gj = basis[i], basis[j]
-        lti, ltj = lt_of(i), lt_of(j)
-        vi, vj = ring.val(gi[lti]), ring.val(gj[ltj])
-        if kind == "ann":
-            if vi == 0:
-                continue
-            cand = scale_elem(ctx, gi, ring.pi_pow(ring.N - vi))
+    while pairs:
+        _deg, _key, j, i = heapq.heappop(pairs)
+        (pos, mono_i), vi = lead[i]
+        if i == j:
+            cand = scale_elem(ctx, basis[i], ring.pi_pow(ring.N - vi))
         else:
-            if lti[0] != ltj[0]:
-                continue
-            lcm = tuple(max(a, b) for a, b in zip(lti[1], ltj[1]))
+            treated.add((i, j))
+            (_, mono_j), vj = lead[j]
+            lcm = tuple(max(a, b) for a, b in zip(mono_i, mono_j))
             v = max(vi, vj)
-            shift_i = tuple(a - b for a, b in zip(lcm, lti[1]))
-            shift_j = tuple(a - b for a, b in zip(lcm, ltj[1]))
+            if any(
+                k != i
+                and k != j
+                and lead[k][1] <= v
+                and _divides(lead[k][0][1], lcm)
+                and (min(i, k), max(i, k)) in treated
+                and (min(j, k), max(j, k)) in treated
+                for k in by_pos[pos]
+            ):
+                continue
+            shift_i = tuple(a - b for a, b in zip(lcm, mono_i))
+            shift_j = tuple(a - b for a, b in zip(lcm, mono_j))
             cand = {}
-            _add_into(ctx, cand, gi, ring.pi_pow(v - vi), shift_i, False)
-            _add_into(ctx, cand, gj, ring.pi_pow(v - vj), shift_j, True)
-        cand = _clean(ctx, cand)
+            _add_into(ctx, cand, basis[i], ring.pi_pow(v - vi), shift_i, False)
+            _add_into(ctx, cand, basis[j], ring.pi_pow(v - vj), shift_j, True)
         if not cand:
             continue
-        rem = normal_form(ctx, cand, basis, keyfn)
-        if not rem:
-            continue
-        rem = _normalize(ctx, rem, keyfn)
-        basis.append(rem)
-        k = len(basis) - 1
-        pending.append(("ann", k, k))
-        for t in range(k):
-            pending.append(("spair", t, k))
+        rem = normal_form(ctx, cand, basis, keyfn, lead)
+        if rem:
+            append(rem, next(iter(rem)))
     return basis
 
 

@@ -3,7 +3,10 @@ import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mutower import lambda_mod, syzygy
 from mutower.chainring import RingBase
 from mutower.errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from mutower.groupring import (
@@ -23,7 +26,7 @@ from mutower.lambda_mod import (
     quotient_pi,
 )
 from mutower.invariants import mu_profile
-from mutower.synth import GroundTruth, make_module
+from mutower.synth import Garnish, GroundTruth, alpha_multisets, make_module
 
 BASE2 = RingBase(2, 1, 1)
 BASE3 = RingBase(3, 1, 1)
@@ -195,6 +198,62 @@ def test_koszul_degree_zero_agrees_with_coinvariants():
         P = quotient_pi(free_module(spec, BASE3, 1), alpha)
         for m in (0, 1):
             assert koszul_homology_ordq(P, m, 0, alpha) == coinvariants_ordq(P, m, alpha)
+
+
+@st.composite
+def synth_modules(draw):
+    p, r = draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2)]))
+    alphas = draw(st.sampled_from(alpha_multisets(range(1, 4), 2)[1:]))
+    garnish = (Garnish(draw(st.integers(1, r))),) if r == 2 and draw(st.booleans()) else ()
+    gt = GroundTruth(0, alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
+    spec = GroupSpec.abelian(p, r)
+    return make_module(gt, spec, RingBase(p, 1, 1)), max(alphas), draw(st.integers(0, 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(synth_modules())
+def test_koszul_degree_zero_agrees_with_coinvariants_on_synth_modules(data):
+    # Groebner staircase against the expanded diagonalization: two engines
+    # that share no code below the presentation.
+    P, N, m = data
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", SaturationWarning)
+        expected = coinvariants_ordq(P, m, N)
+    assert koszul_homology_ordq(P, m, 0, N) == expected
+
+
+@pytest.mark.parametrize("base", [RingBase(2, 2, 1), RingBase(3, 1, 2), RingBase(3, 2, 1)], ids=str)
+@pytest.mark.parametrize("r", [1, 2])
+def test_koszul_euler_characteristic_over_extended_rings(base, r):
+    spec = GroupSpec.abelian(base.p, r)
+    for alphas in [(1,), (2,), (1, 2)]:
+        for seed in (0, 1):
+            gt = GroundTruth(0, alphas, seed=seed)
+            P = make_module(gt, spec, base)
+            N = max(alphas)
+            euler = sum((-1) ** i * koszul_homology_ordq(P, 0, i, N) for i in range(r + 1))
+            assert euler == gt.expected_rep().mu_total, (alphas, seed)
+
+
+def test_koszul_budget_refuses_before_groebner(monkeypatch):
+    # abelian(3, 2) at m = 7: 3^14 chain coordinates per generator and
+    # degree.  Both patches fail at once, so a missing check cannot hang.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Koszul work started above the budget")
+
+    monkeypatch.setattr(syzygy, "strong_groebner", refuse)
+    monkeypatch.setattr(lambda_mod, "_tower_operator", refuse)
+    P = quotient_pi(free_module(GroupSpec.abelian(3, 2), BASE3, 1), 1)
+    assert 3 ** 14 > lambda_mod.KOSZUL_BUDGET_CELLS
+    for i in range(3):
+        with pytest.raises(TooLarge, match="lower m"):
+            koszul_homology_ordq(P, 7, i, 1)
+
+
+def test_koszul_rejects_negative_level():
+    P = quotient_pi(free_module(GroupSpec.abelian(3, 1), BASE3, 1), 1)
+    with pytest.raises(InvalidInput):
+        koszul_homology_ordq(P, -1, 1, 1)
 
 
 def test_koszul_rejects_metacyclic_higher_degrees():

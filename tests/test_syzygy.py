@@ -1,9 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mutower.chainring import ChainRing, cokernel_ordq
+from mutower.chainring import ChainRing, RingBase, cokernel_ordq
 from mutower.errors import InvalidInput
+from mutower.groupring import GroupSpec
+from mutower.lambda_mod import koszul_homology_ordq
+from mutower.synth import Garnish, GroundTruth, make_module
 from mutower.syzygy import PolyContext, normal_form, preimage_gens, quotient_ordq, strong_groebner
 
 
@@ -152,3 +157,91 @@ def test_preimage_gens_solves_membership():
             image[tm] = ring.add(image.get(tm, ring.zero), c)
         image = {tt: c for tt, c in image.items() if not ring.is_zero(c)}
         assert normal_form(ctx, image, wb, keyfn) == {}
+
+
+@st.composite
+def generator_sets(draw):
+    p = draw(st.sampled_from([2, 3]))
+    N = draw(st.integers(1, 3))
+    nvars = draw(st.integers(1, 2))
+    rank = draw(st.integers(1, 3))
+    split = draw(st.integers(0, 1))
+    ring = ChainRing(p, 1, 1, N)
+    term = st.tuples(
+        st.integers(0, rank - 1),
+        st.tuples(*[st.integers(0, 2)] * nvars),
+        st.integers(1, p ** N - 1),
+    )
+    gens = draw(st.lists(st.lists(term, min_size=1, max_size=4), min_size=1, max_size=4))
+    return PolyContext(ring, nvars), split, [{(pos, m): c for pos, m, c in g} for g in gens]
+
+
+def _term_multiple(ring, elem, c, shift):
+    """c * T^shift * elem, written out term by term."""
+    out = {}
+    for (pos, m), a in elem.items():
+        t = (pos, tuple(x + y for x, y in zip(m, shift)))
+        out[t] = ring.add(out.get(t, ring.zero), ring.mul(c, a))
+    return {t: a for t, a in out.items() if not ring.is_zero(a)}
+
+
+def _difference(ring, f, g):
+    out = dict(f)
+    for t, a in g.items():
+        out[t] = ring.sub(out.get(t, ring.zero), a)
+    return {t: a for t, a in out.items() if not ring.is_zero(a)}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(generator_sets())
+def test_basis_certificate(data):
+    # Buchberger's criterion for strong bases over a chain ring, checked on
+    # every pair: the inputs, all S-pairs and all annihilator multiples
+    # reduce to 0, so no pair the chain criterion skipped was needed.
+    ctx, split, gens = data
+    ring = ctx.ring
+    keyfn = ctx.key(split)
+    basis = strong_groebner(ctx, gens, split)
+    for g in gens:
+        assert normal_form(ctx, g, basis, keyfn) == {}
+    zero = (0,) * ctx.nvars
+    lead = []
+    for g in basis:
+        lt = max(g, key=keyfn)
+        lead.append((lt, ring.val(g[lt]), ring.inv(ring.unit_part(g[lt]))))
+    for g, (_lt, v, _u) in zip(basis, lead):
+        ann = _term_multiple(ring, g, ring.pi_pow(ring.N - v), zero)
+        assert normal_form(ctx, ann, basis, keyfn) == {}
+    for j, (gj, ((pos_j, mj), vj, uj)) in enumerate(zip(basis, lead)):
+        for gi, ((pos_i, mi), vi, ui) in zip(basis[:j], lead):
+            if pos_i != pos_j:
+                continue
+            lcm = tuple(max(a, b) for a, b in zip(mi, mj))
+            v = max(vi, vj)
+            fi = _term_multiple(
+                ring, gi, ring.mul(ui, ring.pi_pow(v - vi)), tuple(a - b for a, b in zip(lcm, mi))
+            )
+            fj = _term_multiple(
+                ring, gj, ring.mul(uj, ring.pi_pow(v - vj)), tuple(a - b for a, b in zip(lcm, mj))
+            )
+            assert normal_form(ctx, _difference(ring, fi, fj), basis, keyfn) == {}
+
+
+# Modules of the seed-1 koszul benchmark draw (ops 6, 172 and 207), each with
+# at least two generators, on which skipping S-pairs with coprime leading
+# monomials and a unit leading coefficient (the product criterion) makes a
+# quotient look infinite or gives a wrong Euler sum.
+PRODUCT_CRITERION_COUNTEREXAMPLES = [
+    (GroupSpec.abelian(2, 2), GroundTruth(0, (1, 1), seed=357419)),
+    (GroupSpec.abelian(2, 1), GroundTruth(0, (1, 2), seed=628952)),
+    (GroupSpec.abelian(2, 2), GroundTruth(0, (1, 1), (Garnish(2),), seed=391519)),
+]
+
+
+@pytest.mark.parametrize("spec, gt", PRODUCT_CRITERION_COUNTEREXAMPLES)
+def test_koszul_needs_pairs_with_coprime_leading_monomials(spec, gt):
+    P = make_module(gt, spec, RingBase(spec.p, 1, 1))
+    assert P.gens >= 2
+    N = max(gt.alphas)
+    euler = sum((-1) ** i * koszul_homology_ordq(P, 0, i, N) for i in range(spec.r + 1))
+    assert euler == gt.expected_rep().mu_total
