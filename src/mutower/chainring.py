@@ -21,16 +21,13 @@ with ==.  All operations are pure; rings and scalars are immutable and safe to
 share between threads.
 
 Matrices.  A matrix over O/pi^N is one integer array of O-coordinates of
-shape (rows, cols, e*f), and it has one diagonalization: restriction of
-scalars.  Every row x of the matrix spans the O-multiples b * x of the basis
-elements b, so multiplying by a structure tensor of O turns the array into a
-(rows*ef) x (cols*ef) matrix over Z/p^K whose cokernel is the original one as
-an abelian group.  For e = 1 (pi = p) that cokernel is (+) (O/p^v)
-= (+) (Z/p^v)^f, so one elimination at K = N gives every O-valuation f times.
-For e > 1 the Z-module structure forgets the pi-adic one (O/pi^2 and (O/pi)^2
-agree over Z_p at e = 2), so one elimination per n <= N, with the rows of
-pi^n appended, gives ord_q(coker / pi^n), and the valuations follow from the
-differences of those orders.
+shape (rows, cols, e*f).  For e = f = 1 it is a matrix over Z/p^N and goes
+through the scalar elimination _diagonalize_numpy (after the unit-block pass
+below).  Otherwise _diagonalize_coordinates eliminates it once, directly over
+O/pi^N: the pivot is an entry of minimal pi-valuation min_i (e v_p(c_i) + i),
+division by pi^v divides by p^(v//e) and shifts the pi-digits, and every
+O-product is one matrix product through the structure tensor of O.  The
+pivot valuations are the pi-adic valuations of the cokernel.
 
 Unit blocks.  A level-m expansion over O = Z_p is an array of L x L blocks,
 each the matrix rho(x) of an element x of the p-group ring (Z/p^K)[Q], Q =
@@ -175,6 +172,21 @@ def galois_modulus(p: int, f: int) -> Tuple[int, ...]:
     raise RuntimeError(f"no irreducible polynomial of degree {f} over F_{p}")
 
 
+def _newton_steps(N: int) -> int:
+    """Newton steps for a unit inverse over O/pi^N: each step doubles the
+    pi-adic precision of the residue-field start."""
+    return N.bit_length() + 2
+
+
+@lru_cache(maxsize=4096)
+def _residue_inverse(p: int, f: int, res: Tuple[int, ...]) -> Tuple[int, ...]:
+    """x-coordinates of the inverse of the nonzero residue ``res`` in F_q =
+    F_p[x]/(h), as res^(q-2)."""
+    if f == 1:
+        return (pow(res[0], -1, p),)
+    return tuple(_poly_pow_mod(list(res), p ** f - 2, galois_modulus(p, f), p))
+
+
 @dataclass(frozen=True)
 class RingBase:
     """The exact coefficient ring O, described by (p, e, f)."""
@@ -250,7 +262,7 @@ class ChainRing:
         self.M = self.prec[0]
         self.pM = p ** self.M
         # Integer type of O-coordinate arrays over this ring: int64 unless
-        # restricting or eliminating them could overflow it.
+        # eliminating them could overflow it.
         self.dtype = _kernel_dtype(self.pM, e * f)
         if self.is_simple:
             self.zero = 0
@@ -429,31 +441,16 @@ class ChainRing:
             raise InvalidInput("inverse of a non-unit")
         if self.is_simple:
             return pow(int(x), -1, self.p ** self.N)
-        # residue-field inverse of the mod-pi image, via c^(q-2)
-        res = tuple(c % self.p for c in x[0])
-        if self.f == 1:
-            y0_coeffs = (pow(res[0], -1, self.p),)
-        else:
-            k = ChainRing(self.p, 1, self.f, 1)
-            rx = (res,)
-            y0 = k.one
-            power = self.q - 2
-            b = rx
-            while power:
-                if power & 1:
-                    y0 = k.mul(y0, b)
-                b = k.mul(b, b)
-                power >>= 1
-            y0_coeffs = tuple(y0[0])
-        y = self.from_coeffs(y0_coeffs + (0,) * (self.e * self.f - self.f))
-        for _ in range(self.N.bit_length() + 2):
+        y0 = _residue_inverse(self.p, self.f, tuple(c % self.p for c in x[0]))
+        y = self.from_coeffs(y0 + (0,) * (self.e * self.f - self.f))
+        for _ in range(_newton_steps(self.N)):
             err = self.sub(self.mul(x, y), self.one)
             if self.is_zero(err):
                 return y
             y = self.sub(y, self.mul(y, err))
         if self.is_zero(self.sub(self.mul(x, y), self.one)):
             return y
-        raise RuntimeError("Newton inversion failed to converge")
+        raise SingularBlock(f"Newton inversion of {x!r} over {self!r} did not converge")
 
     def elements(self):
         """Iterate every scalar (for brute-force oracles at tiny sizes)."""
@@ -669,34 +666,103 @@ def _structure_tensor(base: RingBase) -> np.ndarray:
     return T
 
 
-def _restrict(ring: ChainRing, A: np.ndarray, mod: int) -> np.ndarray:
-    """The (rows*ef) x (cols*ef) matrix over Z/mod (p^K, K <= M) whose row
-    (i, a) holds the coordinates of b_a times row i of the coordinate array A;
-    zero rows are dropped when ef > 1."""
-    nrows, ncols, k = A.shape
-    if k == 1:
-        return np.remainder(A.reshape(nrows, ncols), mod)
-    T = (_structure_tensor(ring.base) % mod).astype(A.dtype)
-    R = np.tensordot(A % mod, T, axes=([2], [1]))  # [i, c, a, t]
-    R = R.transpose(0, 2, 1, 3).reshape(nrows * k, ncols * k) % mod
-    return R[np.any(R != 0, axis=1)]
+@lru_cache(maxsize=4096)
+def _inverse_matrix(ring: ChainRing, unit: Tuple[int, ...], dtype) -> np.ndarray:
+    """The multiplication matrix y -> y * unit^-1 on O-coordinates (row a is
+    the coordinate vector of b_a * unit^-1), reduced like the coordinates."""
+    y = ring.to_coeffs(ring.inv(ring.from_coeffs(unit)))
+    M = np.tensordot(np.array(y, dtype=object), _structure_tensor(ring.base), axes=([0], [1]))
+    M = (M % np.array(_precision_moduli(ring), dtype=object)).astype(dtype)
+    M.setflags(write=False)
+    return M
 
 
-def _pi_power_rows(ring: ChainRing, n: int, K: int, ncols: int) -> np.ndarray:
-    """The nonzero rows b_a * pi^n * e_c over Z/p^K, restricted like _restrict:
-    pi^i x^j * pi^n = p^((i+n)//e) * pi^((i+n)%e) x^j."""
-    e, f = ring.e, ring.f
-    k = e * f
-    coords, values = [], []
-    for i in range(e):
-        s, t = divmod(i + n, e)
-        if s < K:
-            coords += [t * f + j for j in range(f)]
-            values += [ring.p ** s] * f
-    R = np.zeros((ncols * len(coords), ncols * k), dtype=ring.dtype)
-    cols = (np.arange(ncols)[:, None] * k + np.array(coords, dtype=np.int64)).ravel()
-    R[np.arange(len(cols)), cols] = values * ncols
-    return R
+def _precision_moduli(ring: ChainRing) -> Tuple[int, ...]:
+    """p^prec[i] for every O-coordinate i*f + j."""
+    return tuple(ring.p ** c for c in ring.prec for _ in range(ring.f))
+
+
+def _pi_pivot(sub: np.ndarray, ring: ChainRing, table: Optional[np.ndarray], digit: np.ndarray) -> Tuple[int, int]:
+    """(row-major position, pi-valuation) of the first entry of minimal
+    pi-valuation min_i (e v_p(c_i) + i) of the coordinate block ``sub``
+    (``digit`` holds the i of every coordinate); valuation N when the block
+    is zero."""
+    p, e, N = ring.p, ring.e, ring.N
+    if table is not None:
+        w = (table[sub] * np.int16(e) + digit).min(axis=2)
+        pos = int(np.argmin(w))
+        return pos, min(int(w.flat[pos]), N)
+    for w in range(N):
+        # Digit i reaches valuation <= w iff v_p(c_i) <= (w - i) // e.
+        mods = np.array([p ** ((w - i) // e + 1) if i <= w else 1 for i in digit.tolist()], dtype=sub.dtype)
+        hit = (sub % mods != 0).any(axis=2)
+        pos = int(np.argmax(hit))
+        if hit.flat[pos]:
+            return pos, w
+    return 0, N
+
+
+def _div_pi_pow(X: np.ndarray, ring: ChainRing, v: int) -> np.ndarray:
+    """Rows of O-coordinates (shape (n, e*f), every entry of pi-valuation
+    >= v) divided by pi^v: divide by p^(v//e), then shift the pi-digits down
+    by v mod e; the digits shifted below 0 wrap to the top divided by p."""
+    s, r = divmod(v, ring.e)
+    X = X // ring.p ** s
+    if r:
+        D = X.reshape(len(X), ring.e, ring.f)
+        X = np.concatenate([D[:, r:], D[:, :r] // ring.p], axis=1).reshape(len(X), -1)
+    return X
+
+
+def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
+    """Diagonalize a coordinate array A over O/pi^N (shape (rows, cols, e*f),
+    int64 as in _kernel_dtype or Python ints) by invertible row and column
+    operations over O, pivoting on an entry of minimal pi-valuation (ties
+    broken by (row, col) lexicographic order); returns the pivot valuations,
+    all below N.
+
+    Every O-product is one matrix product through the structure tensor, and
+    every coordinate is reduced mod p^prec[i] before the next one, so int64
+    arrays stay within the bound of _kernel_dtype(p^M, e*f).  A itself is
+    not modified.
+    """
+    p, k = ring.p, ring.e * ring.f
+    nrows, ncols, _ = A.shape
+    dtype = A.dtype
+    moduli = np.array(_precision_moduli(ring), dtype=dtype)
+    A = A % moduli
+    # S[s, (a, t)] = T[a, s, t]: a row of coordinates times S gives the
+    # multiplication matrices of its entries side by side.
+    S = (_structure_tensor(ring.base) % ring.pM).astype(dtype).transpose(1, 0, 2).reshape(k, k * k)
+    table = _val_table(p, ring.M) if dtype == np.int64 and ring.pM <= VAL_TABLE_MAX else None
+    digit = np.repeat(np.arange(ring.e, dtype=np.int16), ring.f)
+
+    vals: List[int] = []
+    d = 0
+    top = min(nrows, ncols)
+    while d < top:
+        pos, v = _pi_pivot(A[d:, d:], ring, table, digit)
+        if v >= ring.N:
+            break
+        i, j = divmod(pos, ncols - d)
+        i += d
+        j += d
+        if i != d:
+            A[[d, i]] = A[[i, d]]
+        if j != d:
+            A[:, [d, j]] = A[:, [j, d]]
+        if d + 1 < top:  # the last pivot leaves nothing to update
+            unit = tuple(_div_pi_pow(A[d, d][None], ring, v)[0].tolist())
+            # F[i] * pivot = A[i, d]: the row multipliers over O.
+            F = _div_pi_pow(A[d + 1 :, d], ring, v) @ _inverse_matrix(ring, unit, dtype) % moduli
+            c = ncols - d - 1
+            P = (A[d, d + 1 :] @ S).reshape(c, k, k) % moduli
+            block = A[d + 1 :, d + 1 :]
+            block -= (F @ P.transpose(1, 0, 2).reshape(k, c * k)).reshape(-1, c, k)
+            block %= moduli
+        vals.append(v)
+        d += 1
+    return vals
 
 
 def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> Tuple[np.ndarray, int]:
@@ -731,47 +797,38 @@ def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> Tuple[np.n
 
 
 def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalForm:
-    """Diagonal normal form of a relation matrix over O/pi^N, by restriction
-    of scalars (see the module docstring).
+    """Diagonal normal form of a relation matrix over O/pi^N (see the module
+    docstring).
 
     ``rows`` is a sequence of length-``ncols`` scalar rows, or an integer
     array of O-coordinates of shape (rows, cols, e*f) (a 2d array when e = f
     = 1); ``ncols`` is mandatory for empty matrices.  A 4d array of shape
     (block rows, L, cols, e*f) is a level expansion whose L x L blocks are
     group-ring elements (see the module docstring); over O = Z_p, for L > 1,
-    its unit blocks are eliminated whole when float64 is exact for them.  The
-    multiset of diagonal valuations together with the free-column count is
-    an isomorphism invariant of the cokernel.
+    its unit blocks are eliminated whole when float64 is exact for them.
+    Over every other O the array goes through one pi-adic elimination,
+    _diagonalize_coordinates.  The multiset of diagonal valuations together
+    with the free-column count is an isomorphism invariant of the cokernel.
     """
     A, L = _coordinate_array(ring, rows, ncols)
     nrows, nc, k = A.shape
     if nrows == 0 or nc == 0:
         return DiagonalForm((), nc, nrows, nc)
-    p, e, f, N = ring.p, ring.e, ring.f, ring.N
-    if e == 1:
-        # pi = p: every O-valuation appears f times over Z/p^N.
-        mod = p ** N
-        if L > 1 and k == 1 and _float_exact(L, mod):
-            # The residues go straight into a float64 working array that only
-            # the callee holds, so it is freed before the residual's loop.
-            vals, R, K, shift = _eliminate_unit_blocks(
-                np.remainder(A.reshape(nrows, nc), mod, out=np.empty((nrows, nc))), p, N, L
-            )
-        else:
-            vals, R, K, shift = [], _restrict(ring, A, mod), N, 0
-        vals = sorted(vals + [v + shift for v in _diagonalize_numpy(R, p, K)])
-        return DiagonalForm(tuple(vals[::f]), nc - len(vals) // f, nrows, nc)
-    # orders[n] = ord_q(coker / pi^n) = sum_v min(v, n) + n * free, so
-    # d[n] = orders[n] - orders[n-1] = #{v >= n} + free, with d[0] = nc.
-    orders = [0]
-    for n in range(1, N + 1):
-        K = -(-n // e)
-        R = np.concatenate([_restrict(ring, A, p ** K), _pi_power_rows(ring, n, K, nc)])
-        vals = _diagonalize_numpy(R, p, K)
-        orders.append((sum(vals) + K * (nc * k - len(vals))) // f)
-    d = [nc] + [orders[n] - orders[n - 1] for n in range(1, N + 1)]
-    diag = tuple(v for v in range(N) for _ in range(d[v] - d[v + 1]))
-    return DiagonalForm(diag, d[N], nrows, nc)
+    if k > 1:
+        vals = _diagonalize_coordinates(A, ring)
+        return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
+    p, N = ring.p, ring.N
+    mod = p ** N
+    # The residues go straight into a float64 working array that only the
+    # callee holds, so it is freed before the residual's loop.
+    if L > 1 and _float_exact(L, mod):
+        vals, R, K, shift = _eliminate_unit_blocks(
+            np.remainder(A.reshape(nrows, nc), mod, out=np.empty((nrows, nc))), p, N, L
+        )
+    else:
+        vals, R, K, shift = [], np.remainder(A.reshape(nrows, nc), mod), N, 0
+    vals = sorted(vals + [v + shift for v in _diagonalize_numpy(R, p, K)])
+    return DiagonalForm(tuple(vals), nc - len(vals), nrows, nc)
 
 
 def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:

@@ -14,7 +14,8 @@ class TooLarge(MutowerError):
 
 
 class SingularBlock(MutowerError):
-    """A block taken as a unit pivot has no inverse over Z/p^K."""
+    """A pivot taken as a unit (a group-ring block over Z/p^K, or a scalar of
+    O/pi^N) whose Newton inversion does not converge."""
 
 
 class NonAbelianUnsupported(MutowerError):

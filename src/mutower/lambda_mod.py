@@ -11,7 +11,7 @@ The two computational primitives are
   * coinvariants_ordq: ord_q of (O/pi^N)[G/G_m] (x)_Lambda M, obtained by
     reducing every entry to the level-m group ring, expanding through the
     regular representation into an array of O-coordinates and diagonalizing
-    it by restriction of scalars (chainring);
+    it over O/pi^N (chainring);
 
   * koszul_homology_ordq: for the abelian presets, the exact q-order of
     H_i(G_m, M) as degree-i Koszul homology of (g_1^(p^m) - 1, ...,

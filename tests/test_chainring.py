@@ -13,7 +13,9 @@ from mutower.chainring import (
     ChainRing,
     RingBase,
     _block_inverse,
+    _diagonalize_coordinates,
     _diagonalize_numpy,
+    _div_pi_pow,
     _eliminate_unit_blocks,
     _float_exact,
     cokernel_ordq,
@@ -79,6 +81,17 @@ def test_arithmetic_axioms_and_reconstruction(ring):
         assert ring.mul(ring.unit_part(a), ring.pi_pow(v)) == a
         if v == 0:
             assert ring.mul(a, ring.inv(a)) == ring.one
+
+
+@pytest.mark.parametrize("ring", [ChainRing(2, 2, 1, 4), ChainRing(3, 2, 2, 3)], ids=repr)
+def test_newton_failure_raises_typed_error(ring, monkeypatch):
+    # 1 + pi is a unit whose inverse is not the residue-field start 1, so
+    # Newton without steps cannot return it.
+    x = ring.add(ring.one, ring.pi)
+    assert ring.mul(x, ring.inv(x)) == ring.one
+    monkeypatch.setattr(chainring, "_newton_steps", lambda N: 0)
+    with pytest.raises(SingularBlock):
+        ring.inv(x)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -186,6 +199,74 @@ def test_object_kernel_matches_int64_kernel(p, K):
         assert _diagonalize_numpy(A.copy(), p, K) == _diagonalize_numpy(A.astype(object), p, K)
 
 
+def coordinate_array(ring, rng, nrows, ncols):
+    """O-coordinates of a random matrix with pi-power scalings of every
+    valuation below N, zero included."""
+    rows = [
+        [ring.mul(ring.random_scalar(rng), ring.pi_pow(rng.choice([0, 0, 1, 2, 3, ring.N]))) for _ in range(ncols)]
+        for _ in range(nrows)
+    ]
+    k = ring.e * ring.f
+    return np.array([[ring.to_coeffs(x) for x in r] for r in rows], dtype=np.int64).reshape(nrows, ncols, k)
+
+
+@pytest.mark.parametrize(
+    "ring, table",
+    [
+        (ChainRing(2, 2, 1, 5), True),
+        (ChainRing(2, 2, 1, 44), False),
+        (ChainRing(3, 1, 2, 4), True),
+        (ChainRing(3, 1, 2, 14), False),
+        (ChainRing(3, 2, 2, 4), True),
+        (ChainRing(3, 2, 2, 28), False),
+    ],
+    ids=repr,
+)
+def test_object_coordinate_kernel_matches_int64_kernel(ring, table):
+    # int64 pivots through the valuation table below VAL_TABLE_MAX and by a
+    # residue scan above it; object arrays always scan.
+    assert ring.dtype is np.int64
+    assert (ring.pM <= chainring.VAL_TABLE_MAX) == table
+    rng = random.Random(ring.N)
+    for _ in range(8):
+        A = coordinate_array(ring, rng, rng.randrange(1, 8), rng.randrange(1, 8))
+        assert _diagonalize_coordinates(A, ring) == _diagonalize_coordinates(A.astype(object), ring)
+
+
+@pytest.mark.parametrize(
+    "ring", [ChainRing(2, 2, 1, 5), ChainRing(2, 3, 1, 7), ChainRing(3, 3, 1, 5), ChainRing(2, 3, 2, 5)], ids=repr
+)
+def test_coordinate_division_by_pi_power_is_exact(ring):
+    # u * pi^v == x for x / pi^v = u at every v <= N: every shift of the
+    # pi-digits, those that wrap below 0 included.
+    rng = random.Random(41)
+    for v in range(ring.N + 1):
+        xs = [ring.mul(ring.random_scalar(rng), ring.pi_pow(v)) for _ in range(20)]
+        U = _div_pi_pow(np.array([ring.to_coeffs(x) for x in xs], dtype=np.int64), ring, v)
+        for x, u in zip(xs, U.tolist()):
+            assert ring.mul(ring.from_coeffs(u), ring.pi_pow(v)) == x
+
+
+def test_ramified_ring_eliminates_once(monkeypatch):
+    # Over e > 1 one pi-adic elimination gives every valuation; no
+    # elimination per truncation n <= N.
+    ring = ChainRing(2, 2, 1, 64)
+    calls = []
+
+    def counted(A, r):
+        calls.append(A.shape)
+        return _diagonalize_coordinates(A, r)
+
+    def refuse(*args):
+        raise AssertionError("scalar elimination over a ramified ring")
+
+    monkeypatch.setattr(chainring, "_diagonalize_coordinates", counted)
+    monkeypatch.setattr(chainring, "_diagonalize_numpy", refuse)
+    form = diagonalize(ring, [[ring.pi_pow(7), ring.one, ring.zero], [ring.zero, ring.pi_pow(50), ring.pi_pow(3)]])
+    assert calls == [(2, 3, 2)]
+    assert form.diag_valuations == (0, 3) and form.free_cols == 1
+
+
 def test_object_kernel_beyond_int64():
     # p^K > 2^63: the ring computes on Python ints end to end
     ring = ChainRing(5, 1, 1, 30)
@@ -193,7 +274,7 @@ def test_object_kernel_beyond_int64():
     assert cokernel_ordq(ring, [[5 ** 29, 0], [1, 5]]) == 30  # O/pi^N (+) 0
     form = diagonalize(ring, [[5 ** 7, 5 ** 12], [0, 5 ** 20]])
     assert form.diag_valuations == (7, 20) and form.free_cols == 0
-    # restriction through the structure tensor on Python ints: e > 1, f > 1
+    # the pi-adic elimination on Python ints: e > 1, f > 1
     ram = ChainRing(2, 2, 1, 128)
     assert ram.dtype is object
     form = diagonalize(ram, [[ram.pi_pow(7), ram.one], [ram.zero, ram.pi_pow(100)]])
@@ -240,6 +321,29 @@ def small_matrices(draw):
 def test_restriction_of_scalars_matches_bruteforce(case):
     ring, rows, ncols = case
     assert cokernel_ordq(ring, rows, ncols) == brute_force_ordq(ring, rows, ncols)
+
+
+E3_RING = ChainRing(2, 3, 1, 3)
+
+
+@st.composite
+def e3_matrices(draw):
+    # pi^3 = 2 over Z_2 at N = 3, small enough to enumerate: pivots of
+    # every valuation v < e.  The digits that wrap below 0 in the division
+    # by pi^v vanish at this N; test_coordinate_division_by_pi_power_is_exact
+    # covers them.
+    ncols = draw(st.integers(1, 3))
+    nrows = draw(st.integers(0, 3))
+    coeffs = st.lists(st.integers(0, 1), min_size=3, max_size=3)
+    rows = [[E3_RING.from_coeffs(draw(coeffs)) for _ in range(ncols)] for _ in range(nrows)]
+    return rows, ncols
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(e3_matrices())
+def test_totally_ramified_e3_matches_bruteforce(case):
+    rows, ncols = case
+    assert cokernel_ordq(E3_RING, rows, ncols) == brute_force_ordq(E3_RING, rows, ncols)
 
 
 def z_restriction(ring, rows, ncols, n):
@@ -303,6 +407,9 @@ def pi_adic_matrix(ring, rng, nrows, ncols):
         (ChainRing(2, 2, 1, 4), 13, 15),
         (ChainRing(2, 1, 2, 3), 13, 15),
         (ChainRing(3, 2, 2, 3), 7, 8),
+        (ChainRing(2, 3, 1, 5), 9, 10),
+        (ChainRing(3, 3, 1, 4), 7, 8),
+        (ChainRing(2, 3, 2, 4), 5, 6),
         (ChainRing(3, 1, 1, 4), 28, 30),
         (ChainRing(37, 1, 1, 6), 10, 12),
     ],
