@@ -43,8 +43,6 @@ from .invariants import (
     ElementaryRep,
     MuProfile,
     default_m_range,
-    estimate_mu,
-    is_pseudonull_pi_part,
     mu_profile,
     recover_elementary,
     solve_multiplicities,
@@ -96,9 +94,7 @@ __all__ = [
     "corrupt_presentation",
     "default_m_range",
     "diagonalize",
-    "estimate_mu",
     "group_level",
-    "is_pseudonull_pi_part",
     "koszul_homology_ordq",
     "make_module",
     "mu_profile",

@@ -10,24 +10,23 @@ Z[x]/(p^M, h(x)) for a fixed monic degree-f lift h of an irreducible
 polynomial over F_p; for e > 1 the ring is the Eisenstein extension by
 pi^e = p over it.  An element has the O-coordinates (c_0, ..., c_{ef-1})
 on the basis pi^i x^j (entry i*f + j), the pi^i coordinates reduced mod
-p^{ceil((N-i)/e)}.  A scalar is
+p^{ceil((N-i)/e)} (ChainRing.moduli).  A scalar is
 
   * a plain int in [0, p^N)                     when e == f == 1,
-  * a tuple of e tuples of f ints otherwise (component i holds the pi^i
-    coordinates).
+  * the tuple of its e*f reduced O-coordinates  otherwise,
 
-Canonical forms are equal iff the ring elements are equal, so scalars compare
-with ==.  All operations are pure; rings and scalars are immutable and safe to
-share between threads.
+so scalars, RingBase.mul and coordinate arrays share one layout.  Canonical
+forms are equal iff the ring elements are equal, so scalars compare with ==.
+All operations are pure; rings and scalars are immutable and safe to share
+between threads.
 
 Matrices.  A matrix over O/pi^N is one integer array of O-coordinates of
-shape (rows, cols, e*f).  For e = f = 1 it is a matrix over Z/p^N and goes
-through the scalar elimination _diagonalize_numpy (after the unit-block pass
-below).  Otherwise _diagonalize_coordinates eliminates it once, directly over
-O/pi^N: the pivot is an entry of minimal pi-valuation min_i (e v_p(c_i) + i),
-division by pi^v divides by p^(v//e) and shifts the pi-digits, and every
-O-product is one matrix product through the structure tensor of O.  The
-pivot valuations are the pi-adic valuations of the cokernel.
+shape (rows, cols, e*f), and _diagonalize_coordinates is the one per-pivot
+elimination for every ring: the pivot is an entry of minimal pi-valuation
+min_i (e v_p(c_i) + i), division by pi^v divides by p^(v//e) and shifts the
+pi-digits, and every O-product is one matrix product through the structure
+tensor of O.  The pivot valuations are the pi-adic valuations of the
+cokernel.
 
 Unit blocks.  A level-m expansion over O = Z_p is an array of L x L blocks,
 each the matrix rho(x) of an element x of the p-group ring (Z/p^K)[Q], Q =
@@ -36,13 +35,15 @@ invertible exactly when the augmentation of x (the sum of any row of the
 block) is a unit mod p, and Schur complements and division by p keep the
 block structure.  Before the per-pivot loop, _eliminate_unit_blocks removes
 every such block as a whole with float64 matrix products, which are exact
-below 2^53.
+below 2^53; the residual, a matrix over Z/p^K' for some K' <= N, goes to
+_diagonalize_coordinates over ChainRing(p, 1, 1, K').
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,16 +51,37 @@ import numpy as np
 from .errors import InvalidInput, SingularBlock
 
 
+# Strong-pseudoprime bases that decide primality exactly below PRIME_LIMIT,
+# the least strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_LIMIT = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; raises InvalidInput at n >=
+    PRIME_LIMIT, where its bases are not known to be exact."""
+    if n >= PRIME_LIMIT:
+        raise InvalidInput(f"p = {n} is too large: primality is decided only below {PRIME_LIMIT}")
     if n < 2:
         return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -257,25 +279,20 @@ class ChainRing:
         self.q = p ** f
         self.size = self.q ** N
         self.is_simple = e == 1 and f == 1
-        # Component i of an Eisenstein vector carries precision ceil((N-i)/e).
-        self.prec = tuple(-((-(N - i)) // e) for i in range(e))
-        self.M = self.prec[0]
+        # The pi^i digit carries precision ceil((N-i)/e): moduli holds its
+        # p-power for every O-coordinate i*f + j.
+        self.moduli = tuple(p ** -((i - N) // e) for i in range(e) for _ in range(f))
+        self.M = -(-N // e)
         self.pM = p ** self.M
         # Integer type of O-coordinate arrays over this ring: int64 unless
         # eliminating them could overflow it.
         self.dtype = _kernel_dtype(self.pM, e * f)
         if self.is_simple:
-            self.zero = 0
-            self.one = 1
-            self.pi = p % (p ** N)
+            self.zero, self.one = 0, 1
         else:
-            gz = (0,) * f
-            gone = (1,) + (0,) * (f - 1)
-            self.zero = tuple(gz for _ in range(e))
-            one = [gz] * e
-            one[0] = gone
-            self.one = tuple(one)
-            self.pi = self.pi_pow(1)
+            self.zero = (0,) * (e * f)
+            self.one = (1,) + self.zero[1:]
+        self.pi = self.pi_pow(1)
 
     @classmethod
     def from_base(cls, base: RingBase, N: int) -> "ChainRing":
@@ -295,83 +312,66 @@ class ChainRing:
 
     # -- construction -------------------------------------------------------
 
-    def _canon(self, comps) -> tuple:
-        out = []
-        for i in range(self.e):
-            m = self.p ** self.prec[i]
-            out.append(tuple(int(c) % m for c in comps[i]))
-        return tuple(out)
+    def _canon(self, coords) -> tuple:
+        return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
     def from_int(self, n: int):
         if self.is_simple:
-            return n % (self.p ** self.N)
-        comps = [[0] * self.f for _ in range(self.e)]
-        comps[0][0] = n
-        return self._canon(comps)
+            return n % self.pM
+        return self._canon((n,) + (0,) * (len(self.moduli) - 1))
 
     def from_coeffs(self, vec: Sequence[int]):
         """Build a scalar from the exact O-coefficient vector of length e*f
         (entry i*f + j is the x^j coordinate of the pi^i digit)."""
-        if len(vec) != self.e * self.f:
+        if len(vec) != len(self.moduli):
             raise InvalidInput(
-                f"coefficient vector of length {len(vec)}, expected {self.e * self.f}"
+                f"coefficient vector of length {len(vec)}, expected {len(self.moduli)}"
             )
         if self.is_simple:
-            return vec[0] % (self.p ** self.N)
-        comps = [vec[i * self.f : (i + 1) * self.f] for i in range(self.e)]
-        return self._canon(comps)
+            return vec[0] % self.pM
+        return self._canon(vec)
 
     def to_coeffs(self, x) -> Tuple[int, ...]:
-        if self.is_simple:
-            return (x,)
-        return tuple(c for comp in x for c in comp)
+        return (x,) if self.is_simple else x
 
     def check_scalar(self, x) -> None:
         if self.is_simple:
-            if not isinstance(x, (int, np.integer)) or not 0 <= x < self.p ** self.N:
-                raise InvalidInput(f"scalar {x!r} is not canonical for {self!r}")
-            return
-        if (
-            not isinstance(x, tuple)
-            or len(x) != self.e
-            or any(len(c) != self.f for c in x)
-        ):
+            ok = isinstance(x, (int, np.integer)) and 0 <= x < self.pM
+        else:
+            ok = (
+                isinstance(x, tuple)
+                and len(x) == len(self.moduli)
+                and all(0 <= c < m for c, m in zip(x, self.moduli))
+            )
+        if not ok:
             raise InvalidInput(f"scalar {x!r} is not canonical for {self!r}")
-        for i, comp in enumerate(x):
-            m = self.p ** self.prec[i]
-            if any(not 0 <= c < m for c in comp):
-                raise InvalidInput(f"scalar {x!r} is not canonical for {self!r}")
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x, y):
         if self.is_simple:
-            return (x + y) % (self.p ** self.N)
-        return self._canon(
-            [[x[i][j] + y[i][j] for j in range(self.f)] for i in range(self.e)]
-        )
+            return (x + y) % self.pM
+        return self._canon([a + b for a, b in zip(x, y)])
 
     def sub(self, x, y):
         if self.is_simple:
-            return (x - y) % (self.p ** self.N)
-        return self._canon(
-            [[x[i][j] - y[i][j] for j in range(self.f)] for i in range(self.e)]
-        )
+            return (x - y) % self.pM
+        return self._canon([a - b for a, b in zip(x, y)])
 
     def neg(self, x):
         if self.is_simple:
-            return (-x) % (self.p ** self.N)
-        return self._canon([[-c for c in comp] for comp in x])
+            return (-x) % self.pM
+        return self._canon([-c for c in x])
 
     def mul(self, x, y):
         if self.is_simple:
-            return (x * y) % (self.p ** self.N)
-        return self.from_coeffs(self.base.mul(self.to_coeffs(x), self.to_coeffs(y)))
+            return (x * y) % self.pM
+        return self._canon(self.base.mul(x, y))
 
     def is_zero(self, x) -> bool:
         if self.is_simple:
             return x == 0
-        return all(c == 0 for comp in x for c in comp)
+        return not any(x)
 
     # -- valuation structure --------------------------------------------------
 
@@ -386,32 +386,21 @@ class ChainRing:
                 v += 1
             return v
         best = self.N
-        for i, comp in enumerate(x):
-            for c in comp:
-                if c:
-                    vp = 0
-                    while c % self.p == 0:
-                        c //= self.p
-                        vp += 1
-                    best = min(best, self.e * vp + i)
+        for a, c in enumerate(x):
+            if c:
+                vp = 0
+                while c % self.p == 0:
+                    c //= self.p
+                    vp += 1
+                best = min(best, self.e * vp + a // self.f)
         return best
 
     def pi_pow(self, v: int):
         if v >= self.N:
-            return self.zero if not self.is_simple else 0
-        if self.is_simple:
-            return (self.p ** v) % (self.p ** self.N)
-        comps = [[0] * self.f for _ in range(self.e)]
-        comps[v % self.e][0] = self.p ** (v // self.e)
-        return self._canon(comps)
-
-    def _div_pi_once(self, x):
-        # Exact on representatives: requires val(x) >= 1, i.e. p | component 0.
-        if self.is_simple:
-            return x // self.p
-        comps = [list(x[i + 1]) for i in range(self.e - 1)]
-        comps.append([c // self.p for c in x[0]])
-        return self._canon(comps)
+            return self.zero
+        coords = [0] * len(self.moduli)
+        coords[(v % self.e) * self.f] = self.p ** (v // self.e)
+        return self.from_coeffs(coords)
 
     def div_pi_pow(self, x, v: int):
         """A representative of x / pi^v; requires val(x) >= v.  The result u
@@ -422,10 +411,7 @@ class ChainRing:
             raise InvalidInput("div_pi_pow applied below the valuation")
         if self.is_simple:
             return x // (self.p ** v)
-        y = x
-        for _ in range(v):
-            y = self._div_pi_once(y)
-        return y
+        return self._canon(_div_pi_pow(np.array([x], dtype=object), self, v)[0])
 
     def unit_part(self, x):
         """A unit u with u * pi^val(x) == x (u = 1 for x = 0)."""
@@ -440,9 +426,9 @@ class ChainRing:
         if self.val(x) != 0:
             raise InvalidInput("inverse of a non-unit")
         if self.is_simple:
-            return pow(int(x), -1, self.p ** self.N)
-        y0 = _residue_inverse(self.p, self.f, tuple(c % self.p for c in x[0]))
-        y = self.from_coeffs(y0 + (0,) * (self.e * self.f - self.f))
+            return pow(int(x), -1, self.pM)
+        y0 = _residue_inverse(self.p, self.f, tuple(c % self.p for c in x[: self.f]))
+        y = self.from_coeffs(y0 + (0,) * (len(self.moduli) - self.f))
         for _ in range(_newton_steps(self.N)):
             err = self.sub(self.mul(x, y), self.one)
             if self.is_zero(err):
@@ -455,30 +441,13 @@ class ChainRing:
     def elements(self):
         """Iterate every scalar (for brute-force oracles at tiny sizes)."""
         if self.is_simple:
-            yield from range(self.p ** self.N)
-            return
-
-        def comps(i):
-            m = self.p ** self.prec[i]
-            vecs = [()]
-            for _ in range(self.f):
-                vecs = [v + (c,) for v in vecs for c in range(m)]
-            return vecs
-
-        stack = [comps(i) for i in range(self.e)]
-        out = [()]
-        for block in stack:
-            out = [o + (b,) for o in out for b in block]
-        yield from out
+            return range(self.pM)
+        return product(*(range(m) for m in self.moduli))
 
     def random_scalar(self, rng):
         if self.is_simple:
-            return rng.randrange(self.p ** self.N)
-        comps = tuple(
-            tuple(rng.randrange(self.p ** self.prec[i]) for _ in range(self.f))
-            for i in range(self.e)
-        )
-        return comps
+            return rng.randrange(self.pM)
+        return tuple(rng.randrange(m) for m in self.moduli)
 
 
 @dataclass(frozen=True)
@@ -516,68 +485,6 @@ def _val_table(p: int, K: int) -> np.ndarray:
     table[0] = K
     table.setflags(write=False)
     return table
-
-
-def _scan_pivot(sub: np.ndarray, p: int, K: int) -> Tuple[int, int]:
-    """(row-major position, valuation) of the first entry of minimal p-adic
-    valuation; valuation K when the block is zero."""
-    pv = p
-    for v in range(K):
-        hit = sub % pv != 0  # entries of valuation <= v
-        pos = int(np.argmax(hit))
-        if hit.flat[pos]:
-            return pos, v
-        pv *= p
-    return 0, K
-
-
-def _diagonalize_numpy(A: np.ndarray, p: int, K: int) -> List[int]:
-    """Diagonalize A over Z/p^K by invertible row and column operations,
-    pivoting on an entry of minimal p-adic valuation (ties broken by (row,
-    col) lexicographic order); returns the pivot valuations, all below K.
-
-    A holds residues in [0, p^K), as int64 (see _kernel_dtype) or as Python
-    ints, and is overwritten.
-    """
-    mod = p ** K
-    nrows, ncols = A.shape
-    table = _val_table(p, K) if A.dtype == np.int64 and mod <= VAL_TABLE_MAX else None
-
-    vals: List[int] = []
-    d = 0
-    top = min(nrows, ncols)
-    while d < top:
-        sub = A[d:, d:]
-        if table is not None:
-            tv = table[sub]
-            pos = int(np.argmin(tv))  # row-major argmin = (row, col) lex tie-break
-            v = int(tv.flat[pos])
-        else:
-            pos, v = _scan_pivot(sub, p, K)
-        if v >= K:
-            break
-        i, j = divmod(pos, sub.shape[1])
-        i += d
-        j += d
-        if i != d:
-            A[[d, i], :] = A[[i, d], :]
-        if j != d:
-            A[:, [d, j]] = A[:, [j, d]]
-        pv = p ** v
-        u = int(A[d, d]) // pv
-        uinv = pow(u, -1, mod)
-        A[d, d:] = (A[d, d:] * uinv) % mod
-        if d + 1 < nrows:
-            f = A[d + 1 :, d] // pv  # exact: pivot has minimal valuation
-            block = A[d + 1 :, d:]
-            block -= f[:, None] * A[d, d:]
-            block %= mod
-        # Column operations clearing row d touch no other row: column d is
-        # zero outside the pivot at this point.
-        A[d, d + 1 :] = 0
-        vals.append(v)
-        d += 1
-    return vals
 
 
 def _float_exact(L: int, mod: int) -> bool:
@@ -672,14 +579,9 @@ def _inverse_matrix(ring: ChainRing, unit: Tuple[int, ...], dtype) -> np.ndarray
     the coordinate vector of b_a * unit^-1), reduced like the coordinates."""
     y = ring.to_coeffs(ring.inv(ring.from_coeffs(unit)))
     M = np.tensordot(np.array(y, dtype=object), _structure_tensor(ring.base), axes=([0], [1]))
-    M = (M % np.array(_precision_moduli(ring), dtype=object)).astype(dtype)
+    M = (M % np.array(ring.moduli, dtype=object)).astype(dtype)
     M.setflags(write=False)
     return M
-
-
-def _precision_moduli(ring: ChainRing) -> Tuple[int, ...]:
-    """p^prec[i] for every O-coordinate i*f + j."""
-    return tuple(ring.p ** c for c in ring.prec for _ in range(ring.f))
 
 
 def _pi_pivot(sub: np.ndarray, ring: ChainRing, table: Optional[np.ndarray], digit: np.ndarray) -> Tuple[int, int]:
@@ -689,7 +591,10 @@ def _pi_pivot(sub: np.ndarray, ring: ChainRing, table: Optional[np.ndarray], dig
     is zero."""
     p, e, N = ring.p, ring.e, ring.N
     if table is not None:
-        w = (table[sub] * np.int16(e) + digit).min(axis=2)
+        w = table[sub]
+        # One coordinate (Z_p) is its own valuation; the reduction over a
+        # trivial axis would cost as much as the lookup.
+        w = (w * np.int16(e) + digit).min(axis=2) if len(digit) > 1 else w[..., 0]
         pos = int(np.argmin(w))
         return pos, min(int(w.flat[pos]), N)
     for w in range(N):
@@ -722,14 +627,14 @@ def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
     all below N.
 
     Every O-product is one matrix product through the structure tensor, and
-    every coordinate is reduced mod p^prec[i] before the next one, so int64
+    every coordinate is reduced by ring.moduli before the next one, so int64
     arrays stay within the bound of _kernel_dtype(p^M, e*f).  A itself is
     not modified.
     """
     p, k = ring.p, ring.e * ring.f
     nrows, ncols, _ = A.shape
     dtype = A.dtype
-    moduli = np.array(_precision_moduli(ring), dtype=dtype)
+    moduli = np.array(ring.moduli, dtype=dtype)
     A = A % moduli
     # S[s, (a, t)] = T[a, s, t]: a row of coordinates times S gives the
     # multiplication matrices of its entries side by side.
@@ -758,7 +663,10 @@ def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
             c = ncols - d - 1
             P = (A[d, d + 1 :] @ S).reshape(c, k, k) % moduli
             block = A[d + 1 :, d + 1 :]
-            block -= (F @ P.transpose(1, 0, 2).reshape(k, c * k)).reshape(-1, c, k)
+            if k == 1:  # an outer product: broadcasting is twice as fast as matmul
+                block -= F[:, None] * P[None, :, 0]
+            else:
+                block -= (F @ P.transpose(1, 0, 2).reshape(k, c * k)).reshape(-1, c, k)
             block %= moduli
         vals.append(v)
         d += 1
@@ -806,29 +714,25 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     (block rows, L, cols, e*f) is a level expansion whose L x L blocks are
     group-ring elements (see the module docstring); over O = Z_p, for L > 1,
     its unit blocks are eliminated whole when float64 is exact for them.
-    Over every other O the array goes through one pi-adic elimination,
-    _diagonalize_coordinates.  The multiset of diagonal valuations together
-    with the free-column count is an isomorphism invariant of the cokernel.
+    The rest goes through one pi-adic elimination, _diagonalize_coordinates.
+    The multiset of diagonal valuations together with the free-column count
+    is an isomorphism invariant of the cokernel.
     """
     A, L = _coordinate_array(ring, rows, ncols)
-    nrows, nc, k = A.shape
+    nrows, nc, _ = A.shape
     if nrows == 0 or nc == 0:
         return DiagonalForm((), nc, nrows, nc)
-    if k > 1:
-        vals = _diagonalize_coordinates(A, ring)
-        return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
-    p, N = ring.p, ring.N
-    mod = p ** N
-    # The residues go straight into a float64 working array that only the
-    # callee holds, so it is freed before the residual's loop.
-    if L > 1 and _float_exact(L, mod):
+    vals: List[int] = []
+    shift = 0
+    if ring.is_simple and L > 1 and _float_exact(L, ring.pM):
+        # The residues go straight into a float64 working array that only the
+        # callee holds, so it is freed before the residual's loop.
         vals, R, K, shift = _eliminate_unit_blocks(
-            np.remainder(A.reshape(nrows, nc), mod, out=np.empty((nrows, nc))), p, N, L
+            np.remainder(A.reshape(nrows, nc), ring.pM, out=np.empty((nrows, nc))), ring.p, ring.N, L
         )
-    else:
-        vals, R, K, shift = [], np.remainder(A.reshape(nrows, nc), mod), N, 0
-    vals = sorted(vals + [v + shift for v in _diagonalize_numpy(R, p, K)])
-    return DiagonalForm(tuple(vals), nc - len(vals), nrows, nc)
+        A, ring = R[:, :, None], ChainRing(ring.p, 1, 1, K)
+    vals += [v + shift for v in _diagonalize_coordinates(A, ring)]
+    return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
 
 
 def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:

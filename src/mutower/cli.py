@@ -15,6 +15,7 @@ import json
 import random
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional
 
 from . import compare as cmp
@@ -55,7 +56,10 @@ def _parse_ring(text: Optional[str]) -> Optional[RingBase]:
     return RingBase(p, e, f)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs
+    about a tenth of a small invariants run, and parsing leaves it as it is."""
     ap = argparse.ArgumentParser(
         prog="mutower",
         description="structure invariants of finitely presented Iwasawa modules",
@@ -362,8 +366,7 @@ def run_selftest(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "invariants":
             return run_invariants(args)

@@ -30,7 +30,7 @@ from .errors import (
     ProfileTooShort,
 )
 from .groupring import GroupSpec
-from .lambda_mod import LevelOrders, Presentation, coinvariants_ordq, level_diagonal_form, quotient_pi
+from .lambda_mod import LevelOrders, Presentation, level_diagonal_form, quotient_pi
 
 DEFAULT_N_MAX = 6
 
@@ -107,20 +107,6 @@ def fit_mu(orders: Dict[int, int], p: int, r: int) -> Tuple[int, bool, Fraction]
     c_hat = max(norm_res(m) for m in ms)
     converged = not tie_top and not tie_sec and mu_top == mu_sec
     return mu, converged, c_hat
-
-
-def estimate_mu(P: Presentation, n: int, m_range: Sequence[int]) -> Tuple[int, bool, Fraction]:
-    """mu(M/pi^n) estimated from coinvariant orders over m_range (truncation
-    N = n); returns the best estimate flagged non-converged rather than
-    raising, so the caller decides whether to raise levels."""
-    if n < 1:
-        raise InvalidInput("need n >= 1")
-    ms = sorted(set(m_range))
-    if len(ms) < 2:
-        raise InvalidInput("need at least two levels")
-    Pq = quotient_pi(P, n)
-    orders = {m: coinvariants_ordq(Pq, m, n) for m in ms}
-    return fit_mu(orders, P.spec.p, P.spec.r)
 
 
 def mu_profile(
@@ -229,13 +215,3 @@ def solve_multiplicities(mu_vector: Sequence[int], theta: int) -> Tuple[int, ...
         raise InconsistentInput(f"no nonnegative solution: s = {tuple(s)}")
     return tuple(s)
 
-
-def is_pseudonull_pi_part(
-    P: Presentation,
-    m_range: Optional[Sequence[int]] = None,
-    n_max: int = DEFAULT_N_MAX,
-) -> bool:
-    """True iff the recovered theta vanishes (mu(M) = 0, i.e. the pi-primary
-    part is pseudo-null).  Propagates NotConverged."""
-    rep = recover_elementary(mu_profile(P, n_max, m_range))
-    return rep.theta == 0

@@ -113,8 +113,9 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 
 
 # Largest dense expansion a level may build: the L x L group table, the
-# expanded coordinate array and the float64 working copy of the unit-block
-# elimination together.
+# expanded coordinate array, the float64 working copy of the unit-block
+# elimination and the k x k x k structure tensor of O (k = e*f) that the
+# elimination multiplies through, together.
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
@@ -131,12 +132,13 @@ def _expanded_matrix(P: Presentation, m: int, N: int):
     level = group_level(P.spec, m)
     L = level.order
     cells = P.rels * L * P.gens * L
-    need = 8 * L * L + 8 * cells * (ring.e * ring.f + 1)
+    k = ring.e * ring.f
+    need = 8 * L * L + 8 * cells * (k + 1) + 8 * k ** 3
     if need > EXPANSION_BUDGET_BYTES:
         raise TooLarge(
-            f"level m={m} expands to {L}x{L} group-ring blocks, about "
-            f"{need / 2 ** 30:.1f} GiB of dense arrays (budget "
-            f"{EXPANSION_BUDGET_BYTES / 2 ** 30:.0f} GiB); lower --levels"
+            f"level m={m} expands to {L}x{L} group-ring blocks over O of rank "
+            f"{k}, about {need / 2 ** 30:.1f} GiB of dense arrays (budget "
+            f"{EXPANSION_BUDGET_BYTES / 2 ** 30:.0f} GiB); lower --levels or e*f"
         )
     # The nonzero coefficients of each relation at this level.  A relation
     # that vanishes here would give L zero rows, so it gets no block row.
@@ -152,7 +154,7 @@ def _expanded_matrix(P: Presentation, m: int, N: int):
         if terms:
             kept.append(terms)
     tab = level.table()
-    A = np.zeros((len(kept), L, P.gens * L, ring.e * ring.f), dtype=ring.dtype)
+    A = np.zeros((len(kept), L, P.gens * L, k), dtype=ring.dtype)
     rows_idx = np.arange(L)
     for i, terms in enumerate(kept):
         for j, h, coeffs in terms:

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,6 @@ from mutower.chainring import (
     RingBase,
     _block_inverse,
     _diagonalize_coordinates,
-    _diagonalize_numpy,
     _div_pi_pow,
     _eliminate_unit_blocks,
     _float_exact,
@@ -64,6 +64,22 @@ def test_invalid_spec():
         ChainRing(3, 0, 1, 2)
     with pytest.raises(InvalidInput):
         ChainRing(3, 1, 1, 0)
+
+
+def test_primality_check_is_exact_and_fast():
+    # The Mersenne prime 2^61 - 1: the check must not take time in sqrt(p).
+    start = time.perf_counter()
+    assert RingBase(2 ** 61 - 1, 1, 1).p == 2 ** 61 - 1
+    assert time.perf_counter() - start < 0.5
+    # 2047 and 3215031751 are strong pseudoprimes to the bases 2 and 2..7,
+    # 561 a Carmichael number, and 318665857834031151167461 a strong
+    # pseudoprime to the first twelve prime bases 2..37.
+    for n in (2047, 3215031751, 561, 318665857834031151167461):
+        with pytest.raises(InvalidInput, match="not prime"):
+            RingBase(n, 1, 1)
+    # Above the bound where the bases are exact, p is refused, not guessed.
+    with pytest.raises(InvalidInput, match="too large"):
+        RingBase(2 ** 89 - 1, 1, 1)
 
 
 @pytest.mark.parametrize("ring", RINGS, ids=repr)
@@ -189,16 +205,6 @@ def structured_array(rng, p, K, nrows, ncols):
     return np.array(A, dtype=np.int64)
 
 
-@pytest.mark.parametrize("p, K", [(2, 5), (3, 4), (3, 14), (37, 6)])
-def test_object_kernel_matches_int64_kernel(p, K):
-    # (2, 5), (3, 4): valuation table against the object scan; (3, 14) and
-    # (37, 6) exceed VAL_TABLE_MAX, so both dtypes scan.
-    rng = random.Random(7)
-    for _ in range(12):
-        A = structured_array(rng, p, K, rng.randrange(1, 9), rng.randrange(1, 9))
-        assert _diagonalize_numpy(A.copy(), p, K) == _diagonalize_numpy(A.astype(object), p, K)
-
-
 def coordinate_array(ring, rng, nrows, ncols):
     """O-coordinates of a random matrix with pi-power scalings of every
     valuation below N, zero included."""
@@ -213,6 +219,10 @@ def coordinate_array(ring, rng, nrows, ncols):
 @pytest.mark.parametrize(
     "ring, table",
     [
+        (ChainRing(2, 1, 1, 5), True),
+        (ChainRing(3, 1, 1, 4), True),
+        (ChainRing(3, 1, 1, 14), False),
+        (ChainRing(37, 1, 1, 6), False),
         (ChainRing(2, 2, 1, 5), True),
         (ChainRing(2, 2, 1, 44), False),
         (ChainRing(3, 1, 2, 4), True),
@@ -245,6 +255,7 @@ def test_coordinate_division_by_pi_power_is_exact(ring):
         U = _div_pi_pow(np.array([ring.to_coeffs(x) for x in xs], dtype=np.int64), ring, v)
         for x, u in zip(xs, U.tolist()):
             assert ring.mul(ring.from_coeffs(u), ring.pi_pow(v)) == x
+            assert ring.mul(ring.div_pi_pow(x, v), ring.pi_pow(v)) == x
 
 
 def test_ramified_ring_eliminates_once(monkeypatch):
@@ -257,11 +268,7 @@ def test_ramified_ring_eliminates_once(monkeypatch):
         calls.append(A.shape)
         return _diagonalize_coordinates(A, r)
 
-    def refuse(*args):
-        raise AssertionError("scalar elimination over a ramified ring")
-
     monkeypatch.setattr(chainring, "_diagonalize_coordinates", counted)
-    monkeypatch.setattr(chainring, "_diagonalize_numpy", refuse)
     form = diagonalize(ring, [[ring.pi_pow(7), ring.one, ring.zero], [ring.zero, ring.pi_pow(50), ring.pi_pow(3)]])
     assert calls == [(2, 3, 2)]
     assert form.diag_valuations == (0, 3) and form.free_cols == 1
@@ -318,7 +325,7 @@ def small_matrices(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(small_matrices())
-def test_restriction_of_scalars_matches_bruteforce(case):
+def test_oracle_rings_match_bruteforce(case):
     ring, rows, ncols = case
     assert cokernel_ordq(ring, rows, ncols) == brute_force_ordq(ring, rows, ncols)
 
@@ -484,7 +491,7 @@ def test_unit_blocks_match_per_pivot_path(case):
 
 def test_garnished_residual_goes_to_per_pivot_kernel():
     # (pi, g1 - 1): g1 - 1 has augmentation 0 but is not divisible by p, so
-    # the block pass stops with a residual for _diagonalize_numpy.
+    # the block pass stops with a residual for _diagonalize_coordinates.
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(1),), seed=3), spec), 6)
     ring, A, ncols = _expanded_matrix(P, 2, 6)

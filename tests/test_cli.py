@@ -1,12 +1,14 @@
 import json
+import tracemalloc
 
 import pytest
 
-from mutower import cli
+from mutower import chainring, cli
 from mutower.chainring import RingBase
 from mutower.compare import TowerSeries
 from mutower.errors import InvalidInput
-from mutower.groupring import GroupLevel, GroupSpec
+from mutower.groupring import GroupLevel, GroupSpec, poly_gen, poly_int
+from mutower.lambda_mod import presentation
 from mutower.modfile import (
     load_presentation,
     load_tower_csv,
@@ -125,6 +127,57 @@ def test_oversized_levels_exit_code(tmp_path, capsys, monkeypatch):
     assert cli.main(["invariants", str(path), "--levels", "0,5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "lower --levels" in err
+
+
+def write_relation_module(path, base):
+    """A module file over O = ``base`` and the abelian r = 1 preset: two
+    generators and the one relation (1, g)."""
+    spec = GroupSpec.abelian(base.p, 1)
+    save_presentation(presentation(spec, base, 2, [[poly_int(base, 1, 1), poly_gen(base, 1, 1)]]), str(path))
+
+
+def test_huge_prime_module_exits_too_large(tmp_path, capsys):
+    # p = 2^61 - 1: the primality check returns at once, level 0 runs on
+    # Python ints, and level 1 (L = p) is refused by the expansion budget.
+    path = tmp_path / "m.json"
+    write_relation_module(path, RingBase(2 ** 61 - 1, 1, 1))
+    assert cli.main(["invariants", str(path), "--levels", "0,1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lower --levels" in err
+
+
+def test_structure_tensor_budget_refuses_before_allocating(tmp_path, capsys, monkeypatch):
+    # e = 1000: the 1000^3 structure tensor of O would take 8 GB and 10^6
+    # exact products to build, so the expansion budget refuses it even at
+    # level 0; the patch fails at once if the budget check were missing.
+    def refuse(base):
+        raise AssertionError("structure tensor built above the budget")
+
+    monkeypatch.setattr(chainring, "_structure_tensor", refuse)
+    path = tmp_path / "m.json"
+    write_relation_module(path, RingBase(2, 1000, 1))
+    tracemalloc.start()
+    try:
+        code = cli.main(["invariants", str(path), "--levels", "0,1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lower --levels or e*f" in err
+    assert peak < 4 * 2 ** 20
+
+
+def test_parser_is_built_once_and_reused(tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    # options of one call do not leak into the next
+    path = tmp_path / "m.json"
+    write_module(path, GroundTruth(0, (1,), seed=1))
+    out = tmp_path / "r.txt"
+    assert cli.main(["invariants", str(path), "--levels", "0,1,2", "--format", "text", "--out", str(out)]) == 0
+    assert cli.main(["invariants", str(path), "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["levels"] is None and config["format"] == "json"
 
 
 def test_compare_command_exit_codes(tmp_path):

@@ -13,8 +13,7 @@ from mutower.errors import (
 from mutower.groupring import GroupSpec
 from mutower.invariants import (
     MuProfile,
-    estimate_mu,
-    is_pseudonull_pi_part,
+    fit_mu,
     mu_profile,
     recover_elementary,
     solve_multiplicities,
@@ -31,22 +30,26 @@ def module(gt, spec=AB1, base=None, obfuscate=True):
     return make_module(gt, spec, base or RingBase(spec.p, 1, 1), obfuscate=obfuscate)
 
 
+def estimate_at(P, n, levels):
+    """(mu, converged, c_hat) of mu(M/pi^n), from a profile computed at
+    truncation N = n."""
+    prof = mu_profile(P, n, levels)
+    return prof.mu[n], prof.converged[n], prof.c_hat[n]
+
+
 def test_estimate_mu_exact_elementary():
     P = module(GroundTruth(0, (2,)), obfuscate=False)
-    mu, converged, c_hat = estimate_mu(P, 4, [0, 1, 2])
-    assert (mu, converged, c_hat) == (2, True, Fraction(0))
+    assert estimate_at(P, 4, [0, 1, 2]) == (2, True, Fraction(0))
 
 
 def test_estimate_mu_pseudonull():
     P = module(GroundTruth(0, (), (Garnish(1),)), spec=AB2, obfuscate=False)
-    mu, converged, c_hat = estimate_mu(P, 2, [0, 1, 2, 3])
-    assert (mu, converged, c_hat) == (0, True, Fraction(1))
+    assert estimate_at(P, 2, [0, 1, 2, 3]) == (0, True, Fraction(1))
 
 
 def test_estimate_mu_zero_module():
     P = module(GroundTruth(0, ()), obfuscate=False)
-    mu, converged, c_hat = estimate_mu(P, 3, [0, 1])
-    assert (mu, converged, c_hat) == (0, True, Fraction(0))
+    assert estimate_at(P, 3, [0, 1]) == (0, True, Fraction(0))
 
 
 def test_profile_mixed_torsion():
@@ -70,14 +73,13 @@ def test_profile_matches_estimate_mu_pointwise():
     P = module(GroundTruth(1, (2, 2), seed=9))
     prof = mu_profile(P, 4)
     for n in range(1, 5):
-        mu, converged, c_hat = estimate_mu(P, n, prof.levels_used)
+        Pq = quotient_pi(P, n)
+        direct = {m: coinvariants_ordq(Pq, m, n) for m in prof.levels_used}
+        assert prof.raw[n].orders == direct
+        mu, converged, c_hat = fit_mu(direct, P.spec.p, P.spec.r)
         assert mu == prof.mu[n]
         assert converged == prof.converged[n]
         assert c_hat == prof.c_hat[n]
-        Pq = quotient_pi(P, n)
-        assert prof.raw[n].orders == {
-            m: coinvariants_ordq(Pq, m, n) for m in prof.levels_used
-        }
 
 
 def test_recover_examples():
@@ -182,11 +184,13 @@ def test_cross_method_agreement():
 
 
 def test_is_pseudonull():
-    assert is_pseudonull_pi_part(
-        module(GroundTruth(0, (), (Garnish(1),)), spec=AB2), m_range=[0, 1, 2, 3]
-    )
-    assert not is_pseudonull_pi_part(module(GroundTruth(0, (1,))))
-    assert is_pseudonull_pi_part(module(GroundTruth(0, ())))
+    # the pi-primary part is pseudo-null exactly when theta vanishes
+    def theta(P, m_range=None):
+        return recover_elementary(mu_profile(P, m_range=m_range)).theta
+
+    assert theta(module(GroundTruth(0, (), (Garnish(1),)), spec=AB2), [0, 1, 2, 3]) == 0
+    assert theta(module(GroundTruth(0, (1,)))) != 0
+    assert theta(module(GroundTruth(0, ()))) == 0
 
 
 def test_mu_inequality_on_synth_pairs():
