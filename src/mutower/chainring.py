@@ -565,10 +565,18 @@ def _eliminate_unit_blocks(W: np.ndarray, p: int, K: int, L: int) -> Tuple[List[
 
 @lru_cache(maxsize=None)
 def _structure_tensor(base: RingBase) -> np.ndarray:
-    """T[a, s, t] = coordinate t of b_a * b_s for the basis b_{i*f+j} = pi^i x^j."""
-    k = base.e * base.f
+    """T[a, s, t] = coordinate t of b_a * b_s for the basis b_{i*f+j} = pi^i x^j.
+    b_a * b_s = pi^(i+i') x^(j+j') depends only on the two sums, so T is
+    filled by index from the (2e-1)(2f-1) distinct products."""
+    e, f = base.e, base.f
+    k = e * f
     basis = [tuple(int(a == s) for s in range(k)) for a in range(k)]
-    T = np.array([[base.mul(a, s) for s in basis] for a in basis], dtype=object)
+    prods = np.empty((2 * e - 1, 2 * f - 1, k), dtype=object)
+    for i, j in np.ndindex(prods.shape[:2]):
+        i1, j1 = min(i, e - 1), min(j, f - 1)  # pi^i x^j = (pi^i1 x^j1)(pi^(i-i1) x^(j-j1))
+        prods[i, j] = base.mul(basis[i1 * f + j1], basis[(i - i1) * f + j - j1])
+    i, j = np.divmod(np.arange(k), f)
+    T = prods[i[:, None] + i[None, :], j[:, None] + j[None, :]]
     T.setflags(write=False)
     return T
 
@@ -741,8 +749,7 @@ def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:
     Every target coordinate without a pivot counts N (it contributes a full
     O/pi^N summand); the value is always finite and exact over O/pi^N.
     """
-    form = diagonalize(ring, rows, ncols)
-    return sum(min(v, ring.N) for v in form.diag_valuations) + ring.N * form.free_cols
+    return ordq_from_form(diagonalize(ring, rows, ncols), ring.N)
 
 
 def ordq_from_form(form: DiagonalForm, N: int, n: Optional[int] = None) -> int:

@@ -109,13 +109,6 @@ class GroupLevel:
             idx = idx * self.radix + (e % self.radix)
         return idx
 
-    def exps(self, idx: int) -> Tuple[int, ...]:
-        out = []
-        for _ in range(self.spec.r):
-            out.append(idx % self.radix)
-            idx //= self.radix
-        return tuple(reversed(out))
-
     def table(self) -> np.ndarray:
         """Multiplication table: table[i, j] = index of g_i * g_j."""
         if self._table is not None:
@@ -146,15 +139,6 @@ class GroupLevel:
         tab.setflags(write=False)
         self._table = tab
         return tab
-
-    def project(self, m_lower: int) -> np.ndarray:
-        """Index map realizing the projection G/G_m -> G/G_{m_lower}."""
-        if not 0 <= m_lower <= self.m:
-            raise InvalidInput("projection target must satisfy 0 <= m' <= m")
-        low = group_level(self.spec, m_lower)
-        return np.array(
-            [low.index(self.exps(i)) for i in range(self.order)], dtype=np.int64
-        )
 
 
 @lru_cache(maxsize=256)
@@ -200,10 +184,6 @@ def _norm_terms(terms: Iterable[Tuple[Sequence[int], Sequence[int]]]) -> GroupRi
     out = [(c, e) for e, c in acc.items() if any(c)]
     out.sort(key=lambda t: t[1])
     return GroupRingPoly(tuple(out))
-
-
-def poly_zero() -> GroupRingPoly:
-    return GroupRingPoly(())
 
 
 def poly_scalar(base: RingBase, vec: Sequence[int], r: int) -> GroupRingPoly:
@@ -263,10 +243,6 @@ def poly_mul(spec: GroupSpec, base: RingBase, x: GroupRingPoly, y: GroupRingPoly
         for cy, ey in y.terms:
             terms.append((base.mul(cx, cy), spec.exponent_product(ex, ey)))
     return _norm_terms(terms)
-
-
-def poly_scale(base: RingBase, n: int, x: GroupRingPoly) -> GroupRingPoly:
-    return _norm_terms([(tuple(n * c for c in cs), e) for cs, e in x.terms])
 
 
 def reduce_poly(x: GroupRingPoly, spec: GroupSpec, m: int, ring: ChainRing) -> List:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
+from functools import lru_cache
+from math import comb, prod
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -38,7 +39,10 @@ from .groupring import (
     GroupRingPoly,
     GroupSpec,
     group_level,
+    poly_gen,
+    poly_int,
     poly_pi_pow,
+    poly_sub,
     reduce_poly,
 )
 from .syzygy import Element, PolyContext, preimage_gens, quotient_ordq
@@ -115,7 +119,8 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # Largest dense expansion a level may build: the L x L group table, the
 # expanded coordinate array, the float64 working copy of the unit-block
 # elimination and the k x k x k structure tensor of O (k = e*f) that the
-# elimination multiplies through, together.
+# elimination multiplies through, together.  The elimination holds the tensor
+# with its reduced and int64 copies (a measured peak of 3 * 8 k^3 bytes).
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
@@ -133,7 +138,7 @@ def _expanded_matrix(P: Presentation, m: int, N: int):
     L = level.order
     cells = P.rels * L * P.gens * L
     k = ring.e * ring.f
-    need = 8 * L * L + 8 * cells * (k + 1) + 8 * k ** 3
+    need = 8 * L * L + 8 * cells * (k + 1) + 24 * k ** 3
     if need > EXPANSION_BUDGET_BYTES:
         raise TooLarge(
             f"level m={m} expands to {L}x{L} group-ring blocks over O of rank "
@@ -194,6 +199,28 @@ def coinvariants_ordq(P: Presentation, m: int, N: int) -> int:
 # Koszul homology for the abelian presets.
 
 
+# Rows stay cached, so the cache is kept small: a row has at most
+# KOSZUL_BUDGET_CELLS + 1 entries (the budgets are checked before any
+# expansion), and the seed-0 koszul draw uses about 50 rows.
+@lru_cache(maxsize=64)
+def _binomial_row(p: int, M: int, e: int) -> Tuple[int, ...]:
+    """C(e, k) mod p^M for k = 0..e, by the running product C(e, k) =
+    C(e, k-1) (e-k+1) / k on residues mod p^M: the p-parts of numerator and
+    denominator only move the exponent v of C(e, k) = p^v u."""
+    pM = p ** M
+    row = [1]
+    u, v = 1, 0
+    for k in range(1, e + 1):
+        num, den = e - k + 1, k
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        u = u * num * pow(den, -1, pM) % pM
+        row.append(u * p ** v % pM if v < M else 0)
+    return tuple(row)
+
+
 def _entry_to_spoly(entry: GroupRingPoly, ring: ChainRing, r: int) -> Dict[Tuple[int, ...], object]:
     """Image of an abelian group-ring polynomial in R[T_1..T_r], g_j = 1 + T_j."""
     out: Dict[Tuple[int, ...], object] = {}
@@ -204,17 +231,11 @@ def _entry_to_spoly(entry: GroupRingPoly, ring: ChainRing, r: int) -> Dict[Tuple
             if e == 0:
                 continue
             new: Dict[Tuple[int, ...], object] = {}
-            for k in range(e + 1):
-                b = ring.from_int(comb(e, k))
-                if ring.is_zero(b):
-                    continue
-                for mono, cc in monos.items():
-                    m2 = list(mono)
-                    m2[j] += k
-                    m2 = tuple(m2)
-                    val = ring.mul(cc, b)
-                    cur = new.get(m2)
-                    new[m2] = val if cur is None else ring.add(cur, val)
+            for k, b in enumerate(_binomial_row(ring.p, ring.M, e)):
+                if b:
+                    b = ring.from_int(b)
+                    for mono, cc in monos.items():
+                        new[mono[:j] + (k,) + mono[j + 1 :]] = ring.mul(cc, b)
             monos = new
         for mono, cc in monos.items():
             cur = out.get(mono)
@@ -224,24 +245,6 @@ def _entry_to_spoly(entry: GroupRingPoly, ring: ChainRing, r: int) -> Dict[Tuple
             else:
                 out[mono] = tot
     return out
-
-
-def _tower_operator(ring: ChainRing, r: int, j: int, m: int) -> Dict[Tuple[int, ...], object]:
-    """(1 + T_j)^(p^m) - 1 as a polynomial over the chain ring."""
-    pm = ring.p ** m
-    out: Dict[Tuple[int, ...], object] = {}
-    for k in range(1, pm + 1):
-        c = ring.from_int(comb(pm, k))
-        if ring.is_zero(c):
-            continue
-        mono = [0] * r
-        mono[j] = k
-        out[tuple(mono)] = c
-    return out
-
-
-def _embed(vec: Dict[Tuple[int, ...], object], pos: int) -> Element:
-    return {(pos, mono): c for mono, c in vec.items()}
 
 
 def _shift_block(elem: Element, offset: int) -> Element:
@@ -262,7 +265,8 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     Degree 0 equals coinvariants_ordq; higher degrees require an abelian
     preset (Koszul complex on the commuting operators g_j^(p^m) - 1).
     Raises TooLarge, before any Groebner work, when the degree-i chains
-    exceed KOSZUL_BUDGET_CELLS.
+    exceed KOSZUL_BUDGET_CELLS, and before expanding any entry when the
+    relation matrix would expand to more than that many monomials in T.
     """
     spec = P.spec
     if i < 0 or i > spec.r:
@@ -287,6 +291,13 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
             f"Koszul degree {i} at level m={m} has {cells} chain coordinates "
             f"(p^(r m) b C(r, i); budget {KOSZUL_BUDGET_CELLS}); lower m"
         )
+    # a term c g^e expands to prod_j (e_j + 1) monomials in T
+    terms = sum(prod(e + 1 for e in exps) for row in P.matrix for entry in row for _, exps in entry.terms)
+    if terms > KOSZUL_BUDGET_CELLS:
+        raise TooLarge(
+            f"the relation matrix expands to {terms} monomials in T_j = g_j - 1 "
+            f"(budget {KOSZUL_BUDGET_CELLS}); lower the generator exponents"
+        )
     # relation rows as elements of S^b
     U: List[Element] = []
     for row in P.matrix:
@@ -298,14 +309,12 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
                 elem[(j, mono)] = c
         if elem:
             U.append(elem)
-    ts = [_tower_operator(ring, r, j, m) for j in range(r)]
+    # the tower operators g_j^(p^m) - 1, none with a zero coefficient
+    one = poly_int(P.base, 1, r)
+    ts = [_entry_to_spoly(poly_sub(poly_gen(P.base, j, r, power=spec.p ** m), one), ring, r) for j in range(1, r + 1)]
 
     if i == 0:
-        gens = list(U)
-        for t in ts:
-            for g in range(b):
-                gens.append(_embed(t, g))
-        return quotient_ordq(ctx, b, gens)
+        return quotient_ordq(ctx, b, U + [{(g, mono): c for mono, c in t.items()} for t in ts for g in range(b)])
 
     subsets_i = list(combinations(range(r), i))
     subsets_lo = list(combinations(range(r), i - 1))
@@ -315,19 +324,13 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
 
     def boundary(J: Tuple[int, ...], g: int, index: Dict[Tuple[int, ...], int]) -> Element:
         # d(e_J (x) e_g) = sum_l (-1)^l t_{J[l]} e_{J \ J[l]} (x) e_g, the
-        # (|J|-1)-subsets placed in blocks by ``index``
-        elem: Element = {}
-        for l, j in enumerate(J):
-            blk = index[J[:l] + J[l + 1 :]]
-            for t, c in _embed(ts[j], blk * b + g).items():
-                cc = ring.neg(c) if l % 2 else c
-                cur = elem.get(t)
-                new = cc if cur is None else ring.add(cur, cc)
-                if ring.is_zero(new):
-                    elem.pop(t, None)
-                else:
-                    elem[t] = new
-        return elem
+        # (|J|-1)-subsets placed in blocks by ``index``.  The l-th terms land
+        # in a block of their own, so no two terms meet.
+        return {
+            (index[J[:l] + J[l + 1 :]] * b + g, mono): ring.neg(c) if l % 2 else c
+            for l, j in enumerate(J)
+            for mono, c in ts[j].items()
+        }
 
     mapped = [boundary(J, g, lo_index) for J in subsets_i for g in range(b)]
     sub_lo = [_shift_block(u, blk * b) for blk in range(clo) for u in U]

@@ -68,10 +68,6 @@ def _rand_coeff(rng: random.Random) -> int:
     return rng.choice([1, -1, 2, -2, 3])
 
 
-def _rand_exps(rng: random.Random, r: int) -> List[int]:
-    return [rng.randrange(3) for _ in range(r)]
-
-
 def _rand_poly(rng: random.Random, spec: GroupSpec, base: RingBase) -> GroupRingPoly:
     """A small random group-ring polynomial (not necessarily a unit)."""
     r = spec.r

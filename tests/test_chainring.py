@@ -18,12 +18,14 @@ from mutower.chainring import (
     _div_pi_pow,
     _eliminate_unit_blocks,
     _float_exact,
+    _structure_tensor,
     cokernel_ordq,
     diagonalize,
     ordq_from_form,
 )
 from mutower.errors import InvalidInput, SingularBlock
 from mutower.groupring import (
+    GroupRingPoly,
     GroupSpec,
     pi_pow_coeffs,
     poly_add,
@@ -31,7 +33,6 @@ from mutower.groupring import (
     poly_int,
     poly_mul,
     poly_sub,
-    poly_zero,
 )
 from mutower.lambda_mod import _expanded_matrix, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, brute_force_ordq, make_module
@@ -284,6 +285,37 @@ def test_ramified_ring_eliminates_once(monkeypatch):
     assert form.diag_valuations == (0, 3) and form.free_cols == 1
 
 
+def pairwise_structure_tensor(base):
+    """The structure tensor from all k^2 products of basis vectors."""
+    k = base.e * base.f
+    basis = [tuple(int(a == s) for s in range(k)) for a in range(k)]
+    return np.array([[base.mul(a, s) for s in basis] for a in basis], dtype=object)
+
+
+@pytest.mark.parametrize(
+    "base",
+    # the generic_ring rings, the e = 3 rings, and f = 3
+    [RingBase(2, 2, 1), RingBase(2, 1, 2), RingBase(3, 2, 1), RingBase(3, 1, 2), RingBase(3, 2, 2),
+     RingBase(2, 3, 1), RingBase(3, 3, 1), RingBase(2, 3, 2), RingBase(5, 3, 1), RingBase(2, 1, 3)],
+    ids=str,
+)
+def test_structure_tensor_matches_pairwise_products(base):
+    T = _structure_tensor(base)
+    expected = pairwise_structure_tensor(base)
+    assert T.dtype == object and T.shape == expected.shape and (T == expected).all()
+
+
+def test_structure_tensor_builds_fast():
+    # k = 120: (2e - 1) = 239 products instead of k^2 = 14400
+    base = RingBase(2, 120, 1)
+    _structure_tensor.cache_clear()
+    start = time.perf_counter()
+    T = _structure_tensor(base)
+    assert time.perf_counter() - start < 1.0
+    # pi^119 * pi^119 = p pi^118 and pi^60 * pi^70 = p pi^10
+    assert T[119, 119, 118] == 2 and T[60, 70, 10] == 2 and T[60, 70].sum() == 2
+
+
 def test_object_kernel_beyond_int64():
     # p^K > 2^63: the ring computes on Python ints end to end
     ring = ChainRing(5, 1, 1, 30)
@@ -516,7 +548,7 @@ def test_zero_block_rows():
     base = RingBase(3, 1, 1)
     # g^3 - 1 vanishes at level 1, so the expansion drops its block row
     vanishing = poly_sub(poly_gen(base, 1, 1, power=3), poly_int(base, 1, 1))
-    P = presentation(spec, base, 2, [[vanishing, poly_zero()], [poly_int(base, 3, 1), poly_gen(base, 1, 1)]])
+    P = presentation(spec, base, 2, [[vanishing, GroupRingPoly(())], [poly_int(base, 3, 1), poly_gen(base, 1, 1)]])
     ring, A, ncols = _expanded_matrix(quotient_pi(P, 2), 1, 4)
     assert A.shape == (3, 3, 6, 1)
     form = diagonalize(ring, A, ncols)

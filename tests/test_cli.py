@@ -3,7 +3,7 @@ import tracemalloc
 
 import pytest
 
-from mutower import chainring, cli
+from mutower import chainring, cli, lambda_mod
 from mutower.chainring import RingBase
 from mutower.compare import TowerSeries
 from mutower.errors import InvalidInput
@@ -146,16 +146,17 @@ def test_huge_prime_module_exits_too_large(tmp_path, capsys):
     assert err.startswith("error:") and "lower --levels" in err
 
 
-def test_structure_tensor_budget_refuses_before_allocating(tmp_path, capsys, monkeypatch):
-    # e = 1000: the 1000^3 structure tensor of O would take 8 GB and 10^6
-    # exact products to build, so the expansion budget refuses it even at
-    # level 0; the patch fails at once if the budget check were missing.
+def refuse_structure_tensor(tmp_path, capsys, monkeypatch, e):
+    """`mutower invariants` on a module over O = Z_2[pi], pi^e = 2, exits 1
+    with TooLarge before the structure tensor is built: the patch fails at
+    once if the budget check were missing."""
+
     def refuse(base):
         raise AssertionError("structure tensor built above the budget")
 
     monkeypatch.setattr(chainring, "_structure_tensor", refuse)
     path = tmp_path / "m.json"
-    write_relation_module(path, RingBase(2, 1000, 1))
+    write_relation_module(path, RingBase(2, e, 1))
     tracemalloc.start()
     try:
         code = cli.main(["invariants", str(path), "--levels", "0,1"])
@@ -166,6 +167,19 @@ def test_structure_tensor_budget_refuses_before_allocating(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("error:") and "lower --levels or e*f" in err
     assert peak < 4 * 2 ** 20
+
+
+def test_structure_tensor_budget_refuses_before_allocating(tmp_path, capsys, monkeypatch):
+    # e = 1000: the 1000^3 structure tensor of O alone would take 8 GB, so
+    # the expansion budget refuses it even at level 0.
+    refuse_structure_tensor(tmp_path, capsys, monkeypatch, 1000)
+
+
+def test_structure_tensor_copies_count_in_the_budget(tmp_path, capsys, monkeypatch):
+    # e = 400: the tensor alone (8 k^3 = 0.5 GB) fits in 1 GiB, but the
+    # elimination also holds its reduced and int64 copies (1.5 GB in all).
+    assert 8 * 400 ** 3 < lambda_mod.EXPANSION_BUDGET_BYTES < 24 * 400 ** 3
+    refuse_structure_tensor(tmp_path, capsys, monkeypatch, 400)
 
 
 def test_parser_is_built_once_and_reused(tmp_path):

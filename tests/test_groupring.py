@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -67,7 +68,10 @@ def test_reduce_poly_metacyclic_rewriting():
     ring = ChainRing(3, 1, 1, 2)
     vec = reduce_poly(ba, spec, 1, ring)
     level = group_level(spec, 1)
-    nonzero = [(level.exps(i), c) for i, c in enumerate(vec) if c]
+    # the level's elements in their documented lexicographic order
+    exps = list(itertools.product(range(level.radix), repeat=spec.r))
+    assert [level.index(x) for x in exps] == list(range(level.order))
+    nonzero = [(exps[i], c) for i, c in enumerate(vec) if c]
     assert nonzero == [((1, 1), 1)]
 
 
@@ -146,8 +150,9 @@ def test_reduce_commutes_with_projection(spec):
     r = spec.r
     for m in (1, 2):
         level = group_level(spec, m)
-        proj = level.project(m - 1)
         low = group_level(spec, m - 1)
+        # G/G_m -> G/G_(m-1) on the lexicographic element order of level m
+        proj = [low.index(x) for x in itertools.product(range(level.radix), repeat=r)]
         for _ in range(5):
             terms = []
             poly = poly_int(base, 0, r)

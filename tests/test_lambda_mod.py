@@ -1,13 +1,15 @@
 import random
+import time
 import tracemalloc
 import warnings
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutower import lambda_mod, syzygy
-from mutower.chainring import RingBase
+from mutower.chainring import ChainRing, RingBase
 from mutower.errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from mutower.groupring import (
     GroupLevel,
@@ -20,6 +22,8 @@ from mutower.groupring import (
 )
 from mutower.lambda_mod import (
     Presentation,
+    _binomial_row,
+    _entry_to_spoly,
     coinvariants_ordq,
     koszul_homology_ordq,
     presentation,
@@ -235,6 +239,80 @@ def test_koszul_euler_characteristic_over_extended_rings(base, r):
             assert euler == gt.expected_rep().mu_total, (alphas, seed)
 
 
+@pytest.mark.parametrize("p, M", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)])
+def test_binomial_rows_are_binomials_mod_p_power(p, M):
+    for e in range(61):
+        assert _binomial_row(p, M, e) == tuple(comb(e, k) % p ** M for k in range(e + 1))
+
+
+@pytest.mark.parametrize(
+    "base, N",
+    [(BASE2, 4), (BASE3, 3), (RingBase(2, 2, 1), 4), (RingBase(2, 2, 1), 1), (RingBase(3, 1, 2), 2)],
+    ids=str,
+)
+def test_tower_operator_expansion(base, N):
+    # g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k, the zero coefficients dropped
+    ring = ChainRing.from_base(base, N)
+    r = 2
+    for m in range(3):
+        pm = base.p ** m
+        for j in range(r):
+            g = poly_sub(poly_gen(base, j + 1, r, power=pm), poly_int(base, 1, r))
+            expected = {}
+            for k in range(1, pm + 1):
+                c = ring.from_int(comb(pm, k))
+                if not ring.is_zero(c):
+                    expected[tuple(k if t == j else 0 for t in range(r))] = c
+            assert _entry_to_spoly(g, ring, r) == expected, (m, j)
+
+
+def test_entry_expansion_of_a_product_of_generators():
+    # c g_1^2 g_2 = c (1 + T_1)^2 (1 + T_2)
+    base = RingBase(3, 1, 2)
+    ring = ChainRing.from_base(base, 2)
+    entry = GroupRingPoly((((2, 1), (2, 1)),))
+    c = ring.from_coeffs((2, 1))
+    binomials = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1}
+    assert _entry_to_spoly(entry, ring, 2) == {t: ring.mul(c, ring.from_int(b)) for t, b in binomials.items()}
+
+
+def test_large_exponents_expand_fast():
+    # the row C(10^4, k) is one running product on residues mod 3
+    ring = ChainRing(3, 1, 1, 1)
+    g = poly_sub(poly_gen(BASE3, 1, 1, power=10 ** 4), poly_int(BASE3, 1, 1))
+    start = time.perf_counter()
+    out = _entry_to_spoly(g, ring, 1)
+    assert time.perf_counter() - start < 1.0
+    for k in (1, 2, 3, 9, 10, 81, 1000, 4096, 9999, 10 ** 4):
+        assert out.get((k,), 0) == comb(10 ** 4, k) % 3
+    # H_0 of Lambda/3 at level m is F_3[T]/(T^(3^m)), of order 3^(3^m)
+    P = quotient_pi(free_module(GroupSpec.abelian(3, 1), BASE3, 1), 1)
+    start = time.perf_counter()
+    assert koszul_homology_ordq(P, 8, 0, 1) == 3 ** 8
+    assert time.perf_counter() - start < 1.0
+    assert koszul_homology_ordq(P, 12, 0, 1) == 3 ** 12
+
+
+def test_koszul_expansion_budget_refuses_before_expanding(monkeypatch):
+    # g^(10^9) - 1 would expand to 10^9 + 1 monomials in T
+    def refuse(*args, **kwargs):
+        raise AssertionError("relation matrix expanded above the budget")
+
+    monkeypatch.setattr(lambda_mod, "_entry_to_spoly", refuse)
+    spec = GroupSpec.abelian(3, 1)
+    g = poly_sub(poly_gen(BASE3, 1, 1, power=10 ** 9), poly_int(BASE3, 1, 1))
+    P = quotient_pi(presentation(spec, BASE3, 1, [[g]]), 1)
+    tracemalloc.start()
+    try:
+        for i in range(2):
+            with pytest.raises(TooLarge, match="lower the generator exponents"):
+                koszul_homology_ordq(P, 0, i, 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 def test_koszul_budget_refuses_before_groebner(monkeypatch):
     # abelian(3, 2) at m = 7: 3^14 chain coordinates per generator and
     # degree.  Both patches fail at once, so a missing check cannot hang.
@@ -242,7 +320,7 @@ def test_koszul_budget_refuses_before_groebner(monkeypatch):
         raise AssertionError("Koszul work started above the budget")
 
     monkeypatch.setattr(syzygy, "strong_groebner", refuse)
-    monkeypatch.setattr(lambda_mod, "_tower_operator", refuse)
+    monkeypatch.setattr(lambda_mod, "_entry_to_spoly", refuse)
     P = quotient_pi(free_module(GroupSpec.abelian(3, 2), BASE3, 1), 1)
     assert 3 ** 14 > lambda_mod.KOSZUL_BUDGET_CELLS
     for i in range(3):
