@@ -292,7 +292,6 @@ class ChainRing:
         else:
             self.zero = (0,) * (e * f)
             self.one = (1,) + self.zero[1:]
-        self.pi = self.pi_pow(1)
 
     @classmethod
     def from_base(cls, base: RingBase, N: int) -> "ChainRing":

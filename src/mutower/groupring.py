@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -245,16 +245,24 @@ def poly_mul(spec: GroupSpec, base: RingBase, x: GroupRingPoly, y: GroupRingPoly
     return _norm_terms(terms)
 
 
-def reduce_poly(x: GroupRingPoly, spec: GroupSpec, m: int, ring: ChainRing) -> List:
-    """Image of x under O[[G]] -> (O/pi^N)[G/G_m], as a dense coefficient
-    vector over the level's element enumeration."""
+def reduce_poly(polys: Sequence[GroupRingPoly], spec: GroupSpec, m: int, ring: ChainRing) -> np.ndarray:
+    """Images of polys under O[[G]] -> (O/pi^N)[G/G_m], as one integer array
+    of O-coordinates of shape (len(polys), L, e*f) in ring.dtype: entry
+    [t, h] holds the coefficient of the level's h-th element in polys[t]."""
     if ring.p != spec.p:
         raise InvalidInput("ring.p must equal spec.p")
     level = group_level(spec, m)
-    vec = [ring.zero] * level.order
-    for coeffs, exps in x.terms:
-        if len(exps) != spec.r:
-            raise InvalidInput("exponent tuple arity disagrees with the group")
-        idx = level.index(exps)
-        vec[idx] = ring.add(vec[idx], ring.from_coeffs(coeffs))
-    return vec
+    terms = [
+        (t, level.index(exps), [a % q for a, q in zip(c, ring.moduli, strict=True)])
+        for t, x in enumerate(polys)
+        for c, exps in x.terms
+    ]
+    out = np.zeros((len(polys), level.order, len(ring.moduli)), dtype=ring.dtype)
+    if terms:
+        which, where, coeffs = zip(*terms)
+        # Every addend is reduced, so below p^M, and int64 rings have p^M <
+        # 2^32 (_kernel_dtype): int64 holds the sum of 2^31 terms meeting at
+        # one element, more than any presentation in memory can have.
+        np.add.at(out, (np.array(which), np.array(where)), np.array(coeffs, dtype=ring.dtype))
+        out %= np.array(ring.moduli, dtype=ring.dtype)
+    return out

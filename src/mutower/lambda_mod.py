@@ -145,27 +145,17 @@ def _expanded_matrix(P: Presentation, m: int, N: int):
             f"{k}, about {need / 2 ** 30:.1f} GiB of dense arrays (budget "
             f"{EXPANSION_BUDGET_BYTES / 2 ** 30:.0f} GiB); lower --levels or e*f"
         )
-    # The nonzero coefficients of each relation at this level.  A relation
-    # that vanishes here would give L zero rows, so it gets no block row.
-    kept = []
-    for row in P.matrix:
-        terms = [
-            (j, h, ring.to_coeffs(c))
-            for j, entry in enumerate(row)
-            if not entry.is_zero
-            for h, c in enumerate(reduce_poly(entry, P.spec, m, ring))
-            if not ring.is_zero(c)
-        ]
-        if terms:
-            kept.append(terms)
     tab = level.table()
-    A = np.zeros((len(kept), L, P.gens * L, k), dtype=ring.dtype)
-    rows_idx = np.arange(L)
-    for i, terms in enumerate(kept):
-        for j, h, coeffs in terms:
-            # Row k of the block is g_k * entry; every row of the table is a
-            # permutation, so each cell is written once and stays canonical.
-            A[i, rows_idx, j * L + tab[:, h]] = coeffs
+    entries = [entry for row in P.matrix for entry in row]
+    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, L, k)
+    # A relation that vanishes at this level would give L zero rows, so it
+    # gets no block row.
+    R = R[R.any(axis=(1, 2, 3))]
+    i, j, h = np.nonzero(R.any(axis=3))
+    A = np.zeros((len(R), L, P.gens * L, k), dtype=ring.dtype)
+    # Row g of block (i, j) is g * R[i, j]: coefficient h lands at tab[g, h].
+    # Each table row is a permutation, so every cell is written once.
+    A[i[:, None], np.arange(L), j[:, None] * L + tab[:, h].T] = R[i, j, h][:, None]
     return ring, A, P.gens * L
 
 

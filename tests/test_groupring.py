@@ -3,11 +3,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutower.chainring import ChainRing, RingBase
 from mutower.errors import InvalidInput
 from mutower.groupring import (
+    GroupRingPoly,
     GroupSpec,
+    _norm_terms,
     group_level,
     poly_add,
     poly_gen,
@@ -18,7 +22,8 @@ from mutower.groupring import (
     quotient_order,
     reduce_poly,
 )
-from mutower.lambda_mod import _expanded_matrix, presentation
+from mutower.lambda_mod import _expanded_matrix, presentation, quotient_pi
+from mutower.synth import Garnish, GroundTruth, make_module
 
 
 def test_quotient_order_examples():
@@ -44,8 +49,8 @@ def test_reduce_poly_augmentation_at_level_zero():
     base = RingBase(3, 1, 1)
     ring = ChainRing(3, 1, 1, 2)
     x = poly_sub(poly_gen(base, 1, 1), poly_int(base, 1, 1))
-    vec = reduce_poly(x, spec, 0, ring)
-    assert vec == [0]
+    vec = reduce_poly([x], spec, 0, ring)
+    assert vec.shape == (1, 1, 1) and vec.tolist() == [[[0]]]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -54,7 +59,7 @@ def test_reduce_poly_kills_pm_power(m):
     base = RingBase(2, 1, 1)
     ring = ChainRing(2, 1, 1, 3)
     x = poly_sub(poly_gen(base, 1, 1, power=2 ** m), poly_int(base, 1, 1))
-    assert all(c == 0 for c in reduce_poly(x, spec, m, ring))
+    assert all(c == 0 for c in reduce_poly([x], spec, m, ring).flat)
 
 
 def test_reduce_poly_metacyclic_rewriting():
@@ -66,13 +71,85 @@ def test_reduce_poly_metacyclic_rewriting():
     ba = poly_mul(spec, base, b, a)
     assert ba.terms == (((1,), (4, 1)),)
     ring = ChainRing(3, 1, 1, 2)
-    vec = reduce_poly(ba, spec, 1, ring)
+    vec = reduce_poly([ba], spec, 1, ring)[0, :, 0].tolist()
     level = group_level(spec, 1)
     # the level's elements in their documented lexicographic order
     exps = list(itertools.product(range(level.radix), repeat=spec.r))
     assert [level.index(x) for x in exps] == list(range(level.order))
     nonzero = [(exps[i], c) for i, c in enumerate(vec) if c]
     assert nonzero == [((1, 1), 1)]
+
+
+def scalar_reduce(x, spec, m, ring):
+    """Oracle for reduce_poly: the image of x term by term in scalar
+    arithmetic, as a list of canonical scalars over the level's elements."""
+    level = group_level(spec, m)
+    vec = [ring.zero] * level.order
+    for coeffs, exps in x.terms:
+        idx = level.index(exps)
+        vec[idx] = ring.add(vec[idx], ring.from_coeffs(coeffs))
+    return vec
+
+
+def scalar_expansion(P, m, N):
+    """Oracle for _expanded_matrix: scalar_reduce on every entry, and one
+    table scatter per nonzero coefficient."""
+    ring = ChainRing.from_base(P.base, N)
+    level = group_level(P.spec, m)
+    L = level.order
+    kept = []
+    for row in P.matrix:
+        terms = [
+            (j, h, ring.to_coeffs(c))
+            for j, entry in enumerate(row)
+            if not entry.is_zero
+            for h, c in enumerate(scalar_reduce(entry, P.spec, m, ring))
+            if not ring.is_zero(c)
+        ]
+        if terms:
+            kept.append(terms)
+    tab = level.table()
+    A = np.zeros((len(kept), L, P.gens * L, ring.e * ring.f), dtype=ring.dtype)
+    for i, terms in enumerate(kept):
+        for j, h, coeffs in terms:
+            A[i, np.arange(L), j * L + tab[:, h]] = coeffs
+    return ring, A, P.gens * L
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ChainRing(3, 1, 1, 4), ChainRing(2, 2, 1, 5), ChainRing(2, 1, 2, 3), ChainRing(3, 3, 1, 4), ChainRing(3, 1, 1, 20)],
+    ids=repr,
+)
+def test_reduce_poly_matches_scalar_oracle(ring):
+    # Terms that meet at one element of the level with an unreduced sum above
+    # p^M, coefficients that are negative or above 2^63 in absolute value,
+    # and exponents above 2^64.
+    k = ring.e * ring.f
+    big = 2 ** 64
+    specs = [GroupSpec.abelian(ring.p, 1), GroupSpec.abelian(ring.p, 2)]
+    if ring.p > 2:
+        specs.append(GroupSpec.metacyclic(ring.p))
+    rng = random.Random(ring.p * 100 + ring.N)
+    for spec in specs:
+        r = spec.r
+        for m in (0, 1, 2):
+            radix = spec.p ** m
+            polys = [GroupRingPoly(())]
+            for _ in range(4):
+                exps = tuple(rng.randrange(radix) for _ in range(r))
+                terms = []
+                for t in range(3):
+                    # the same element of G/G_m, not the same exponents
+                    far = tuple(e + radix * (big + t) * rng.randrange(1, 4) for e in exps)
+                    terms.append(([ring.pM - 1 + t * big for _ in range(k)], far))
+                    terms.append(([-rng.randrange(2 ** 70) for _ in range(k)], tuple(rng.randrange(3 * big) for _ in range(r))))
+                polys.append(_norm_terms(terms))
+            out = reduce_poly(polys, spec, m, ring)
+            assert out.dtype == ring.dtype and out.shape == (len(polys), radix ** r, k)
+            expected = [[list(ring.to_coeffs(c)) for c in scalar_reduce(x, spec, m, ring)] for x in polys]
+            assert out.tolist() == expected
+    assert (ring.dtype is object) == (ring.N == 20)
 
 
 def regular_rep(spec, base, x, m, N):
@@ -167,12 +244,12 @@ def test_reduce_commutes_with_projection(spec):
                         coeff=rng.randrange(-2, 3),
                     ),
                 )
-            hi = reduce_poly(poly, spec, m, ring)
+            hi = reduce_poly([poly], spec, m, ring)[0, :, 0].tolist()
             pushed = [ring.zero] * low.order
             for idx, c in enumerate(hi):
                 tgt = int(proj[idx])
                 pushed[tgt] = ring.add(pushed[tgt], c)
-            assert pushed == reduce_poly(poly, spec, m - 1, ring)
+            assert pushed == reduce_poly([poly], spec, m - 1, ring)[0, :, 0].tolist()
 
 
 @pytest.mark.parametrize("m", [0, 1, 2])
@@ -206,3 +283,48 @@ def test_metacyclic_associativity_triple_loop_small():
         for j in range(L):
             for k in range(L):
                 assert tab[tab[i, j], k] == tab[i, tab[j, k]]
+
+
+PRESETS = [GroupSpec.abelian(2, 1), GroupSpec.abelian(3, 1), GroupSpec.abelian(2, 2), GroupSpec.abelian(3, 2), GroupSpec.metacyclic(3)]
+# O = Z_p and the rings of the generic_ring benchmark workload
+BASES = {
+    2: [RingBase(2, 1, 1), RingBase(2, 2, 1), RingBase(2, 1, 2)],
+    3: [RingBase(3, 1, 1), RingBase(3, 2, 1), RingBase(3, 1, 2)],
+}
+
+
+@st.composite
+def synth_levels(draw):
+    spec = draw(st.sampled_from(PRESETS))
+    base = draw(st.sampled_from(BASES[spec.p]))
+    alphas = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
+    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
+    N = draw(st.integers(1, 6))
+    return quotient_pi(make_module(gt, spec, base), N), draw(st.integers(0, 2)), N
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(synth_levels())
+def test_expansion_matches_per_term_scatter(case):
+    P, m, N = case
+    ring, A, ncols = _expanded_matrix(P, m, N)
+    _, expected, expected_cols = scalar_expansion(P, m, N)
+    assert ncols == expected_cols
+    assert A.dtype == expected.dtype and A.shape == expected.shape
+    assert (A == expected).all()
+
+
+@pytest.mark.parametrize("base", [RingBase(3, 1, 1), RingBase(2, 2, 1)], ids=str)
+def test_expansion_uses_no_scalar_arithmetic(base, monkeypatch):
+    spec = GroupSpec.abelian(base.p, 2)
+    P = quotient_pi(make_module(GroundTruth(1, (1, 3), (Garnish(1),), seed=5), spec, base), 4)
+    _, expected, _ = scalar_expansion(P, 2, 4)
+
+    def refuse(*args):
+        raise AssertionError("scalar arithmetic in the expansion")
+
+    for name in ("from_coeffs", "add", "to_coeffs", "is_zero"):
+        monkeypatch.setattr(ChainRing, name, refuse)
+    _, A, _ = _expanded_matrix(P, 2, 4)
+    assert A.shape == expected.shape and (A == expected).all()
