@@ -690,8 +690,6 @@ def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> Tuple[np.n
             if L == 0 or nc % L:
                 raise InvalidInput("block array columns are not a multiple of the block side")
             rows = rows.reshape(nb * L, nc, rows.shape[3])
-        elif rows.ndim == 2 and k == 1:
-            rows = rows[:, :, None]
         if rows.ndim != 3 or rows.shape[2] != k:
             raise InvalidInput(f"expected an array of shape (rows, cols, {k}) for {ring!r}")
         if ncols is not None and ncols != rows.shape[1]:
@@ -716,8 +714,8 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     docstring).
 
     ``rows`` is a sequence of length-``ncols`` scalar rows, or an integer
-    array of O-coordinates of shape (rows, cols, e*f) (a 2d array when e = f
-    = 1); ``ncols`` is mandatory for empty matrices.  A 4d array of shape
+    array of O-coordinates of shape (rows, cols, e*f), e*f = 1 included;
+    ``ncols`` is mandatory for empty matrices.  A 4d array of shape
     (block rows, L, cols, e*f) is a level expansion whose L x L blocks are
     group-ring elements (see the module docstring); over O = Z_p, for L > 1,
     its unit blocks are eliminated whole when float64 is exact for them.

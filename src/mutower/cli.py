@@ -56,6 +56,16 @@ def _parse_ring(text: Optional[str]) -> Optional[RingBase]:
     return RingBase(p, e, f)
 
 
+def _parse_error_c(text: str) -> Fraction:
+    try:
+        c = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"bad --error-C value {text!r}") from exc
+    if c < 0:
+        raise InvalidInput(f"--error-C must be nonnegative, got {text!r}")
+    return c
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
@@ -223,10 +233,11 @@ def run_tower(args) -> int:
     base = _parse_ring(args.ring)
     if base is None:
         raise InvalidInput("tower command requires --ring p,e,f (p is used)")
+    error_c = _parse_error_c(args.error_c)
     A = modfile.load_tower_csv(args.left, base.p, args.dim, label=args.left)
     B = modfile.load_tower_csv(args.right, base.p, args.dim, label=args.right)
     config = _config_dict(args, {"left": args.left, "right": args.right, "dim": args.dim})
-    verdict = cmp.tower_compare(A, B, Fraction(args.error_c))
+    verdict = cmp.tower_compare(A, B, error_c)
     return _emit_verdict(config, verdict, args)
 
 

@@ -51,6 +51,8 @@ class TowerSeries:
     label: str = ""
 
     def __post_init__(self):
+        if self.r < 1:
+            raise InvalidInput(f"tower dimension r = {self.r} must be >= 1")
         if not self.data:
             raise InvalidInput("empty tower series")
         ns = sorted({n for n, _ in self.data})

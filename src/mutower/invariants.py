@@ -30,7 +30,7 @@ from .errors import (
     ProfileTooShort,
 )
 from .groupring import GroupSpec
-from .lambda_mod import LevelOrders, Presentation, level_diagonal_form, quotient_pi
+from .lambda_mod import LevelOrders, Presentation, check_expansion_budget, level_diagonal_form, quotient_pi
 
 DEFAULT_N_MAX = 6
 
@@ -121,13 +121,16 @@ def mu_profile(
     at n and keeps free coordinates free, so the derived orders equal the
     direct N = n computations.  Raises InconsistentProfile if the recovered
     sequence violates the monotonicity forced by mu(M/pi^n) = n rank +
-    sum min(n, alpha_i).
+    sum min(n, alpha_i), and TooLarge, before building anything, when the
+    top level's expansion over O/pi^n_max exceeds the expansion budget.
     """
     if n_max < 1:
         raise InvalidInput("need n_max >= 1")
     ms = sorted(set(m_range)) if m_range is not None else default_m_range(P.spec)
     if len(ms) < 2:
         raise InvalidInput("need at least two levels")
+    # before pi^n_max and O/pi^n_max are formed: p^n_max alone can be huge
+    check_expansion_budget(P.spec, P.base, P.rels + P.gens, P.gens, ms[-1], n_max)
     Pq = quotient_pi(P, n_max)
     forms = {m: level_diagonal_form(Pq, m, n_max) for m in ms}
     p, r = P.spec.p, P.spec.r

@@ -23,6 +23,7 @@ The two computational primitives are
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
@@ -32,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .chainring import ChainRing, DiagonalForm, RingBase, diagonalize, ordq_from_form
+from .chainring import ChainRing, DiagonalForm, RingBase, _kernel_dtype, diagonalize, ordq_from_form
 from .errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from .groupring import (
     ABELIAN,
@@ -43,6 +44,7 @@ from .groupring import (
     poly_int,
     poly_pi_pow,
     poly_sub,
+    quotient_order,
     reduce_poly,
 )
 from .syzygy import Element, PolyContext, preimage_gens, quotient_ordq
@@ -124,6 +126,29 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
+def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int, m: int, N: int) -> None:
+    """Raises TooLarge when the level-m expansion of a rels x gens relation
+    matrix over O/pi^N would exceed EXPANSION_BUDGET_BYTES.  Works from the
+    shape and (p, e, f, N) alone, so it builds no ring and no large integer."""
+    if spec.r * m * math.log2(spec.p) > 32:  # L > 2^32: the group table alone is too large
+        raise TooLarge(f"level m={m} has {spec.p}^{spec.r * m} elements; lower --levels")
+    L = quotient_order(spec, m)
+    M, k = -(-N // base.e), base.e * base.f
+    bits = M * math.log2(base.p)
+    # Bytes a coordinate takes: 8 in int64, and in an object array
+    # (ChainRing.dtype) a pointer plus a CPython int of about M log2 p bits in
+    # 30-bit digits.  p^M is formed only when it is small.
+    width = 8 if bits < 64 and _kernel_dtype(base.p ** M, k) is np.int64 else 32 + 4 * math.ceil(bits / 30)
+    need = 8 * L * L + rels * L * gens * L * (k * width + 8) + 24 * k ** 3
+    if need > EXPANSION_BUDGET_BYTES:
+        raise TooLarge(
+            f"level m={m} expands to {L}x{L} group-ring blocks over O/pi^{N} of rank "
+            f"{k} ({width} bytes a coordinate), about {need / 2 ** 30:.1f} GiB of dense "
+            f"arrays (budget {EXPANSION_BUDGET_BYTES / 2 ** 30:.0f} GiB); lower --levels or e*f"
+            + ("" if width == 8 else ", or --n-max")
+        )
+
+
 def _expanded_matrix(P: Presentation, m: int, N: int):
     """Reduce all entries at level m and expand through the right-regular
     representation into an (rels*L) x (gens*L) matrix over O/pi^N, held as
@@ -133,19 +158,10 @@ def _expanded_matrix(P: Presentation, m: int, N: int):
 
     Raises TooLarge, before allocating anything, when the expansion would
     exceed EXPANSION_BUDGET_BYTES."""
+    check_expansion_budget(P.spec, P.base, P.rels, P.gens, m, N)
     ring = ChainRing.from_base(P.base, N)
-    level = group_level(P.spec, m)
-    L = level.order
-    cells = P.rels * L * P.gens * L
-    k = ring.e * ring.f
-    need = 8 * L * L + 8 * cells * (k + 1) + 24 * k ** 3
-    if need > EXPANSION_BUDGET_BYTES:
-        raise TooLarge(
-            f"level m={m} expands to {L}x{L} group-ring blocks over O of rank "
-            f"{k}, about {need / 2 ** 30:.1f} GiB of dense arrays (budget "
-            f"{EXPANSION_BUDGET_BYTES / 2 ** 30:.0f} GiB); lower --levels or e*f"
-        )
-    tab = level.table()
+    tab = group_level(P.spec, m).table()
+    L, k = len(tab), ring.e * ring.f
     entries = [entry for row in P.matrix for entry in row]
     R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, L, k)
     # A relation that vanishes at this level would give L zero rows, so it

@@ -338,7 +338,7 @@ def test_large_modulus_needs_no_valuation_table():
     # p^N = 3^19 would need a 9 GB valuation table
     ring = ChainRing(3, 1, 1, 19)
     rng = random.Random(5)
-    rows = structured_array(rng, 3, 19, 6, 6)
+    rows = structured_array(rng, 3, 19, 6, 6)[:, :, None]
     tracemalloc.start()
     try:
         form = diagonalize(ring, rows)

@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from mutower import chainring, cli, lambda_mod
 from mutower.chainring import RingBase
 from mutower.compare import TowerSeries
-from mutower.errors import InvalidInput
+from mutower.errors import InvalidInput, TooLarge
 from mutower.groupring import GroupLevel, GroupSpec, poly_gen, poly_int
+from mutower.invariants import mu_profile
 from mutower.lambda_mod import presentation
 from mutower.modfile import (
     load_presentation,
@@ -146,6 +148,25 @@ def test_huge_prime_module_exits_too_large(tmp_path, capsys):
     assert err.startswith("error:") and "lower --levels" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, hint", [("--n-max", "1000000000", "--n-max"), ("--levels", "0,1000000000", "lower --levels")]
+)
+def test_huge_n_max_or_level_exits_too_large(tmp_path, capsys, option, value, hint):
+    # A coordinate mod 3^(10^9) would be a 200 MB Python int, and so would
+    # L = 3^(10^9): the budget works from (p, e, f, N) and (p, r, m) and
+    # refuses before either is formed.
+    path = tmp_path / "m.json"
+    write_relation_module(path, BASE3)
+    n_max, levels = (10 ** 9, None) if option == "--n-max" else (6, [0, 10 ** 9])
+    with pytest.raises(TooLarge):
+        mu_profile(load_presentation(str(path)), n_max, levels)
+    start = time.perf_counter()
+    assert cli.main(["invariants", str(path), option, value]) == 1
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and hint in err
+
+
 def refuse_structure_tensor(tmp_path, capsys, monkeypatch, e):
     """`mutower invariants` on a module over O = Z_2[pi], pi^e = 2, exits 1
     with TooLarge before the structure tensor is built: the patch fails at
@@ -226,6 +247,18 @@ def test_tower_command(tmp_path):
     assert cli.main(["tower", str(a), str(cpath), "--dim", "1", "--ring", "3,1,1"]) == 1
     # so is a non-integer --ring
     assert cli.main(["tower", str(a), str(eq), "--dim", "1", "--ring", "3,x,1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "option, value", [("--error-C", "abc"), ("--error-C", "1/0"), ("--error-C", "-1"), ("--dim", "0"), ("--dim", "-1")]
+)
+def test_tower_rejects_malformed_arguments(tmp_path, capsys, option, value):
+    path = tmp_path / "a.csv"
+    save_tower_csv(TowerSeries(r=1, p=3, data={(1, m): 2 * 3 ** m for m in range(3)}), str(path))
+    argv = ["tower", str(path), str(path), "--ring", "3,1,1", "--dim", "1", option, value]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_reports_are_byte_identical(tmp_path):
