@@ -308,7 +308,7 @@ def synth_levels(draw):
 @given(synth_levels())
 def test_expansion_matches_per_term_scatter(case):
     P, m, N = case
-    ring, A, ncols = _expanded_matrix(P, m, N)
+    _, A, ncols = _expanded_matrix(P, m, N)
     _, expected, expected_cols = scalar_expansion(P, m, N)
     assert ncols == expected_cols
     assert A.dtype == expected.dtype and A.shape == expected.shape
