@@ -28,19 +28,21 @@ pi-digits, and every O-product is one matrix product through the structure
 tensor of O.  The pivot valuations are the pi-adic valuations of the
 cokernel.
 
-Unit blocks.  A level-m expansion over O = Z_p is an array of L x L blocks,
-each the matrix rho(x) of an element x of the p-group ring (Z/p^K)[Q], Q =
-G/G_m of order L (row k = g_k * x).  That ring is local, so rho(x) is
-invertible exactly when the augmentation of x (the sum of any row of the
-block) is a unit mod p, and Schur complements and division by p keep the
-block structure.  Before the per-pivot loop, _eliminate_unit_blocks removes
-every such block as a whole with float64 matrix products, which are exact
-below 2^53; the residual, a matrix over Z/p^K' for some K' <= N, goes to
-_diagonalize_coordinates over ChainRing(p, 1, 1, K').
+Unit blocks.  A level-m matrix is a GroupRingMatrix, a compact array of
+coefficients in the group ring (O/pi^N)[Q], Q = G/G_m of order L, standing
+for the matrix of L x L blocks rho(x) (row k = g_k * x) that its one gather
+builds.  Over O = Z_p, (Z/p^K)[Q] is local: rho(x) is invertible exactly
+when the augmentation of x is a unit mod p, and inverses, Schur complements
+and division by p stay in the group ring.  So _eliminate_units removes
+those entries on the compact array first, with float64 group-ring products
+(L^2 each, exact below 2^53); only the residual, over some Z/p^K', K' <= N,
+is expanded for _diagonalize_coordinates, as is the whole matrix when
+e*f > 1 or p^N passes the float bound.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -487,71 +489,80 @@ def _val_table(p: int, K: int) -> np.ndarray:
 
 
 def _float_exact(L: int, mod: int) -> bool:
-    """Whether float64 products of L x L blocks of residues mod ``mod``, plus
-    one more residue, stay below 2^53, where every integer is exact."""
+    """Whether a float64 sum of L products of residues mod ``mod`` (a group-ring
+    coefficient), plus one residue, stays below 2^53, where integers are exact."""
     return L * (mod - 1) ** 2 + mod < 2 ** 53
 
 
-def _block_inverse(B: np.ndarray, p: int, K: int) -> np.ndarray:
-    """Inverse over Z/p^K of a group-ring block rho(x) (float64 residues) whose
-    augmentation a is a unit mod p, by Newton iteration X <- X (2I - B X)
-    from a^-1 I.
+@dataclass(frozen=True, eq=False)
+class GroupRingMatrix:
+    """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
+    coords[i, j, h], of shape (rels, gens, L, e*f), holds the O-coordinates
+    of the coefficient of the h-th element of Q in entry (i, j), element 0
+    the identity, and div[g, c] is the index of g^-1 g_c."""
 
-    The error I - B X starts in the augmentation ideal and squares at every
+    coords: np.ndarray
+    div: np.ndarray
+
+    def expand(self) -> np.ndarray:
+        """The (rels L, gens L, e*f) coordinate array it stands for, in one
+        gather: row g of block (i, j), g * entry, is coords[i, j, div[g]]."""
+        rels, gens, L, k = self.coords.shape
+        A = self.coords[np.arange(rels)[:, None, None, None], np.arange(gens)[:, None], self.div[:, None, :]]
+        return A.reshape(rels * L, gens * L, k)
+
+
+def _group_ring_inverse(x: np.ndarray, div: np.ndarray, p: int, K: int) -> np.ndarray:
+    """Inverse over (Z/p^K)[Q] of x (float64 residues) whose augmentation a
+    is a unit mod p, by Newton iteration y <- y + y (1 - x y) from a^-1.
+
+    The error 1 - x y starts in the augmentation ideal and squares at every
     step.  That ideal is nilpotent of index at most L mod p (Jennings), so
-    the error vanishes after ceil(log2(K L)) steps; a block that is not of
-    this form raises SingularBlock instead of returning a wrong inverse.
+    the error vanishes after ceil(log2(K L)) steps; a table that is not a
+    group's raises SingularBlock instead of returning a wrong inverse.
     """
-    mod = p ** K
-    L = B.shape[0]
-    a = int(B[0].sum()) % mod
+    mod, L = p ** K, len(x)
+    a = int(x.sum()) % mod
     if a % p == 0:
-        raise SingularBlock(f"block augmentation {a} is not a unit mod {p}")
-    eye = np.eye(L)
-    X = eye * pow(a, -1, mod)
+        raise SingularBlock(f"augmentation {a} is not a unit mod {p}")
+    one = (np.arange(L) == 0).astype(np.float64)
+    y = one * pow(a, -1, mod)
     for _ in range((K * L - 1).bit_length() + 1):
-        E = (eye - B @ X) % mod
-        if not E.any():
-            return X
-        X = (X + X @ E) % mod
-    raise SingularBlock(f"Newton inversion of a {L}x{L} block mod {p}^{K} did not converge")
+        err = (one - x @ y[div]) % mod
+        if not err.any():
+            return y
+        y = (y + y @ err[div]) % mod
+    raise SingularBlock(f"Newton inversion in a group ring of order {L} mod {p}^{K} did not converge")
 
 
-def _swap_blocks(S: np.ndarray, i: int, L: int, axis: int) -> None:
-    """Swap block row (axis 0) or block column (axis 1) i of S with block 0."""
-    if i:
-        S = S if axis == 0 else S.T
-        S[:L], S[i * L : (i + 1) * L] = S[i * L : (i + 1) * L].copy(), S[:L].copy()
-
-
-def _eliminate_unit_blocks(W: np.ndarray, p: int, K: int, L: int) -> Tuple[List[int], np.ndarray, int, int]:
-    """Eliminate the unit L x L blocks of W (float64 residues mod p^K, shape
-    (r L, c L), overwritten) as whole blocks, dividing by p whenever no unit
-    block is left and every entry is divisible by p.
+def _eliminate_units(R: np.ndarray, div: np.ndarray, p: int, K: int) -> Tuple[List[int], np.ndarray, int, int]:
+    """Eliminate the unit entries of R (float64 residues mod p^K of shape
+    (rels, gens, L), overwritten), each L pivots of the expansion, dividing
+    by p whenever no unit is left and every entry is divisible by p.
 
     Returns (pivot valuations, residual, K', shift): the residual is an int64
-    matrix over Z/p^K' whose pivot valuations, plus shift, are the rest of
-    W's.  Requires _float_exact(L, p^K).
+    array of shape (rels', gens', L) over Z/p^K' whose pivot valuations,
+    plus shift, are the rest of R's.  Requires _float_exact(L, p^K).
     """
     mod = p ** K
+    L = len(div)
     vals: List[int] = []
     shift = 0
     d = 0  # the first d rows and columns are eliminated
-    while d < min(W.shape):
-        S = W[d:, d:]
-        nr, nc = S.shape[0] // L, S.shape[1] // L
-        aug = S[::L].reshape(nr, nc, L).sum(axis=2) % p
-        hit = np.flatnonzero(aug)
+    while d < min(R.shape[:2]):
+        S = R[d:, d:]
+        hit = np.flatnonzero(S.sum(axis=2) % p)
         if hit.size:
-            i, j = divmod(int(hit[0]), nc)  # first unit block, row-major
-            _swap_blocks(S, i, L, 0)
-            _swap_blocks(S, j, L, 1)
-            XA = _block_inverse(S[:L, :L], p, K) @ S[:L, L:] % mod
-            T = S[L:, L:]
-            T -= S[L:, :L] @ XA
+            i, j = divmod(int(hit[0]), S.shape[1])  # first unit entry, row-major
+            S[[0, i]] = S[[i, 0]]
+            S[:, [0, j]] = S[:, [j, 0]]
+            # Z = x^-1 S[0, 1:], then T -= S[1:, 0] Z through the division table.
+            Z = _group_ring_inverse(S[0, 0], div, p, K) @ S[0, 1:][:, div] % mod
+            T = S[1:, 1:]
+            T -= (S[1:, 0] @ Z[:, div].transpose(1, 0, 2).reshape(L, T.shape[1] * L)).reshape(T.shape)
             np.remainder(T, mod, out=T)
             vals += [shift] * L
-            d += L
+            d += 1
         elif K > 1 and not np.fmod(S, p).any():
             S /= p
             K -= 1
@@ -559,7 +570,7 @@ def _eliminate_unit_blocks(W: np.ndarray, p: int, K: int, L: int) -> Tuple[List[
             shift += 1
         else:
             break
-    return vals, W[d:, d:].astype(np.int64), K, shift
+    return vals, R[d:, d:].astype(np.int64), K, shift
 
 
 @lru_cache(maxsize=None)
@@ -680,21 +691,15 @@ def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
     return vals
 
 
-def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> Tuple[np.ndarray, int]:
-    """(array of shape (rows, cols, e*f), block side L)."""
+def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray:
+    """The array of shape (rows, cols, e*f) of a scalar matrix or array."""
     k = ring.e * ring.f
-    L = 1
     if isinstance(rows, np.ndarray):
-        if rows.ndim == 4:
-            nb, L, nc, _ = rows.shape
-            if L == 0 or nc % L:
-                raise InvalidInput("block array columns are not a multiple of the block side")
-            rows = rows.reshape(nb * L, nc, rows.shape[3])
         if rows.ndim != 3 or rows.shape[2] != k:
             raise InvalidInput(f"expected an array of shape (rows, cols, {k}) for {ring!r}")
         if ncols is not None and ncols != rows.shape[1]:
             raise InvalidInput("ncols disagrees with the array shape")
-        return rows.astype(ring.dtype, copy=False), L
+        return rows.astype(ring.dtype, copy=False)
     rows = [list(r) for r in rows]
     if ncols is None:
         if not rows:
@@ -706,37 +711,40 @@ def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> Tuple[np.n
         for x in r:
             ring.check_scalar(x)
     coords = [[ring.to_coeffs(x) for x in r] for r in rows]
-    return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k), L
+    return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k)
 
 
 def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalForm:
     """Diagonal normal form of a relation matrix over O/pi^N (see the module
     docstring).
 
-    ``rows`` is a sequence of length-``ncols`` scalar rows, or an integer
-    array of O-coordinates of shape (rows, cols, e*f), e*f = 1 included;
-    ``ncols`` is mandatory for empty matrices.  A 4d array of shape
-    (block rows, L, cols, e*f) is a level expansion whose L x L blocks are
-    group-ring elements (see the module docstring); over O = Z_p, for L > 1,
-    its unit blocks are eliminated whole when float64 is exact for them.
-    The rest goes through one pi-adic elimination, _diagonalize_coordinates.
-    The multiset of diagonal valuations together with the free-column count
-    is an isomorphism invariant of the cokernel.
+    ``rows`` is a sequence of length-``ncols`` scalar rows, an integer array
+    of O-coordinates of shape (rows, cols, e*f), e*f = 1 included, or a
+    GroupRingMatrix, a level matrix over a group ring that stands for its
+    expansion; ``ncols`` is mandatory for empty matrices.  Over O = Z_p, for
+    L > 1, the unit entries of a GroupRingMatrix are eliminated on its
+    compact array when float64 is exact for them, and only the rest is
+    expanded.  Everything else goes through one pi-adic elimination,
+    _diagonalize_coordinates.  The multiset of diagonal valuations together
+    with the free-column count is an isomorphism invariant of the cokernel.
     """
-    A, L = _coordinate_array(ring, rows, ncols)
-    nrows, nc, _ = A.shape
-    if nrows == 0 or nc == 0:
-        return DiagonalForm((), nc, nrows, nc)
     vals: List[int] = []
     shift = 0
-    if ring.is_simple and L > 1 and _float_exact(L, ring.pM):
-        # The residues go straight into a float64 working array that only the
-        # callee holds, so it is freed before the residual's loop.
-        vals, R, K, shift = _eliminate_unit_blocks(
-            np.remainder(A.reshape(nrows, nc), ring.pM, out=np.empty((nrows, nc))), ring.p, ring.N, L
-        )
-        A, ring = R[:, :, None], ChainRing(ring.p, 1, 1, K)
-    vals += [v + shift for v in _diagonalize_coordinates(A, ring)]
+    if isinstance(rows, GroupRingMatrix):
+        R, div = rows.coords, rows.div
+        L = len(div)
+        nrows, nc = len(R) * L, R.shape[1] * L
+        if R.shape[2:] != (L, ring.e * ring.f) or div.shape != (L, L) or ncols not in (None, nc):
+            raise InvalidInput(f"group-ring matrix {R.shape} with division table {div.shape} does not fit {ring!r}")
+        if ring.is_simple and L > 1 and _float_exact(L, ring.pM):
+            vals, R, K, shift = _eliminate_units((R[..., 0] % ring.pM).astype(np.float64), div, ring.p, ring.N)
+            R, ring = R[..., None], ChainRing(ring.p, 1, 1, K)
+        A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
+    else:
+        A = _coordinate_array(ring, rows, ncols)
+        nrows, nc, _ = A.shape
+    if A.size:
+        vals += [v + shift for v in _diagonalize_coordinates(A, ring)]
     return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
 
 
@@ -759,4 +767,6 @@ def ordq_from_form(form: DiagonalForm, N: int, n: Optional[int] = None) -> int:
         n = N
     if n > N:
         raise InvalidInput("base change target exceeds the computed truncation")
-    return sum(min(v, n) for v in form.diag_valuations) + n * form.free_cols
+    vals = form.diag_valuations
+    i = bisect_left(vals, n)  # sorted: the first i are below n, the rest count n
+    return sum(vals[:i]) + n * (len(vals) - i + form.free_cols)

@@ -9,9 +9,9 @@ is chosen per computation.
 The two computational primitives are
 
   * coinvariants_ordq: ord_q of (O/pi^N)[G/G_m] (x)_Lambda M, obtained by
-    reducing every entry to the level-m group ring, expanding through the
-    regular representation into an array of O-coordinates and diagonalizing
-    it over O/pi^N (chainring);
+    reducing every entry to the level-m group ring and diagonalizing the
+    matrix over O/pi^N that it stands for through the regular representation
+    (chainring.GroupRingMatrix);
 
   * koszul_homology_ordq: for the abelian presets, the exact q-order of
     H_i(G_m, M) as degree-i Koszul homology of (g_1^(p^m) - 1, ...,
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .chainring import ChainRing, DiagonalForm, RingBase, _kernel_dtype, diagonalize, ordq_from_form
+from .chainring import ChainRing, DiagonalForm, GroupRingMatrix, RingBase, _kernel_dtype, diagonalize, ordq_from_form
 from .errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from .groupring import (
     ABELIAN,
@@ -119,10 +119,11 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 
 
 # Largest dense expansion a level may build: the L x L group table, the
-# expanded coordinate array, the float64 working copy of the unit-block
-# elimination and the k x k x k structure tensor of O (k = e*f) that the
-# elimination multiplies through, together.  The elimination holds the tensor
-# with its reduced and int64 copies (a measured peak of 3 * 8 k^3 bytes).
+# expanded coordinate array with 8 more bytes a cell (the int64 copy the
+# per-pivot elimination reduces it into over Z_p; the float64 copy of the
+# unit-block pass is compact, L times smaller), and the k x k x k structure
+# tensor of O (k = e*f) that the elimination multiplies through, held with
+# its reduced and int64 copies (a measured peak of 3 * 8 k^3 bytes).
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
@@ -149,36 +150,25 @@ def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int
         )
 
 
-def _expanded_matrix(P: Presentation, m: int, N: int):
-    """Reduce all entries at level m and expand through the right-regular
-    representation into an (rels*L) x (gens*L) matrix over O/pi^N, held as
-    an integer array of O-coordinates of shape (rels, L, gens*L, e*f) that
-    keeps the block rows as an axis; relations that vanish at level m get no
-    block row.
-
+def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRingMatrix, int]:
+    """(O/pi^N, the relation matrix reduced to level m as a GroupRingMatrix
+    without the relations that vanish there, its expanded column count).
     Raises TooLarge, before allocating anything, when the expansion would
     exceed EXPANSION_BUDGET_BYTES."""
     check_expansion_budget(P.spec, P.base, P.rels, P.gens, m, N)
     ring = ChainRing.from_base(P.base, N)
     tab = group_level(P.spec, m).table()
-    L, k = len(tab), ring.e * ring.f
     entries = [entry for row in P.matrix for entry in row]
-    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, L, k)
-    # A relation that vanishes at this level would give L zero rows, so it
-    # gets no block row.
-    R = R[R.any(axis=(1, 2, 3))]
-    i, j, h = np.nonzero(R.any(axis=3))
-    A = np.zeros((len(R), L, P.gens * L, k), dtype=ring.dtype)
-    # Row g of block (i, j) is g * R[i, j]: coefficient h lands at tab[g, h].
-    # Each table row is a permutation, so every cell is written once.
-    A[i[:, None], np.arange(L), j[:, None] * L + tab[:, h].T] = R[i, j, h][:, None]
-    return ring, A, P.gens * L
+    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, len(tab), ring.e * ring.f)
+    # A relation that vanishes at this level would stand for L zero rows.
+    # Row g of the division table inverts row g of the multiplication table.
+    return ring, GroupRingMatrix(R[R.any(axis=(1, 2, 3))], np.argsort(tab, axis=1)), P.gens * len(tab)
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:
     """Diagonal form of the level-m expansion over O/pi^N.  Exposed so that
     callers can base-change the result to every n <= N (ordq_from_form)."""
-    ring, rows, ncols = _expanded_matrix(P, m, N)
+    ring, rows, ncols = _level_matrix(P, m, N)
     return diagonalize(ring, rows, ncols)
 
 

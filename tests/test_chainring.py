@@ -13,11 +13,12 @@ from mutower import chainring
 from mutower.chainring import (
     ChainRing,
     RingBase,
-    _block_inverse,
+    GroupRingMatrix,
     _diagonalize_coordinates,
     _div_pi_pow,
-    _eliminate_unit_blocks,
+    _eliminate_units,
     _float_exact,
+    _group_ring_inverse,
     _structure_tensor,
     cokernel_ordq,
     diagonalize,
@@ -34,7 +35,7 @@ from mutower.groupring import (
     poly_mul,
     poly_sub,
 )
-from mutower.lambda_mod import _expanded_matrix, presentation, quotient_pi
+from mutower.lambda_mod import _level_matrix, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, brute_force_ordq, make_module
 
 RINGS = [
@@ -497,7 +498,7 @@ def test_mixed_ring_entries_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Unit-block elimination on level expansions (4d arrays).
+# Unit-block elimination on level matrices (GroupRingMatrix).
 
 BLOCK_SPECS = [
     GroupSpec.abelian(2, 1),
@@ -508,27 +509,113 @@ BLOCK_SPECS = [
 ]
 
 
-def scalar_form(ring, A, ncols):
-    """The same expansion as one (rows, cols, 1) array: the per-pivot path."""
-    return diagonalize(ring, A.reshape(A.shape[0] * A.shape[1], ncols, 1), ncols)
+def scalar_form(ring, G, ncols):
+    """The same matrix as one expanded (rows, cols, 1) array: the per-pivot
+    path."""
+    return diagonalize(ring, G.expand(), ncols)
+
+
+def dense_block_inverse(B, p, K):
+    """Oracle: inverse over Z/p^K of an L x L block rho(x) (float64 residues)
+    by Newton iteration X <- X (2I - B X) on the dense block from a^-1 I."""
+    mod = p ** K
+    L = B.shape[0]
+    a = int(B[0].sum()) % mod
+    if a % p == 0:
+        raise SingularBlock(f"block augmentation {a} is not a unit mod {p}")
+    eye = np.eye(L)
+    X = eye * pow(a, -1, mod)
+    for _ in range((K * L - 1).bit_length() + 1):
+        E = (eye - B @ X) % mod
+        if not E.any():
+            return X
+        X = (X + X @ E) % mod
+    raise SingularBlock(f"Newton inversion of a {L}x{L} block mod {p}^{K} did not converge")
+
+
+def dense_unit_blocks(W, p, K, L):
+    """Oracle: the unit-block pass on the dense expansion W (float64 residues
+    mod p^K, shape (r L, c L), overwritten), eliminating each unit L x L
+    block whole with a dense Newton inverse and a dense Schur complement.
+    Returns (pivot valuations, int64 residual, K', shift) like
+    _eliminate_units, with the residual expanded."""
+    mod = p ** K
+    vals, shift, d = [], 0, 0
+    while d < min(W.shape):
+        S = W[d:, d:]
+        nr, nc = S.shape[0] // L, S.shape[1] // L
+        hit = np.flatnonzero(S[::L].reshape(nr, nc, L).sum(axis=2) % p)
+        if hit.size:
+            i, j = divmod(int(hit[0]), nc)
+            if i:
+                S[:L], S[i * L : (i + 1) * L] = S[i * L : (i + 1) * L].copy(), S[:L].copy()
+            if j:
+                S[:, :L], S[:, j * L : (j + 1) * L] = S[:, j * L : (j + 1) * L].copy(), S[:, :L].copy()
+            XA = dense_block_inverse(S[:L, :L], p, K) @ S[:L, L:] % mod
+            T = S[L:, L:]
+            T -= S[L:, :L] @ XA
+            np.remainder(T, mod, out=T)
+            vals += [shift] * L
+            d += L
+        elif K > 1 and not np.fmod(S, p).any():
+            S /= p
+            K -= 1
+            mod //= p
+            shift += 1
+        else:
+            break
+    return vals, W[d:, d:].astype(np.int64), K, shift
 
 
 @st.composite
-def level_expansions(draw):
+def level_matrices(draw):
     spec = draw(st.sampled_from(BLOCK_SPECS))
     m = draw(st.integers(0, 2))
     alphas = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
     garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
     gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
     N = draw(st.integers(1, 6))
-    return _expanded_matrix(quotient_pi(make_module(gt, spec), N), m, N)
+    return _level_matrix(quotient_pi(make_module(gt, spec), N), m, N)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(level_expansions())
+@given(level_matrices())
 def test_unit_blocks_match_per_pivot_path(case):
-    ring, A, ncols = case
-    assert diagonalize(ring, A, ncols) == scalar_form(ring, A, ncols)
+    ring, G, ncols = case
+    assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
+
+
+def assert_matches_dense_oracle(ring, G):
+    L = len(G.div)
+    W = G.expand()[..., 0].astype(np.float64)
+    expected_vals, expected_residual, expected_K, expected_shift = dense_unit_blocks(W, ring.p, ring.N, L)
+    vals, residual, K, shift = _eliminate_units(G.coords[..., 0].astype(np.float64), G.div, ring.p, ring.N)
+    assert (vals, K, shift) == (expected_vals, expected_K, expected_shift)
+    assert residual.dtype == np.int64
+    expanded = GroupRingMatrix(residual[..., None], G.div).expand()[..., 0]
+    assert expanded.shape == expected_residual.shape and (expanded == expected_residual).all()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(level_matrices())
+def test_compact_unit_pass_matches_dense_block_oracle(case):
+    ring, G, _ = case
+    assert_matches_dense_oracle(ring, G)
+
+
+# G/G_1 of the metacyclic preset is abelian; at m = 2 the group ring is not
+# commutative, so these pin the order of every product in the pass.
+@pytest.mark.parametrize(
+    "gt, N",
+    [
+        (GroundTruth(0, (1, 2), (Garnish(1),), seed=0), 4),
+        (GroundTruth(1, (2,), seed=1), 6),
+        (GroundTruth(0, (2, 3), seed=2), 5),
+    ],
+)
+def test_compact_unit_pass_matches_dense_block_oracle_on_nonabelian_level(gt, N):
+    ring, G, _ = _level_matrix(quotient_pi(make_module(gt, GroupSpec.metacyclic(3)), N), 2, N)
+    assert_matches_dense_oracle(ring, G)
 
 
 def test_garnished_residual_goes_to_per_pivot_kernel():
@@ -536,25 +623,25 @@ def test_garnished_residual_goes_to_per_pivot_kernel():
     # the block pass stops with a residual for _diagonalize_coordinates.
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(1),), seed=3), spec), 6)
-    ring, A, ncols = _expanded_matrix(P, 2, 6)
-    L = A.shape[1]
-    _, residual, _, _ = _eliminate_unit_blocks(A[..., 0].reshape(-1, ncols).astype(np.float64), 3, 6, L)
+    ring, G, ncols = _level_matrix(P, 2, 6)
+    _, residual, _, _ = _eliminate_units(G.coords[..., 0].astype(np.float64), G.div, 3, 6)
     assert residual.size and (residual % 3).any()
-    assert diagonalize(ring, A, ncols) == scalar_form(ring, A, ncols)
+    assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
 
 
 def test_zero_block_rows():
     spec = GroupSpec.abelian(3, 1)
     base = RingBase(3, 1, 1)
-    # g^3 - 1 vanishes at level 1, so the expansion drops its block row
+    # g^3 - 1 vanishes at level 1, so the level matrix drops its row
     vanishing = poly_sub(poly_gen(base, 1, 1, power=3), poly_int(base, 1, 1))
     P = presentation(spec, base, 2, [[vanishing, GroupRingPoly(())], [poly_int(base, 3, 1), poly_gen(base, 1, 1)]])
-    ring, A, ncols = _expanded_matrix(quotient_pi(P, 2), 1, 4)
-    assert A.shape == (3, 3, 6, 1)
-    form = diagonalize(ring, A, ncols)
-    assert form == scalar_form(ring, A, ncols) and form.row_count == 9
-    # explicit zero block rows, kept in the array, change nothing
-    padded = np.concatenate([np.zeros_like(A[:1]), A, np.zeros_like(A[:2])])
+    ring, G, ncols = _level_matrix(quotient_pi(P, 2), 1, 4)
+    assert G.coords.shape == (3, 2, 3, 1) and G.expand().shape == (9, 6, 1)
+    form = diagonalize(ring, G, ncols)
+    assert form == scalar_form(ring, G, ncols) and form.row_count == 9
+    # explicit zero rows, kept in the array, change nothing
+    R = G.coords
+    padded = GroupRingMatrix(np.concatenate([np.zeros_like(R[:1]), R, np.zeros_like(R[:2])]), G.div)
     padded_form = diagonalize(ring, padded, ncols)
     assert (padded_form.diag_valuations, padded_form.free_cols) == (form.diag_valuations, form.free_cols)
 
@@ -564,21 +651,22 @@ def test_modulus_above_float_bound_keeps_per_pivot_path(monkeypatch):
     assert _float_exact(81, 3 ** 6)
     assert not _float_exact(9, 3 ** 16)
     P = quotient_pi(make_module(GroundTruth(1, (2, 5), seed=8), spec), 16)
-    ring, A, ncols = _expanded_matrix(P, 2, 16)
-    expected = scalar_form(ring, A, ncols)
+    ring, G, ncols = _level_matrix(P, 2, 16)
+    expected = scalar_form(ring, G, ncols)
 
     def refuse(*args):
         raise AssertionError("float64 block elimination above 2^53")
 
-    monkeypatch.setattr(chainring, "_eliminate_unit_blocks", refuse)
-    assert diagonalize(ring, A, ncols) == expected
+    monkeypatch.setattr(chainring, "_eliminate_units", refuse)
+    assert diagonalize(ring, G, ncols) == expected
     assert expected.diag_valuations.count(2) == 9 and expected.diag_valuations.count(5) == 9
 
 
-def regular_block(spec, x, m, K):
-    """rho(x) over Z/p^K at level m, as float64 residues."""
-    _, A, _ = _expanded_matrix(presentation(spec, RingBase(spec.p, 1, 1), 1, [[x]]), m, K)
-    return A[0, :, :, 0].astype(np.float64)
+def group_ring_element(spec, x, m, K):
+    """x at level m over Z/p^K as float64 coefficients, with the division
+    table of the level."""
+    _, G, _ = _level_matrix(presentation(spec, RingBase(spec.p, 1, 1), 1, [[x]]), m, K)
+    return G.coords[0, 0, :, 0].astype(np.float64), G.div
 
 
 def test_block_inverse_of_unit_and_singular_blocks():
@@ -586,13 +674,40 @@ def test_block_inverse_of_unit_and_singular_blocks():
     base = RingBase(3, 1, 1)
     a, b = poly_gen(base, 1, 2), poly_gen(base, 2, 2)
     unit = poly_add(poly_int(base, 1, 2), poly_mul(spec, base, a, b))  # augmentation 2
-    block = regular_block(spec, unit, 1, 5)
-    X = _block_inverse(block, 3, 5)
-    assert ((block @ X) % 3 ** 5 == np.eye(9)).all()
-    # a - 1 lies in the augmentation ideal: not a unit
-    with pytest.raises(SingularBlock):
-        _block_inverse(regular_block(spec, poly_sub(a, poly_int(base, 1, 2)), 1, 5), 3, 5)
-    # unit row sum, but singular and not a group-ring block: Newton must not
-    # return
-    with pytest.raises(SingularBlock):
-        _block_inverse(np.array([[1.0, 0.0], [1.0, 0.0]]), 3, 5)
+    mod = 3 ** 5
+    for m in (1, 2):
+        x, div = group_ring_element(spec, unit, m, 5)
+        y = _group_ring_inverse(x, div, 3, 5)
+        one = np.eye(len(div))[0]
+        assert (x @ y[div] % mod == one).all() and (y @ x[div] % mod == one).all()
+        # a - 1 lies in the augmentation ideal: not a unit
+        with pytest.raises(SingularBlock):
+            _group_ring_inverse(group_ring_element(spec, poly_sub(a, poly_int(base, 1, 2)), m, 5)[0], div, 3, 5)
+
+
+def test_unit_pass_builds_no_dense_expansion(monkeypatch):
+    # Ungarnished Lambda (+) Lambda/p^2 (+) Lambda/p^3 at m = 2 (L = 81): the
+    # pass eliminates every torsion relation on the compact array, and the
+    # only expansion is the residual, the free summand with no rows left.
+    spec = GroupSpec.abelian(3, 2)
+    P = quotient_pi(make_module(GroundTruth(1, (2, 3), seed=1), spec), 6)
+    ring, G, ncols = _level_matrix(P, 2, 6)
+    assert G.coords.shape == (3, 4, 81, 1)
+    events = []
+    expand, eliminate = GroupRingMatrix.expand, chainring._eliminate_units
+
+    def recording_expand(self):
+        A = expand(self)
+        events.append(("expand", A.shape))
+        return A
+
+    def recording_eliminate(*args):
+        out = eliminate(*args)
+        events.append(("pass", args[0].shape))
+        return out
+
+    monkeypatch.setattr(GroupRingMatrix, "expand", recording_expand)
+    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    form = diagonalize(ring, G, ncols)
+    assert (form.row_count, form.col_count, form.free_cols) == (243, 324, 81)
+    assert events == [("pass", (3, 4, 81)), ("expand", (0, 81, 1))]

@@ -22,7 +22,7 @@ from mutower.groupring import (
     quotient_order,
     reduce_poly,
 )
-from mutower.lambda_mod import _expanded_matrix, presentation, quotient_pi
+from mutower.lambda_mod import _level_matrix, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, make_module
 
 
@@ -92,8 +92,9 @@ def scalar_reduce(x, spec, m, ring):
 
 
 def scalar_expansion(P, m, N):
-    """Oracle for _expanded_matrix: scalar_reduce on every entry, and one
-    table scatter per nonzero coefficient."""
+    """Oracle for the level matrix's expansion: scalar_reduce on every entry,
+    and one table scatter per nonzero coefficient, as an array of shape
+    (kept relations, L, gens * L, e*f)."""
     ring = ChainRing.from_base(P.base, N)
     level = group_level(P.spec, m)
     L = level.order
@@ -155,11 +156,12 @@ def test_reduce_poly_matches_scalar_oracle(ring):
 def regular_rep(spec, base, x, m, N):
     """Right-regular representation of x on (O/pi^N)[G/G_m]: the expansion
     of the 1x1 presentation [[x]], as an L x L integer matrix (e = f = 1).
-    Row k holds the coordinates of g_k * x; the expansion drops the block
-    row, which happens exactly when x vanishes at this level."""
-    _, A, L = _expanded_matrix(presentation(spec, base, 1, [[x]]), m, N)
-    assert A.shape[0] in (0, 1)
-    return A[0, :, :, 0] if A.shape[0] else np.zeros((L, L), dtype=np.int64)
+    Row k holds the coordinates of g_k * x; the level matrix drops the row,
+    which happens exactly when x vanishes at this level."""
+    _, G, L = _level_matrix(presentation(spec, base, 1, [[x]]), m, N)
+    A = G.expand()
+    assert A.shape in ((0, L, 1), (L, L, 1))
+    return A[:, :, 0] if len(A) else np.zeros((L, L), dtype=np.int64)
 
 
 def test_regular_rep_identity_and_pi():
@@ -308,11 +310,13 @@ def synth_levels(draw):
 @given(synth_levels())
 def test_expansion_matches_per_term_scatter(case):
     P, m, N = case
-    _, A, ncols = _expanded_matrix(P, m, N)
+    _, G, ncols = _level_matrix(P, m, N)
+    A = G.expand()
     _, expected, expected_cols = scalar_expansion(P, m, N)
     assert ncols == expected_cols
-    assert A.dtype == expected.dtype and A.shape == expected.shape
-    assert (A == expected).all()
+    # the oracle keeps the block rows as an axis: (kept, L, gens * L, e*f)
+    assert A.dtype == expected.dtype and A.shape == (expected.shape[0] * expected.shape[1],) + expected.shape[2:]
+    assert (A == expected.reshape(A.shape)).all()
 
 
 @pytest.mark.parametrize("base", [RingBase(3, 1, 1), RingBase(2, 2, 1)], ids=str)
@@ -326,5 +330,7 @@ def test_expansion_uses_no_scalar_arithmetic(base, monkeypatch):
 
     for name in ("from_coeffs", "add", "to_coeffs", "is_zero"):
         monkeypatch.setattr(ChainRing, name, refuse)
-    _, A, _ = _expanded_matrix(P, 2, 4)
-    assert A.shape == expected.shape and (A == expected).all()
+    _, G, _ = _level_matrix(P, 2, 4)
+    A = G.expand()
+    assert A.shape == (expected.shape[0] * expected.shape[1],) + expected.shape[2:]
+    assert (A == expected.reshape(A.shape)).all()
