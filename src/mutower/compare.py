@@ -231,9 +231,6 @@ def tower_compare(
         if ca > error_c or cb > error_c:
             problem = problem or REASON_RESIDUAL
             continue
-        if fa != fb:
-            problem = problem or REASON_MORE_LEVELS
-            continue
         mu_a[n] = fa
         mu_b[n] = fb
     if problem is not None:

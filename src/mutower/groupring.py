@@ -99,7 +99,7 @@ class GroupLevel:
         self.m = m
         self.radix = spec.p ** m
         self.order = spec.p ** (spec.r * m)
-        self._table = None
+        self._div = None
 
     def index(self, exps: Sequence[int]) -> int:
         if len(exps) != self.spec.r:
@@ -109,36 +109,33 @@ class GroupLevel:
             idx = idx * self.radix + (e % self.radix)
         return idx
 
-    def table(self) -> np.ndarray:
-        """Multiplication table: table[i, j] = index of g_i * g_j."""
-        if self._table is not None:
-            return self._table
-        L, R, r = self.order, self.radix, self.spec.r
-        idx = np.arange(L, dtype=np.int64)
-        digits = []
-        rest = idx.copy()
-        for _ in range(r):
-            digits.append(rest % R)
-            rest //= R
-        digits = list(reversed(digits))  # digits[k] = exponent of generator k
-        if self.spec.kind == ABELIAN:
-            tab = np.zeros((L, L), dtype=np.int64)
-            for k in range(r):
-                dk = (digits[k][:, None] + digits[k][None, :]) % R
-                tab = tab * R + dk
-        else:
-            u = self.spec.action_unit
-            upow = np.ones(R, dtype=np.int64)
-            for t in range(1, R):
-                upow[t] = (upow[t - 1] * u) % R
-            x1, x2 = digits[0][:, None], digits[1][:, None]
-            y1, y2 = digits[0][None, :], digits[1][None, :]
-            t1 = (x1 + y1 * upow[digits[1]][:, None]) % R if R > 1 else x1 * 0
-            t2 = (x2 + y2) % R if R > 1 else x2 * 0
-            tab = t1 * R + t2
-        tab.setflags(write=False)
-        self._table = tab
-        return tab
+    def division_table(self) -> np.ndarray:
+        """Division table: div[g, c] = index of g^-1 g_c.
+
+        Built in one L x L allocation with an axis per exponent digit of g
+        and of h = g_c: digit k of g^-1 h is a small broadcast term added in
+        place, (h_k - g_k) mod p^m, except that the metacyclic a-digit is
+        (h_1 - g_1) u^(-g_2), as (a^x1 b^x2)^-1 a^y1 b^y2 =
+        a^((y1 - x1) u^(-x2)) b^(y2 - x2)."""
+        if self._div is not None:
+            return self._div
+        R, r = self.radix, self.spec.r
+        div = np.zeros((R,) * (2 * r), dtype=np.int64)
+        digits = np.arange(R, dtype=np.int64)
+
+        def along(axis):
+            return digits.reshape([R if a == axis else 1 for a in range(2 * r)])
+
+        for k in range(r):
+            term = (along(r + k) - along(k)) % R
+            if k == 0 and self.spec.kind == METACYCLIC:
+                u = self.spec.action_unit
+                term = term * np.array([pow(u, -t, R) for t in range(R)], dtype=np.int64)[along(1)] % R
+            div += term * R ** (r - 1 - k)
+        div = div.reshape(self.order, self.order)
+        div.setflags(write=False)
+        self._div = div
+        return div
 
 
 @lru_cache(maxsize=256)

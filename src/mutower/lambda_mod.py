@@ -118,10 +118,11 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
     )
 
 
-# Largest dense expansion a level may build: the L x L group table, the
-# expanded coordinate array with 8 more bytes a cell (the int64 copy the
-# per-pivot elimination reduces it into over Z_p; the float64 copy of the
-# unit-block pass is compact, L times smaller), and the k x k x k structure
+# Largest dense expansion a level may build: the L x L int64 division table
+# of G/G_m (built in that one allocation, 8 L^2 bytes), the expanded
+# coordinate array with 8 more bytes a cell (the int64 copy the per-pivot
+# elimination reduces it into over Z_p; the float64 copy of the unit-block
+# pass is compact, L times smaller), and the k x k x k structure
 # tensor of O (k = e*f) that the elimination multiplies through, held with
 # its reduced and int64 copies (a measured peak of 3 * 8 k^3 bytes).
 EXPANSION_BUDGET_BYTES = 2 ** 30
@@ -131,7 +132,7 @@ def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int
     """Raises TooLarge when the level-m expansion of a rels x gens relation
     matrix over O/pi^N would exceed EXPANSION_BUDGET_BYTES.  Works from the
     shape and (p, e, f, N) alone, so it builds no ring and no large integer."""
-    if spec.r * m * math.log2(spec.p) > 32:  # L > 2^32: the group table alone is too large
+    if spec.r * m * math.log2(spec.p) > 32:  # L > 2^32: the division table alone is too large
         raise TooLarge(f"level m={m} has {spec.p}^{spec.r * m} elements; lower --levels")
     L = quotient_order(spec, m)
     M, k = -(-N // base.e), base.e * base.f
@@ -157,12 +158,11 @@ def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRing
     exceed EXPANSION_BUDGET_BYTES."""
     check_expansion_budget(P.spec, P.base, P.rels, P.gens, m, N)
     ring = ChainRing.from_base(P.base, N)
-    tab = group_level(P.spec, m).table()
+    div = group_level(P.spec, m).division_table()
     entries = [entry for row in P.matrix for entry in row]
-    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, len(tab), ring.e * ring.f)
+    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, len(div), ring.e * ring.f)
     # A relation that vanishes at this level would stand for L zero rows.
-    # Row g of the division table inverts row g of the multiplication table.
-    return ring, GroupRingMatrix(R[R.any(axis=(1, 2, 3))], np.argsort(tab, axis=1)), P.gens * len(tab)
+    return ring, GroupRingMatrix(R[R.any(axis=(1, 2, 3))], div), P.gens * len(div)
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:

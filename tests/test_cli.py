@@ -115,15 +115,15 @@ def test_malformed_module_file_exit_code(tmp_path, capsys, field, value):
 
 
 def test_oversized_levels_exit_code(tmp_path, capsys, monkeypatch):
-    # level 5 of abelian(3, 2) would need a 28 GB group table; the guard keeps
-    # it from being built even if the budget check were missing
-    real_table = GroupLevel.table
+    # level 5 of abelian(3, 2) would need a 28 GB division table; the guard
+    # keeps it from being built even if the budget check were missing
+    real_table = GroupLevel.division_table
 
     def guarded_table(level):
-        assert level.order <= 3 ** 8, "oversized group table built"
+        assert level.order <= 3 ** 8, "oversized division table built"
         return real_table(level)
 
-    monkeypatch.setattr(GroupLevel, "table", guarded_table)
+    monkeypatch.setattr(GroupLevel, "division_table", guarded_table)
     path = tmp_path / "m.json"
     write_module(path, GroundTruth(0, (1,), seed=1), spec=GroupSpec.abelian(3, 2))
     assert cli.main(["invariants", str(path), "--levels", "0,5"]) == 1

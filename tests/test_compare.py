@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mutower.chainring import RingBase
+from mutower.chainring import RingBase, ordq_from_form
 from mutower.compare import (
     EQUAL,
     INCONCLUSIVE,
@@ -17,7 +19,9 @@ from mutower.compare import (
     tower_compare,
 )
 from mutower.errors import GridMismatch, InvalidInput
-from mutower.groupring import GroupSpec
+from mutower.groupring import ABELIAN, GroupSpec, _norm_terms, poly_add, poly_mul, poly_pi_pow, quotient_order
+from mutower.invariants import default_m_range, mu_profile
+from mutower.lambda_mod import Presentation, level_diagonal_form, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, make_module
 
 AB1 = GroupSpec.abelian(3, 1)
@@ -104,6 +108,90 @@ def test_different_algebras_rejected():
     Q = module(GroundTruth(0, (1,)), spec=GroupSpec.abelian(2, 1))
     with pytest.raises(InvalidInput):
         compare_modules(P, Q)
+
+
+# --- the paper's two comparisons as metamorphic tests ----------------------
+
+PRESETS = [GroupSpec.abelian(2, 1), GroupSpec.abelian(3, 1), GroupSpec.abelian(2, 2), GroupSpec.abelian(3, 2), GroupSpec.metacyclic(3)]
+
+
+def bases(p):
+    """O = Z_p, and the e = 2 and f = 2 rings over it."""
+    return [RingBase(p, 1, 1), RingBase(p, 2, 1), RingBase(p, 1, 2)]
+
+
+def iota_transpose(P, m_top):
+    """iota(A)^T for a square presentation A: the transpose, each term c g
+    sent to c g^-1.  The inverse's exponents are taken mod p^m_top, which is
+    exact at every level m <= m_top."""
+    spec = P.spec
+    R = spec.p ** m_top
+
+    def inverse(exps):
+        if spec.kind == ABELIAN:
+            return tuple(-e % R for e in exps)
+        # (a^e1 b^e2)^-1 = a^(-e1 u^-e2) b^-e2
+        e1, e2 = exps
+        return (-e1 * pow(spec.action_unit, -e2, R) % R, -e2 % R)
+
+    def iota(x):
+        return _norm_terms([(c, inverse(e)) for c, e in x.terms])
+
+    return presentation(spec, P.base, P.rels, [[iota(row[j]) for row in P.matrix] for j in range(P.gens)])
+
+
+@pytest.mark.parametrize("spec", PRESETS, ids=str)
+def test_tate_dual_has_the_same_level_orders(spec):
+    # For M = (+) Lambda/pi^alpha with a square presentation A, E^1(M) =
+    # Ext^1(M, Lambda) is presented by iota(A)^T and is isomorphic to M, so
+    # every level order agrees exactly, not only the fitted mu.  Transposing
+    # without iota agrees too on most seeds, but not at seed 4 on the
+    # metacyclic preset.  One module over each of the e = 2 and f = 2 rings:
+    # their per-pivot elimination makes the top level cost 0.1 s a profile.
+    m_top = default_m_range(spec)[-1]
+    Zp, ramified, unramified = bases(spec.p)
+    cases = [(Zp, alphas, seed) for seed in range(6) for alphas in [(1,), (2,), (1, 3), (2, 2)]]
+    for base, alphas, seed in cases + [(ramified, (1,), 0), (unramified, (2,), 1)]:
+        P = make_module(GroundTruth(0, alphas, seed=seed), spec, base)
+        assert P.rels == P.gens
+        assert mu_profile(P).raw == mu_profile(iota_transpose(P, m_top)).raw
+
+
+@st.composite
+def congruent_pairs(draw):
+    """(A, B, n) with B = A + pi^n C entrywise, A a synth presentation and C
+    random group-ring polynomials."""
+    spec = draw(st.sampled_from(PRESETS))
+    base = draw(st.sampled_from(bases(spec.p)))
+    alphas = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
+    A = make_module(GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6))), spec, base)
+    n = draw(st.integers(1, 3))
+    rng = random.Random(draw(st.integers(0, 10 ** 6)))
+    k, r = base.e * base.f, spec.r
+    pi_n = poly_pi_pow(base, n, r)
+
+    def perturb(x):
+        terms = [([rng.randrange(-3, 4) for _ in range(k)], [rng.randrange(4) for _ in range(r)]) for _ in range(rng.randrange(1, 3))]
+        return poly_add(x, poly_mul(spec, base, pi_n, _norm_terms(terms)))
+
+    B = Presentation(spec, base, A.gens, A.rels, tuple(tuple(perturb(x) for x in row) for row in A.matrix))
+    return A, B, n
+
+
+@settings(max_examples=90, deadline=None, derandomize=True)
+@given(congruent_pairs())
+def test_congruent_presentations_agree_mod_pi_n(case):
+    # B = A mod pi^n entrywise gives M_A/pi^n' = M_B/pi^n' for n' <= n; the
+    # level forms at N = n + 2 are read at each n' without fit_mu, so an
+    # arbitrary perturbed module cannot raise.
+    A, B, n = case
+    N = n + 2
+    # levels of at most 81 coordinates a generator
+    for m in [m for m in (0, 1, 2) if quotient_order(A.spec, m) * A.base.e * A.base.f <= 81]:
+        forms = [level_diagonal_form(quotient_pi(X, N), m, N) for X in (A, B)]
+        for k in range(1, n + 1):
+            assert ordq_from_form(forms[0], N, k) == ordq_from_form(forms[1], N, k), (m, k)
 
 
 # --- tower analyzer ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -91,6 +92,17 @@ def scalar_reduce(x, spec, m, ring):
     return vec
 
 
+@functools.lru_cache(maxsize=None)
+def mul_table(spec, m):
+    """Multiplication table of G/G_m from the exact group law: mul[i, j] is
+    the index of g_i g_j, the elements in their lexicographic order."""
+    level = group_level(spec, m)
+    exps = list(itertools.product(range(level.radix), repeat=spec.r))
+    tab = np.array([[level.index(spec.exponent_product(x, y)) for y in exps] for x in exps], dtype=np.int64)
+    tab.setflags(write=False)
+    return tab
+
+
 def scalar_expansion(P, m, N):
     """Oracle for the level matrix's expansion: scalar_reduce on every entry,
     and one table scatter per nonzero coefficient, as an array of shape
@@ -109,7 +121,7 @@ def scalar_expansion(P, m, N):
         ]
         if terms:
             kept.append(terms)
-    tab = level.table()
+    tab = mul_table(P.spec, m)
     A = np.zeros((len(kept), L, P.gens * L, ring.e * ring.f), dtype=ring.dtype)
     for i, terms in enumerate(kept):
         for j, h, coeffs in terms:
@@ -261,7 +273,7 @@ def test_metacyclic_level_group_is_a_group(m):
     level = group_level(spec, m)
     L = level.order
     assert L == 3 ** (2 * m)
-    tab = level.table()
+    tab = mul_table(spec, m)
     assert tab.shape == (L, L)
     # identity at index 0
     assert (tab[0, :] == np.arange(L)).all()
@@ -278,13 +290,29 @@ def test_metacyclic_level_group_is_a_group(m):
 
 def test_metacyclic_associativity_triple_loop_small():
     spec = GroupSpec.metacyclic(3)
-    level = group_level(spec, 1)
-    tab = level.table()
-    L = level.order
+    tab = mul_table(spec, 1)
+    L = group_level(spec, 1).order
     for i in range(L):
         for j in range(L):
             for k in range(L):
                 assert tab[tab[i, j], k] == tab[i, tab[j, k]]
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(GroupSpec.abelian(2, 1), m) for m in (0, 1, 2, 3)]
+    + [(GroupSpec.abelian(3, 2), m) for m in (0, 1, 2)]
+    + [(GroupSpec.abelian(2, 3), m) for m in (0, 1, 2)]
+    + [(GroupSpec.metacyclic(3), m) for m in (0, 1, 2, 3)]
+    + [(GroupSpec.metacyclic(5), m) for m in (0, 1, 2)],
+    ids=str,
+)
+def test_division_table_inverts_the_group_law(spec, m):
+    # g^-1 (g h) = h for every g and h, with g h from exponent_product
+    level = group_level(spec, m)
+    div, mul = level.division_table(), mul_table(spec, m)
+    assert div.shape == mul.shape == (level.order, level.order) and div.dtype == np.int64
+    assert (np.take_along_axis(div, mul, axis=1) == np.arange(level.order)).all()
 
 
 PRESETS = [GroupSpec.abelian(2, 1), GroupSpec.abelian(3, 1), GroupSpec.abelian(2, 2), GroupSpec.abelian(3, 2), GroupSpec.metacyclic(3)]

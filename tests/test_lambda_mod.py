@@ -15,15 +15,18 @@ from mutower.groupring import (
     GroupLevel,
     GroupRingPoly,
     GroupSpec,
+    group_level,
     poly_gen,
     poly_int,
     poly_pi_pow,
     poly_sub,
+    quotient_order,
 )
 from mutower.lambda_mod import (
     Presentation,
     _binomial_row,
     _entry_to_spoly,
+    _level_matrix,
     coinvariants_ordq,
     koszul_homology_ordq,
     presentation,
@@ -358,16 +361,16 @@ def test_presentation_validation():
 
 
 def test_expansion_budget_refuses_before_allocating(monkeypatch):
-    # abelian(3, 2) at level 5: L = 3^10, so the L x L table alone would take
-    # 28 GB.  The guard stops any table beyond level 4 from being built even
-    # if the budget check were missing.
-    real_table = GroupLevel.table
+    # abelian(3, 2) at level 5: L = 3^10, so the L x L division table alone
+    # would take 28 GB.  The guard stops any table beyond level 4 from being
+    # built even if the budget check were missing.
+    real_table = GroupLevel.division_table
 
     def guarded_table(level):
-        assert level.order <= 3 ** 8, "oversized group table built"
+        assert level.order <= 3 ** 8, "oversized division table built"
         return real_table(level)
 
-    monkeypatch.setattr(GroupLevel, "table", guarded_table)
+    monkeypatch.setattr(GroupLevel, "division_table", guarded_table)
     P = make_module(GroundTruth(0, (1,), seed=1), GroupSpec.abelian(3, 2))
     tracemalloc.start()
     try:
@@ -377,3 +380,22 @@ def test_expansion_budget_refuses_before_allocating(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("spec, m", [(GroupSpec.abelian(2, 2), 5), (GroupSpec.metacyclic(3), 3)], ids=str)
+def test_level_matrix_peak_is_the_budgeted_division_table(spec, m):
+    # Every relation pi^N e_j of a free module's pi^N-quotient vanishes over
+    # O/pi^N, so the level matrix keeps no row and its peak is the division
+    # table, which check_expansion_budget counts as 8 L^2 bytes.
+    N = 2
+    P = quotient_pi(free_module(spec, RingBase(spec.p, 1, 1), 2), N)
+    group_level.cache_clear()
+    tracemalloc.start()
+    try:
+        _, G, _ = _level_matrix(P, m, N)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    L = quotient_order(spec, m)
+    assert G.coords.shape[0] == 0 and G.div.shape == (L, L)
+    assert peak < 8 * L * L + 2 ** 20
