@@ -35,9 +35,16 @@ builds.  Over O = Z_p, (Z/p^K)[Q] is local: rho(x) is invertible exactly
 when the augmentation of x is a unit mod p, and inverses, Schur complements
 and division by p stay in the group ring.  So _eliminate_units removes
 those entries on the compact array first, with float64 group-ring products
-(L^2 each, exact below 2^53); only the residual, over some Z/p^K', K' <= N,
-is expanded for _diagonalize_coordinates, as is the whole matrix when
-e*f > 1 or p^N passes the float bound.
+(L^2 each, exact below 2^53).  What it leaves then descends the level's
+subgroup chain Q > Q' > ... of index-p subgroups down to order p
+(groupring.GroupLevel.subgroup_chain): restricted to Q', an entry x is a
+p x p block of elements of (Z/p^K)[Q'], the same matrix with its rows and
+columns permuted, and an entry such as g - 1, in the augmentation ideal
+of Q, has diagonal blocks -1 over a Q' that does not contain g.  So
+_eliminate_units runs again after each restriction, and only the residual
+at order p, over some Z/p^K', K' <= N, is expanded for
+_diagonalize_coordinates, as is the whole matrix when e*f > 1 or p^N
+passes the float bound.
 """
 
 from __future__ import annotations
@@ -499,10 +506,14 @@ class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
     coords[i, j, h], of shape (rels, gens, L, e*f), holds the O-coordinates
     of the coefficient of the h-th element of Q in entry (i, j), element 0
-    the identity, and div[g, c] is the index of g^-1 g_c."""
+    the identity, and div[g, c] is the index of g^-1 g_c.  chain holds the
+    stages (gather, div') of a descent through index-p subgroups that the
+    unit pass takes over Z_p (groupring.GroupLevel.subgroup_chain), or
+    nothing."""
 
     coords: np.ndarray
     div: np.ndarray
+    chain: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
 
     def expand(self) -> np.ndarray:
         """The (rels L, gens L, e*f) coordinate array it stands for, in one
@@ -571,6 +582,15 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, p: int, K: int) -> Tuple[Li
         else:
             break
     return vals, R[d:, d:].astype(np.int64), K, shift
+
+
+def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
+    """R (shape (rels, gens, L)) over a subgroup of index p: entry (i, j)
+    becomes the p x p block R[i, j, gather[s, s']], placed at rows i p + s
+    and columns j p + s'."""
+    rels, gens = R.shape[:2]
+    p, _, L = gather.shape
+    return R[:, :, gather].transpose(0, 2, 1, 3, 4).reshape(rels * p, gens * p, L)
 
 
 @lru_cache(maxsize=None)
@@ -723,8 +743,9 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     GroupRingMatrix, a level matrix over a group ring that stands for its
     expansion; ``ncols`` is mandatory for empty matrices.  Over O = Z_p, for
     L > 1, the unit entries of a GroupRingMatrix are eliminated on its
-    compact array when float64 is exact for them, and only the rest is
-    expanded.  Everything else goes through one pi-adic elimination,
+    compact array when float64 is exact for them, then those of its
+    restrictions down the subgroup chain it carries, and only the rest, at
+    the chain's last subgroup, is expanded.  Everything else goes through one pi-adic elimination,
     _diagonalize_coordinates.  The multiset of diagonal valuations together
     with the free-column count is an isomorphism invariant of the cokernel.
     """
@@ -738,6 +759,16 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
             raise InvalidInput(f"group-ring matrix {R.shape} with division table {div.shape} does not fit {ring!r}")
         if ring.is_simple and L > 1 and _float_exact(L, ring.pM):
             vals, R, K, shift = _eliminate_units((R[..., 0] % ring.pM).astype(np.float64), div, ring.p, ring.N)
+            # What is left goes down the chain: an entry in the augmentation
+            # ideal, such as g - 1, can have unit diagonal blocks over a
+            # subgroup.
+            for gather, sub_div in rows.chain:
+                if not R.size:
+                    break
+                more, R, K, s = _eliminate_units(_restrict(R, gather).astype(np.float64), sub_div, ring.p, K)
+                vals += [v + shift for v in more]
+                shift += s
+                div = sub_div
             R, ring = R[..., None], ChainRing(ring.p, 1, 1, K)
         A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
     else:

@@ -21,8 +21,8 @@ reduction time.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -100,6 +100,7 @@ class GroupLevel:
         self.radix = spec.p ** m
         self.order = spec.p ** (spec.r * m)
         self._div = None
+        self._chain = None
 
     def index(self, exps: Sequence[int]) -> int:
         if len(exps) != self.spec.r:
@@ -135,12 +136,94 @@ class GroupLevel:
         div = div.reshape(self.order, self.order)
         div.setflags(write=False)
         self._div = div
+        group_level.trim()
         return div
 
+    def subgroup_chain(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """The descent Q = Q_0 > Q_1 > ... > Q_t, |Q_t| = p (no stage for
+        |Q| <= p), of index-p subgroups, as one (gather, div') per stage.
 
-@lru_cache(maxsize=256)
-def group_level(spec: GroupSpec, m: int) -> GroupLevel:
-    return GroupLevel(spec, m)
+        Q_(k+1) drops one base-p exponent digit of Q_k, first of g_1, then of
+        g_2, ...: <g_1^(p^(j+1)), g_2, ...> in <g_1^(p^j), g_2, ...>, with
+        transversal t_s = g_1^(s p^j).  For the metacyclic preset <a^(p^j), b>
+        is a subgroup because b a b^-1 = a^u with u = 1 mod p.  Over the right
+        cosets Q_(k+1) t_s of Q_k, an entry x of (O/pi^N)[Q_k] restricts to
+        the p x p block y_(s,s')(z) = x(t_s^-1 z t_s'), z in Q_(k+1), whose
+        regular representation is rho(x) with rows and columns permuted
+        (z t_s <-> (s, z)): gather[s, s', z] is the position in Q_k of
+        t_s^-1 z t_s', read from the division table as div[div[z, t_s], t_s'],
+        which needs no normality.  div' is the division table of Q_(k+1),
+        restricted from div and relabelled.  Every Q_k keeps the order of Q,
+        so its identity stays first."""
+        if self._chain is not None:
+            return self._chain
+        p, R, r = self.spec.p, self.radix, self.spec.r
+        div = self.division_table()
+        digits = np.indices((R,) * r).reshape(r, -1)  # exponent digits of every element of Q
+        members = np.arange(self.order)  # Q_k, as indices into Q
+        position = np.empty(self.order, dtype=np.int64)
+        stages = []
+        for k in range(r):
+            for j in range(self.m):
+                if len(members) <= p:
+                    break
+                sub = members[digits[k, members] % p ** (j + 1) == 0]
+                t = np.arange(p) * p ** j * R ** (r - 1 - k)  # g_k^(s p^j)
+                position[members] = np.arange(len(members))
+                gather = position[div[div[sub[None, :], t[:, None]][:, None, :], t[None, :, None]]]
+                position[sub] = np.arange(len(sub))
+                sub_div = position[div[np.ix_(sub, sub)]]
+                for a in (gather, sub_div):
+                    a.setflags(write=False)
+                stages.append((gather, sub_div))
+                members = sub
+        self._chain = tuple(stages)
+        group_level.trim()
+        return self._chain
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the division table and subgroup chain built so far."""
+        tables = [] if self._div is None else [self._div]
+        return sum(a.nbytes for a in tables + [a for stage in self._chain or () for a in stage])
+
+
+# Bytes of division tables and subgroup chains that group_level keeps between
+# calls.  The benchmark corpus needs well under 1 MB (its largest table is
+# 52 KB, at L = 81); a table beyond the bound is dropped once its caller
+# lets go of it.
+LEVEL_CACHE_BYTES = 2 ** 28
+
+
+class _LevelCache:
+    """group_level(spec, m): one GroupLevel per (spec, m), least recently used
+    first dropped once the levels' tables and chains pass LEVEL_CACHE_BYTES."""
+
+    def __init__(self):
+        self._levels: "OrderedDict[Tuple[GroupSpec, int], GroupLevel]" = OrderedDict()
+
+    def __call__(self, spec: GroupSpec, m: int) -> GroupLevel:
+        level = self._levels.pop((spec, m), None) or GroupLevel(spec, m)
+        self._levels[spec, m] = level
+        return level
+
+    @property
+    def nbytes(self) -> int:
+        return sum(level.nbytes for level in self._levels.values())
+
+    def trim(self) -> None:
+        """Drop least recently used levels until the rest fit the bound;
+        GroupLevel calls it whenever it builds a table."""
+        held = self.nbytes
+        while held > LEVEL_CACHE_BYTES:
+            _, level = self._levels.popitem(last=False)
+            held -= level.nbytes
+
+    def cache_clear(self) -> None:
+        self._levels.clear()
+
+
+group_level = _LevelCache()
 
 
 # ---------------------------------------------------------------------------

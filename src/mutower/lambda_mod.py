@@ -158,11 +158,15 @@ def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRing
     exceed EXPANSION_BUDGET_BYTES."""
     check_expansion_budget(P.spec, P.base, P.rels, P.gens, m, N)
     ring = ChainRing.from_base(P.base, N)
-    div = group_level(P.spec, m).division_table()
+    level = group_level(P.spec, m)
+    div = level.division_table()
     entries = [entry for row in P.matrix for entry in row]
     R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, len(div), ring.e * ring.f)
     # A relation that vanishes at this level would stand for L zero rows.
-    return ring, GroupRingMatrix(R[R.any(axis=(1, 2, 3))], div), P.gens * len(div)
+    R = R[R.any(axis=(1, 2, 3))]
+    # Only Z_p levels descend the subgroup chain, and only rows need it.
+    chain = level.subgroup_chain() if ring.is_simple and len(R) else ()
+    return ring, GroupRingMatrix(R, div, chain), P.gens * len(div)
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import hermite_normal_form
 
-from mutower import chainring
+from mutower import chainring, lambda_mod
 from mutower.chainring import (
     ChainRing,
     RingBase,
@@ -19,15 +19,18 @@ from mutower.chainring import (
     _eliminate_units,
     _float_exact,
     _group_ring_inverse,
+    _restrict,
     _structure_tensor,
     cokernel_ordq,
     diagonalize,
     ordq_from_form,
 )
-from mutower.errors import InvalidInput, SingularBlock
+from mutower.errors import InvalidInput, SingularBlock, TooLarge
 from mutower.groupring import (
     GroupRingPoly,
     GroupSpec,
+    _norm_terms,
+    group_level,
     pi_pow_coeffs,
     poly_add,
     poly_gen,
@@ -35,7 +38,7 @@ from mutower.groupring import (
     poly_mul,
     poly_sub,
 )
-from mutower.lambda_mod import _level_matrix, presentation, quotient_pi
+from mutower.lambda_mod import _level_matrix, check_expansion_budget, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, brute_force_ordq, make_module
 
 RINGS = [
@@ -567,6 +570,37 @@ def dense_unit_blocks(W, p, K, L):
     return vals, W[d:, d:].astype(np.int64), K, shift
 
 
+def group_law(div):
+    """(product, inverse) of a group from its division table div[g, c] =
+    g^-1 c: g^-1 = div[g, 0] and g h = div[g^-1, h]."""
+    inv = div[:, 0]
+    return (lambda g, h: div[inv[g], h]), inv
+
+
+def assert_stages_permute_the_expansion(G, p):
+    """Each stage's restriction of the level matrix G (no elimination)
+    expands to its parent's expansion with rows and columns permuted,
+    (i, s, z) <-> (i, z t_s), t_s the transversal.  The subgroup and the
+    transversal are read off the gather at s = 0 and z = 1, where t_0 = 1.
+    A chain runs down to order p, one index p at a time."""
+    orders = [len(G.div)] + [len(sub_div) for _, sub_div in G.chain]
+    if len(G.coords):
+        assert orders[-1] == min(orders[0], p) and all(a == b * p for a, b in zip(orders, orders[1:]))
+    R, div = G.coords[..., 0], G.div
+    for gather, sub_div in G.chain:
+        sub, L = _restrict(R, gather), len(div)
+        mul, _ = group_law(div)
+        members, t = gather[0, 0], gather[0, :, 0]
+        cosets = mul(members[None, :], t[:, None]).ravel()
+        assert sorted(cosets) == list(range(L))
+        rows = (np.arange(len(R))[:, None] * L + cosets).ravel()
+        cols = (np.arange(R.shape[1])[:, None] * L + cosets).ravel()
+        parent = GroupRingMatrix(R[..., None], div).expand()
+        assert sub.shape == (len(R) * p, R.shape[1] * p, L // p)
+        assert (GroupRingMatrix(sub[..., None], sub_div).expand() == parent[rows][:, cols]).all()
+        R, div = sub, sub_div
+
+
 @st.composite
 def level_matrices(draw):
     spec = draw(st.sampled_from(BLOCK_SPECS))
@@ -578,10 +612,11 @@ def level_matrices(draw):
     return _level_matrix(quotient_pi(make_module(gt, spec), N), m, N)
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(level_matrices())
 def test_unit_blocks_match_per_pivot_path(case):
     ring, G, ncols = case
+    assert_stages_permute_the_expansion(G, ring.p)
     assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
 
 
@@ -711,3 +746,98 @@ def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     form = diagonalize(ring, G, ncols)
     assert (form.row_count, form.col_count, form.free_cols) == (243, 324, 81)
     assert events == [("pass", (3, 4, 81)), ("expand", (0, 81, 1))]
+
+
+# ---------------------------------------------------------------------------
+# The descent on metacyclic levels, where the group ring is not commutative.
+
+METACYCLIC = GroupSpec.metacyclic(3)
+BASE3 = RingBase(3, 1, 1)
+
+
+def metacyclic_entry(terms):
+    """sum of c a^i b^j over the (c, i, j) in terms."""
+    return _norm_terms(((c,), (i, j)) for c, i, j in terms)
+
+
+@st.composite
+def metacyclic_levels(draw):
+    """A level of a metacyclic(3) module whose entries are drawn term by term,
+    so that products of a and b that do not commute are common; garnished
+    with Lambda/(pi, g - 1) for g = a or b."""
+    gens, rels = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    term = st.tuples(st.integers(-4, 4), st.integers(0, 8), st.integers(0, 8))
+    rows = [[metacyclic_entry(draw(st.lists(term, max_size=3))) for _ in range(gens)] for _ in range(rels)]
+    if draw(st.booleans()):
+        g = poly_gen(BASE3, draw(st.integers(1, 2)), 2)
+        zero = GroupRingPoly(())
+        rows = [row + [zero] for row in rows]
+        rows += [[zero] * gens + [poly_int(BASE3, 3, 2)], [zero] * gens + [poly_sub(g, poly_int(BASE3, 1, 2))]]
+        gens += 1
+    N = draw(st.integers(1, 6))
+    return _level_matrix(presentation(METACYCLIC, BASE3, gens, rows), draw(st.integers(0, 2)), N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(metacyclic_levels())
+def test_descent_on_metacyclic_levels_matches_per_pivot_kernel(case):
+    ring, G, ncols = case
+    assert_stages_permute_the_expansion(G, 3)
+    assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
+
+
+def test_commuted_restriction_fails_on_a_metacyclic_level():
+    # Reading the restriction at x(z t_s^-1 t_s') in place of x(t_s^-1 z t_s')
+    # is the same on abelian levels; at metacyclic m = 2 it is wrong.
+    rows = [
+        [metacyclic_entry([(1, 1, 1), (-1, 0, 0)]), metacyclic_entry([(1, 0, 1), (2, 1, 0)])],
+        [metacyclic_entry([(1, 2, 1), (1, 1, 0)]), metacyclic_entry([(3, 0, 0), (1, 1, 2), (-1, 0, 0)])],
+    ]
+    ring, G, ncols = _level_matrix(presentation(METACYCLIC, BASE3, 2, rows), 2, 4)
+    mul, inv = group_law(G.div)
+    gather, sub_div = G.chain[0]
+    members, t = gather[0, 0], gather[0, :, 0]
+    assert (gather == mul(mul(inv[t][:, None, None], members), t[None, :, None])).all()
+    commuted = mul(mul(members, inv[t][:, None, None]), t[None, :, None])
+    wrong = GroupRingMatrix(G.coords, G.div, ((commuted, sub_div),) + G.chain[1:])
+    expected = scalar_form(ring, G, ncols)
+    assert diagonalize(ring, G, ncols) == expected
+    assert diagonalize(ring, wrong, ncols).diag_valuations != expected.diag_valuations
+
+
+def test_descent_expands_only_the_last_residual(monkeypatch):
+    # Garnished abelian(3, 2) at m = 2 (L = 81): g2 - 1 is no unit over Q,
+    # nor over the subgroups <g1^3, g2> and <g2> that keep g2 whole, but over
+    # <g2^3> its diagonal blocks are -1.  So the pass runs at L' = 81, 27, 9
+    # and 3, and only the L' = 3 residual is expanded.
+    spec = GroupSpec.abelian(3, 2)
+    P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(2),), seed=3), spec), 6)
+    events = []
+    expand, eliminate = GroupRingMatrix.expand, chainring._eliminate_units
+
+    def recording_expand(self):
+        events.append(("expand", len(self.div)))
+        return expand(self)
+
+    def recording_eliminate(R, div, p, K):
+        events.append(("pass", len(div)))
+        return eliminate(R, div, p, K)
+
+    monkeypatch.setattr(GroupRingMatrix, "expand", recording_expand)
+    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    group_level.cache_clear()
+    tracemalloc.start()
+    try:
+        ring, G, ncols = _level_matrix(P, 2, 6)
+        form = diagonalize(ring, G, ncols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert events == [("pass", 81), ("pass", 27), ("pass", 9), ("pass", 3), ("expand", 3)]
+    monkeypatch.undo()
+    assert form == scalar_form(ring, G, ncols)
+    # The budget holds: with the bound just below the measured peak, the
+    # level is refused, so the budgeted bytes are at least the peak.
+    monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
+    with pytest.raises(TooLarge):
+        check_expansion_budget(spec, P.base, P.rels, P.gens, 2, 6)

@@ -1,12 +1,14 @@
 import functools
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mutower import groupring
 from mutower.chainring import ChainRing, RingBase
 from mutower.errors import InvalidInput
 from mutower.groupring import (
@@ -362,3 +364,37 @@ def test_expansion_uses_no_scalar_arithmetic(base, monkeypatch):
     A = G.expand()
     assert A.shape == (expected.shape[0] * expected.shape[1],) + expected.shape[2:]
     assert (A == expected.reshape(A.shape)).all()
+
+
+def test_level_cache_is_bounded_by_bytes(monkeypatch):
+    # Tables and chains of 0.7, 0.5, 2.8, 4.8 and 0.06 MB against a 2 MiB bound:
+    # least recently used levels go first, and a level over the bound alone
+    # is not kept at all.
+    bound = 2 ** 21
+    monkeypatch.setattr(groupring, "LEVEL_CACHE_BYTES", bound)
+    group_level.cache_clear()
+    levels = [
+        (GroupSpec.abelian(2, 2), 4),
+        (GroupSpec.abelian(3, 1), 5),
+        (GroupSpec.abelian(2, 1), 9),
+        (GroupSpec.abelian(3, 2), 3),
+        (GroupSpec.metacyclic(3), 2),
+    ]
+    built = 0
+    tracemalloc.start()
+    try:
+        for spec, m in levels:
+            level = group_level(spec, m)
+            level.subgroup_chain()
+            built += level.nbytes
+            del level
+            assert group_level.nbytes <= bound
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built > 3 * bound
+    assert held < bound + 2 ** 18
+    # the most recent level fits and is kept: asking again builds nothing
+    kept = group_level(GroupSpec.metacyclic(3), 2)
+    assert kept.nbytes and kept.division_table() is kept.division_table()
+    group_level.cache_clear()
