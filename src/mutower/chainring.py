@@ -30,21 +30,22 @@ cokernel.
 
 Unit blocks.  A level-m matrix is a GroupRingMatrix, a compact array of
 coefficients in the group ring (O/pi^N)[Q], Q = G/G_m of order L, standing
-for the matrix of L x L blocks rho(x) (row k = g_k * x) that its one gather
-builds.  Over O = Z_p, (Z/p^K)[Q] is local: rho(x) is invertible exactly
-when the augmentation of x is a unit mod p, and inverses, Schur complements
-and division by p stay in the group ring.  So _eliminate_units removes
-those entries on the compact array first, with float64 group-ring products
-(L^2 each, exact below 2^53).  What it leaves then descends the level's
-subgroup chain Q > Q' > ... of index-p subgroups down to order p
-(groupring.GroupLevel.subgroup_chain): restricted to Q', an entry x is a
+for the matrix of L x L blocks rho(x) (row k = g_k * x).  Over O = Z_p,
+(Z/p^K)[Q] is local: rho(x) is invertible exactly when the augmentation of
+x is a unit mod p, and inverses, Schur complements and division by p stay
+in the group ring.  So _eliminate_units removes those entries on the
+compact array first, with int64 group-ring products (L^2 each, under the
+one exactness rule _kernel_dtype(p^N, L)).  What it leaves then descends
+the level's subgroup chain Q > Q' > ... of index-p subgroups down to order
+p (groupring.GroupLevel.subgroup_chain): restricted to Q', an entry x is a
 p x p block of elements of (Z/p^K)[Q'], the same matrix with its rows and
-columns permuted, and an entry such as g - 1, in the augmentation ideal
-of Q, has diagonal blocks -1 over a Q' that does not contain g.  So
+columns permuted, and an entry such as g - 1, in the augmentation ideal of
+Q, has diagonal blocks -1 over a Q' that does not contain g.  So
 _eliminate_units runs again after each restriction, and only the residual
 at order p, over some Z/p^K', K' <= N, is expanded for
 _diagonalize_coordinates, as is the whole matrix when e*f > 1 or p^N
-passes the float bound.
+passes that rule.  _restrict is the one gather: the expansion is the
+restriction to the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -495,12 +496,6 @@ def _val_table(p: int, K: int) -> np.ndarray:
     return table
 
 
-def _float_exact(L: int, mod: int) -> bool:
-    """Whether a float64 sum of L products of residues mod ``mod`` (a group-ring
-    coefficient), plus one residue, stays below 2^53, where integers are exact."""
-    return L * (mod - 1) ** 2 + mod < 2 ** 53
-
-
 @dataclass(frozen=True, eq=False)
 class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
@@ -516,16 +511,15 @@ class GroupRingMatrix:
     chain: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
 
     def expand(self) -> np.ndarray:
-        """The (rels L, gens L, e*f) coordinate array it stands for, in one
-        gather: row g of block (i, j), g * entry, is coords[i, j, div[g]]."""
-        rels, gens, L, k = self.coords.shape
-        A = self.coords[np.arange(rels)[:, None, None, None], np.arange(gens)[:, None], self.div[:, None, :]]
-        return A.reshape(rels * L, gens * L, k)
+        """The (rels L, gens L, e*f) coordinate array it stands for: the
+        restriction to the trivial subgroup, whose p x p blocks are L x L,
+        gather div[g, c, 0] = g^-1 g_c (row g of block (i, j) is g * entry)."""
+        return _restrict(self.coords, self.div[:, :, None])[:, :, 0]
 
 
 def _group_ring_inverse(x: np.ndarray, div: np.ndarray, p: int, K: int) -> np.ndarray:
-    """Inverse over (Z/p^K)[Q] of x (float64 residues) whose augmentation a
-    is a unit mod p, by Newton iteration y <- y + y (1 - x y) from a^-1.
+    """Inverse over (Z/p^K)[Q] of x (int64 residues) whose augmentation a is
+    a unit mod p, by Newton iteration y <- y + y (1 - x y) from a^-1.
 
     The error 1 - x y starts in the augmentation ideal and squares at every
     step.  That ideal is nilpotent of index at most L mod p (Jennings), so
@@ -536,7 +530,7 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, p: int, K: int) -> np.nd
     a = int(x.sum()) % mod
     if a % p == 0:
         raise SingularBlock(f"augmentation {a} is not a unit mod {p}")
-    one = (np.arange(L) == 0).astype(np.float64)
+    one = (np.arange(L) == 0).astype(np.int64)
     y = one * pow(a, -1, mod)
     for _ in range((K * L - 1).bit_length() + 1):
         err = (one - x @ y[div]) % mod
@@ -547,13 +541,13 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, p: int, K: int) -> np.nd
 
 
 def _eliminate_units(R: np.ndarray, div: np.ndarray, p: int, K: int) -> Tuple[List[int], np.ndarray, int, int]:
-    """Eliminate the unit entries of R (float64 residues mod p^K of shape
+    """Eliminate the unit entries of R (int64 residues mod p^K of shape
     (rels, gens, L), overwritten), each L pivots of the expansion, dividing
     by p whenever no unit is left and every entry is divisible by p.
 
-    Returns (pivot valuations, residual, K', shift): the residual is an int64
-    array of shape (rels', gens', L) over Z/p^K' whose pivot valuations,
-    plus shift, are the rest of R's.  Requires _float_exact(L, p^K).
+    Returns (pivot valuations, residual, K', shift): the residual, a view of
+    R of shape (rels', gens', L) over Z/p^K', has the rest of R's pivot
+    valuations less shift.  Requires _kernel_dtype(p^K, L) to be int64.
     """
     mod = p ** K
     L = len(div)
@@ -574,23 +568,24 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, p: int, K: int) -> Tuple[Li
             np.remainder(T, mod, out=T)
             vals += [shift] * L
             d += 1
-        elif K > 1 and not np.fmod(S, p).any():
-            S /= p
+        elif K > 1 and not (S % p).any():
+            S //= p
             K -= 1
             mod //= p
             shift += 1
         else:
             break
-    return vals, R[d:, d:].astype(np.int64), K, shift
+    return vals, R[d:, d:], K, shift
 
 
 def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
-    """R (shape (rels, gens, L)) over a subgroup of index p: entry (i, j)
-    becomes the p x p block R[i, j, gather[s, s']], placed at rows i p + s
-    and columns j p + s'."""
+    """R (shape (rels, gens, L, ...)) over a subgroup of index p, in one
+    gather: entry (i, j) becomes the p x p block R[i, j, gather[s, s']] at
+    rows i p + s and columns j p + s'."""
     rels, gens = R.shape[:2]
     p, _, L = gather.shape
-    return R[:, :, gather].transpose(0, 2, 1, 3, 4).reshape(rels * p, gens * p, L)
+    A = R[np.arange(rels)[:, None, None, None, None], np.arange(gens)[:, None, None], gather[:, None]]
+    return A.reshape(rels * p, gens * p, L, *R.shape[3:])
 
 
 @lru_cache(maxsize=None)
@@ -743,11 +738,12 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     GroupRingMatrix, a level matrix over a group ring that stands for its
     expansion; ``ncols`` is mandatory for empty matrices.  Over O = Z_p, for
     L > 1, the unit entries of a GroupRingMatrix are eliminated on its
-    compact array when float64 is exact for them, then those of its
+    compact array when _kernel_dtype(p^N, L) is int64, then those of its
     restrictions down the subgroup chain it carries, and only the rest, at
-    the chain's last subgroup, is expanded.  Everything else goes through one pi-adic elimination,
-    _diagonalize_coordinates.  The multiset of diagonal valuations together
-    with the free-column count is an isomorphism invariant of the cokernel.
+    the chain's last subgroup, is expanded.  Everything else goes through
+    one pi-adic elimination, _diagonalize_coordinates.  The multiset of
+    diagonal valuations with the free-column count is an isomorphism
+    invariant of the cokernel.
     """
     vals: List[int] = []
     shift = 0
@@ -757,15 +753,13 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
         nrows, nc = len(R) * L, R.shape[1] * L
         if R.shape[2:] != (L, ring.e * ring.f) or div.shape != (L, L) or ncols not in (None, nc):
             raise InvalidInput(f"group-ring matrix {R.shape} with division table {div.shape} does not fit {ring!r}")
-        if ring.is_simple and L > 1 and _float_exact(L, ring.pM):
-            vals, R, K, shift = _eliminate_units((R[..., 0] % ring.pM).astype(np.float64), div, ring.p, ring.N)
-            # What is left goes down the chain: an entry in the augmentation
-            # ideal, such as g - 1, can have unit diagonal blocks over a
-            # subgroup.
+        if ring.is_simple and L > 1 and _kernel_dtype(ring.pM, L) is np.int64:
+            vals, R, K, shift = _eliminate_units((R[..., 0] % ring.pM).astype(np.int64, copy=False), div, ring.p, ring.N)
+            # What is left descends the chain (see the module docstring).
             for gather, sub_div in rows.chain:
                 if not R.size:
                     break
-                more, R, K, s = _eliminate_units(_restrict(R, gather).astype(np.float64), sub_div, ring.p, K)
+                more, R, K, s = _eliminate_units(_restrict(R, gather), sub_div, ring.p, K)
                 vals += [v + shift for v in more]
                 shift += s
                 div = sub_div

@@ -61,8 +61,6 @@ def _parse_error_c(text: str) -> Fraction:
         c = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"bad --error-C value {text!r}") from exc
-    if c < 0:
-        raise InvalidInput(f"--error-C must be nonnegative, got {text!r}")
     return c
 
 

@@ -202,6 +202,8 @@ def tower_compare(
     if A.ns != B.ns or A.ms != B.ms:
         raise GridMismatch("series grids differ")
     error_c = Fraction(error_c)
+    if error_c < 0:
+        raise InvalidInput(f"the error constant C must be nonnegative, got {error_c}")
     ms = A.ms
     if len(ms) < 2:
         return Verdict(INCONCLUSIVE, reason=REASON_FEW_LEVELS)

@@ -82,6 +82,8 @@ class Presentation:
                         raise InvalidInput("coefficient vector width mismatch")
                     if len(exps) != self.spec.r:
                         raise InvalidInput("exponent arity disagrees with the group")
+                    if min(exps, default=0) < 0:
+                        raise InvalidInput("negative generator exponents are not allowed")
 
 
 def presentation(spec: GroupSpec, base: RingBase, gens: int, rows) -> Presentation:
@@ -121,7 +123,7 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # Largest dense expansion a level may build: the L x L int64 division table
 # of G/G_m (built in that one allocation, 8 L^2 bytes), the expanded
 # coordinate array with 8 more bytes a cell (the int64 copy the per-pivot
-# elimination reduces it into over Z_p; the float64 copy of the unit-block
+# elimination reduces it into over Z_p; the int64 copy of the unit-block
 # pass is compact, L times smaller), and the k x k x k structure
 # tensor of O (k = e*f) that the elimination multiplies through, held with
 # its reduced and int64 copies (a measured peak of 3 * 8 k^3 bytes).

@@ -17,7 +17,6 @@ from mutower.chainring import (
     _diagonalize_coordinates,
     _div_pi_pow,
     _eliminate_units,
-    _float_exact,
     _group_ring_inverse,
     _restrict,
     _structure_tensor,
@@ -518,6 +517,15 @@ def scalar_form(ring, G, ncols):
     return diagonalize(ring, G.expand(), ncols)
 
 
+def regular_representation(R, div):
+    """Oracle: the expansion of the group-ring matrix R (shape (rels, gens,
+    L, ...)) with division table div, block by block: row g of block (i, j),
+    g * entry, is R[i, j, div[g]]."""
+    rels, gens, L = R.shape[:3]
+    A = R[np.arange(rels)[:, None, None, None], np.arange(gens)[:, None], div[:, None, :]]
+    return A.reshape(rels * L, gens * L, *R.shape[3:])
+
+
 def dense_block_inverse(B, p, K):
     """Oracle: inverse over Z/p^K of an L x L block rho(x) (float64 residues)
     by Newton iteration X <- X (2I - B X) on the dense block from a^-1 I."""
@@ -595,9 +603,9 @@ def assert_stages_permute_the_expansion(G, p):
         assert sorted(cosets) == list(range(L))
         rows = (np.arange(len(R))[:, None] * L + cosets).ravel()
         cols = (np.arange(R.shape[1])[:, None] * L + cosets).ravel()
-        parent = GroupRingMatrix(R[..., None], div).expand()
+        parent = regular_representation(R, div)
         assert sub.shape == (len(R) * p, R.shape[1] * p, L // p)
-        assert (GroupRingMatrix(sub[..., None], sub_div).expand() == parent[rows][:, cols]).all()
+        assert (regular_representation(sub, sub_div) == parent[rows][:, cols]).all()
         R, div = sub, sub_div
 
 
@@ -616,6 +624,9 @@ def level_matrices(draw):
 @given(level_matrices())
 def test_unit_blocks_match_per_pivot_path(case):
     ring, G, ncols = case
+    A = G.expand()
+    assert A.shape == (len(G.coords) * len(G.div), ncols, 1)
+    assert (A == regular_representation(G.coords, G.div)).all()
     assert_stages_permute_the_expansion(G, ring.p)
     assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
 
@@ -624,7 +635,7 @@ def assert_matches_dense_oracle(ring, G):
     L = len(G.div)
     W = G.expand()[..., 0].astype(np.float64)
     expected_vals, expected_residual, expected_K, expected_shift = dense_unit_blocks(W, ring.p, ring.N, L)
-    vals, residual, K, shift = _eliminate_units(G.coords[..., 0].astype(np.float64), G.div, ring.p, ring.N)
+    vals, residual, K, shift = _eliminate_units(G.coords[..., 0].copy(), G.div, ring.p, ring.N)
     assert (vals, K, shift) == (expected_vals, expected_K, expected_shift)
     assert residual.dtype == np.int64
     expanded = GroupRingMatrix(residual[..., None], G.div).expand()[..., 0]
@@ -659,7 +670,7 @@ def test_garnished_residual_goes_to_per_pivot_kernel():
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(1),), seed=3), spec), 6)
     ring, G, ncols = _level_matrix(P, 2, 6)
-    _, residual, _, _ = _eliminate_units(G.coords[..., 0].astype(np.float64), G.div, 3, 6)
+    _, residual, _, _ = _eliminate_units(G.coords[..., 0].copy(), G.div, 3, 6)
     assert residual.size and (residual % 3).any()
     assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
 
@@ -681,16 +692,37 @@ def test_zero_block_rows():
     assert (padded_form.diag_valuations, padded_form.free_cols) == (form.diag_valuations, form.free_cols)
 
 
-def test_modulus_above_float_bound_keeps_per_pivot_path(monkeypatch):
-    spec = GroupSpec.abelian(3, 1)
-    assert _float_exact(81, 3 ** 6)
-    assert not _float_exact(9, 3 ** 16)
-    P = quotient_pi(make_module(GroundTruth(1, (2, 5), seed=8), spec), 16)
-    ring, G, ncols = _level_matrix(P, 2, 16)
+# abelian(3, 1) at m = 2 (L = 9): the one exactness rule, _kernel_dtype(3^N, L),
+# admits the unit pass up to N = 18, while an int64 ring admits N = 19.
+INT64_BOUND_MODULE = GroundTruth(1, (2, 5), seed=8)
+
+
+@pytest.mark.parametrize("N", [16, 18])
+def test_unit_pass_runs_up_to_the_int64_bound(N, monkeypatch):
+    P = quotient_pi(make_module(INT64_BOUND_MODULE, GroupSpec.abelian(3, 1)), N)
+    ring, G, ncols = _level_matrix(P, 2, N)
+    assert chainring._kernel_dtype(ring.pM, 9) is np.int64
+    passes, eliminate = [], chainring._eliminate_units
+
+    def recording_eliminate(*args):
+        passes.append(args[0].dtype)
+        return eliminate(*args)
+
+    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    form = diagonalize(ring, G, ncols)
+    assert passes and set(passes) == {np.dtype(np.int64)}
+    assert form == scalar_form(ring, G, ncols)
+    assert form.diag_valuations.count(2) == 9 and form.diag_valuations.count(5) == 9
+
+
+def test_modulus_above_int64_bound_keeps_per_pivot_path(monkeypatch):
+    P = quotient_pi(make_module(INT64_BOUND_MODULE, GroupSpec.abelian(3, 1)), 19)
+    ring, G, ncols = _level_matrix(P, 2, 19)
+    assert ring.dtype is np.int64 and chainring._kernel_dtype(ring.pM, 9) is object
     expected = scalar_form(ring, G, ncols)
 
     def refuse(*args):
-        raise AssertionError("float64 block elimination above 2^53")
+        raise AssertionError("int64 unit pass above the bound for L = 9")
 
     monkeypatch.setattr(chainring, "_eliminate_units", refuse)
     assert diagonalize(ring, G, ncols) == expected
@@ -698,10 +730,10 @@ def test_modulus_above_float_bound_keeps_per_pivot_path(monkeypatch):
 
 
 def group_ring_element(spec, x, m, K):
-    """x at level m over Z/p^K as float64 coefficients, with the division
+    """x at level m over Z/p^K as int64 coefficients, with the division
     table of the level."""
     _, G, _ = _level_matrix(presentation(spec, RingBase(spec.p, 1, 1), 1, [[x]]), m, K)
-    return G.coords[0, 0, :, 0].astype(np.float64), G.div
+    return G.coords[0, 0, :, 0], G.div
 
 
 def test_block_inverse_of_unit_and_singular_blocks():
@@ -713,7 +745,7 @@ def test_block_inverse_of_unit_and_singular_blocks():
     for m in (1, 2):
         x, div = group_ring_element(spec, unit, m, 5)
         y = _group_ring_inverse(x, div, 3, 5)
-        one = np.eye(len(div))[0]
+        one = np.eye(len(div), dtype=np.int64)[0]
         assert (x @ y[div] % mod == one).all() and (y @ x[div] % mod == one).all()
         # a - 1 lies in the augmentation ideal: not a unit
         with pytest.raises(SingularBlock):

@@ -237,6 +237,13 @@ def test_tower_residual_violation_is_inconclusive():
     assert v.kind == INCONCLUSIVE
 
 
+def test_tower_rejects_a_negative_error_constant():
+    A = make_series([2, 3], 3, 1, [0, 1, 2])
+    with pytest.raises(InvalidInput, match="nonnegative"):
+        tower_compare(A, A, Fraction(-1))
+    assert tower_compare(A, A, Fraction(0)).kind == EQUAL
+
+
 def test_tower_grid_mismatch():
     A = make_series([2], 3, 1, [0, 1])
     B = make_series([2], 3, 1, [0, 1, 2])

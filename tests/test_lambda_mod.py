@@ -15,6 +15,7 @@ from mutower.groupring import (
     GroupLevel,
     GroupRingPoly,
     GroupSpec,
+    _norm_terms,
     group_level,
     poly_gen,
     poly_int,
@@ -358,6 +359,17 @@ def test_presentation_validation():
         presentation(spec, RingBase(2, 1, 1), 1, [])  # prime mismatch
     with pytest.raises(InvalidInput):
         presentation(spec, BASE3, 2, [[poly_int(BASE3, 1, 1)]])  # ragged
+
+
+def test_presentation_rejects_negative_exponents():
+    # Lambda/(3, g^-1 - 1) with the entry built directly, past _norm_terms:
+    # the level expansion would read g^-1 as 1.
+    spec = GroupSpec.abelian(3, 1)
+    inverse_minus_one = GroupRingPoly((((-1,), (0,)), ((1,), (-1,))))
+    with pytest.raises(InvalidInput, match="negative generator exponents are not allowed"):
+        presentation(spec, BASE3, 1, [[poly_int(BASE3, 3, 1)], [inverse_minus_one]])
+    with pytest.raises(InvalidInput, match="negative generator exponents are not allowed"):
+        _norm_terms(inverse_minus_one.terms)
 
 
 def test_expansion_budget_refuses_before_allocating(monkeypatch):
