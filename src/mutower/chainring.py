@@ -22,11 +22,14 @@ between threads.
 
 Matrices.  A matrix over O/pi^N is one integer array of O-coordinates of
 shape (rows, cols, e*f), and _diagonalize_coordinates is the one per-pivot
-elimination for every ring: the pivot is an entry of minimal pi-valuation
-min_i (e v_p(c_i) + i), division by pi^v divides by p^(v//e) and shifts the
-pi-digits, and every O-product is one matrix product through the structure
-tensor of O.  The pivot valuations are the pi-adic valuations of the
-cokernel.
+elimination for every ring.  Both eliminations here take one pivot rule:
+pivot on a unit, and when no unit is left, divide the block by pi (by p in
+the group-ring pass below) and go on one precision lower.  Over O/pi^N an
+entry that is not a unit lies in (pi), so the per-pivot kernel stops only at
+a zero block.  Division by pi shifts the pi-digits down, the pi^0 digit
+wrapping to the top divided by p, and every O-product is one matrix product
+through the structure tensor of O.  The pivot valuations, the divisions made
+before each pivot, are the pi-adic valuations of the cokernel.
 
 Unit blocks.  A level-m matrix is a GroupRingMatrix, a compact array of
 coefficients in the group ring (O/pi^N)[Q], Q = G/G_m of order L, standing
@@ -480,22 +483,6 @@ def _kernel_dtype(mod: int, terms: int):
     return np.int64 if terms * (mod - 1) ** 2 + mod < 2 ** 63 else object
 
 
-# Largest modulus whose valuation table is worth its memory; larger moduli
-# find pivots by scanning residues instead.
-VAL_TABLE_MAX = 2 ** 20
-
-
-@lru_cache(maxsize=16)
-def _val_table(p: int, K: int) -> np.ndarray:
-    mod = p ** K
-    table = np.zeros(mod, dtype=np.int8)  # K <= 20 below VAL_TABLE_MAX
-    for v in range(1, K):
-        table[p ** v :: p ** v] = v
-    table[0] = K
-    table.setflags(write=False)
-    return table
-
-
 @dataclass(frozen=True, eq=False)
 class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
@@ -617,92 +604,86 @@ def _inverse_matrix(ring: ChainRing, unit: Tuple[int, ...], dtype) -> np.ndarray
     return M
 
 
-def _pi_pivot(sub: np.ndarray, ring: ChainRing, table: Optional[np.ndarray], digit: np.ndarray) -> Tuple[int, int]:
-    """(row-major position, pi-valuation) of the first entry of minimal
-    pi-valuation min_i (e v_p(c_i) + i) of the coordinate block ``sub``
-    (``digit`` holds the i of every coordinate); valuation N when the block
-    is zero."""
-    p, e, N = ring.p, ring.e, ring.N
-    if table is not None:
-        w = table[sub]
-        # One coordinate (Z_p) is its own valuation; the reduction over a
-        # trivial axis would cost as much as the lookup.
-        w = (w * np.int16(e) + digit).min(axis=2) if len(digit) > 1 else w[..., 0]
-        pos = int(np.argmin(w))
-        return pos, min(int(w.flat[pos]), N)
-    for w in range(N):
-        # Digit i reaches valuation <= w iff v_p(c_i) <= (w - i) // e.
-        mods = np.array([p ** ((w - i) // e + 1) if i <= w else 1 for i in digit.tolist()], dtype=sub.dtype)
-        hit = (sub % mods != 0).any(axis=2)
-        pos = int(np.argmax(hit))
-        if hit.flat[pos]:
-            return pos, w
-    return 0, N
-
-
 def _div_pi_pow(X: np.ndarray, ring: ChainRing, v: int) -> np.ndarray:
-    """Rows of O-coordinates (shape (n, e*f), every entry of pi-valuation
-    >= v) divided by pi^v: divide by p^(v//e), then shift the pi-digits down
-    by v mod e; the digits shifted below 0 wrap to the top divided by p."""
+    """O-coordinates (last axis e*f, every entry of pi-valuation >= v)
+    divided by pi^v: divide by p^(v//e), then shift the pi-digits down by
+    v mod e; the digits shifted below 0 wrap to the top divided by p."""
     s, r = divmod(v, ring.e)
     X = X // ring.p ** s
     if r:
-        D = X.reshape(len(X), ring.e, ring.f)
-        X = np.concatenate([D[:, r:], D[:, :r] // ring.p], axis=1).reshape(len(X), -1)
+        D = X.reshape(*X.shape[:-1], ring.e, ring.f)
+        X = np.concatenate([D[..., r:, :], D[..., :r, :] // ring.p], axis=-2).reshape(X.shape)
     return X
+
+
+def _not_divisible(X: np.ndarray, p: int) -> np.ndarray:
+    """X % p != 0 for residues X >= 0, on int64 by one wrapping product in
+    place of the slower remainder: x is divisible by an odd p iff x p^-1 mod
+    2^64 <= (2^64 - 1) // p, and by 2 iff x 2^63 mod 2^64 == 0 (Granlund and
+    Montgomery, "Division by invariant integers using multiplication", 1994)."""
+    if X.dtype != np.int64:
+        return X % p != 0
+    c, bound = (2 ** 63, 0) if p == 2 else (pow(p, -1, 2 ** 64), (2 ** 64 - 1) // p)
+    return X.view(np.uint64) * np.uint64(c) > np.uint64(bound)
 
 
 def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
     """Diagonalize a coordinate array A over O/pi^N (shape (rows, cols, e*f),
     int64 as in _kernel_dtype or Python ints) by invertible row and column
-    operations over O, pivoting on an entry of minimal pi-valuation (ties
-    broken by (row, col) lexicographic order); returns the pivot valuations,
-    all below N.
+    operations over O; returns the pivot valuations, all below N.
 
-    Every O-product is one matrix product through the structure tensor, and
-    every coordinate is reduced by ring.moduli before the next one, so int64
-    arrays stay within the bound of _kernel_dtype(p^M, e*f).  A itself is
-    not modified.
+    The pivot is the first unit entry in (row, col) lexicographic order, one
+    whose pi^0-digit coordinates are not all divisible by p.  When no unit is
+    left, every entry is divisible by pi: unless the block is zero, it is
+    divided by pi and the elimination goes on over O/pi^(N-1), one higher in
+    every later pivot valuation.  Every O-product is one matrix product
+    through the structure tensor, and every coordinate is reduced by
+    ring.moduli before the next one, so int64 arrays stay within the bound of
+    _kernel_dtype(p^M, e*f).  A itself is not modified.
     """
-    p, k = ring.p, ring.e * ring.f
-    nrows, ncols, _ = A.shape
+    p, f, k = ring.p, ring.f, ring.e * ring.f
     dtype = A.dtype
     moduli = np.array(ring.moduli, dtype=dtype)
     A = A % moduli
     # S[s, (a, t)] = T[a, s, t]: a row of coordinates times S gives the
-    # multiplication matrices of its entries side by side.
+    # multiplication matrices of its entries side by side.  Reduced mod the
+    # p^M of O/pi^N, it serves every lower precision too.
     S = (_structure_tensor(ring.base) % ring.pM).astype(dtype).transpose(1, 0, 2).reshape(k, k * k)
-    table = _val_table(p, ring.M) if dtype == np.int64 and ring.pM <= VAL_TABLE_MAX else None
-    digit = np.repeat(np.arange(ring.e, dtype=np.int16), ring.f)
-
     vals: List[int] = []
-    d = 0
-    top = min(nrows, ncols)
-    while d < top:
-        pos, v = _pi_pivot(A[d:, d:], ring, table, digit)
-        if v >= ring.N:
-            break
-        i, j = divmod(pos, ncols - d)
-        i += d
-        j += d
-        if i != d:
-            A[[d, i]] = A[[i, d]]
-        if j != d:
-            A[:, [d, j]] = A[:, [j, d]]
-        if d + 1 < top:  # the last pivot leaves nothing to update
-            unit = tuple(_div_pi_pow(A[d, d][None], ring, v)[0].tolist())
-            # F[i] * pivot = A[i, d]: the row multipliers over O.
-            F = _div_pi_pow(A[d + 1 :, d], ring, v) @ _inverse_matrix(ring, unit, dtype) % moduli
-            c = ncols - d - 1
-            P = (A[d, d + 1 :] @ S).reshape(c, k, k) % moduli
-            block = A[d + 1 :, d + 1 :]
+    shift = 0
+    while min(A.shape[:2]):
+        # A unit has pi^0-digit coordinates not all divisible by p; f = 1
+        # reads the one coordinate, as a reduction over a trivial axis would
+        # cost as much as the test.
+        unit = _not_divisible(A[..., 0], p) if f == 1 else _not_divisible(A[..., :f], p).any(axis=2)
+        pos = int(np.argmax(unit))  # the first unit in row-major order
+        if not unit.flat[pos]:
+            if not A.any():
+                break
+            # Every entry lies in (pi).
+            A = _div_pi_pow(A, ring, 1)
+            ring = ChainRing(p, ring.e, f, ring.N - 1)
+            moduli = np.array(ring.moduli, dtype=dtype)
+            shift += 1
+            continue
+        i, j = divmod(pos, A.shape[1])
+        if i:
+            A[[0, i]] = A[[i, 0]]
+        if j:
+            A[:, [0, j]] = A[:, [j, 0]]
+        if min(A.shape[:2]) > 1:  # the last pivot leaves nothing to update
+            # F[i] * pivot = A[i, 0]: the row multipliers over O.
+            F = A[1:, 0] @ _inverse_matrix(ring, tuple(A[0, 0].tolist()), dtype) % moduli
+            c = A.shape[1] - 1
+            P = (A[0, 1:] @ S).reshape(c, k, k) % moduli
+            block = A[1:, 1:]
             if k == 1:  # an outer product: broadcasting is twice as fast as matmul
                 block -= F[:, None] * P[None, :, 0]
             else:
                 block -= (F @ P.transpose(1, 0, 2).reshape(k, c * k)).reshape(-1, c, k)
             block %= moduli
-        vals.append(v)
-        d += 1
+        vals.append(shift)
+        A = A[1:, 1:]
     return vals
 
 
@@ -741,9 +722,9 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     compact array when _kernel_dtype(p^N, L) is int64, then those of its
     restrictions down the subgroup chain it carries, and only the rest, at
     the chain's last subgroup, is expanded.  Everything else goes through
-    one pi-adic elimination, _diagonalize_coordinates.  The multiset of
-    diagonal valuations with the free-column count is an isomorphism
-    invariant of the cokernel.
+    one pi-adic elimination on unit pivots, _diagonalize_coordinates.  The
+    multiset of diagonal valuations with the free-column count is an
+    isomorphism invariant of the cokernel.
     """
     vals: List[int] = []
     shift = 0

@@ -227,6 +227,12 @@ def run_compare(args) -> int:
     return _emit_verdict(config, verdict, args)
 
 
+def _check_counts(args, *names: str) -> None:
+    for name in names:
+        if getattr(args, name) < 0:
+            raise InvalidInput(f"--{name.replace('_', '-')} must be >= 0, got {getattr(args, name)}")
+
+
 def run_tower(args) -> int:
     base = _parse_ring(args.ring)
     if base is None:
@@ -261,6 +267,7 @@ def _default_gts(count: int, seed: int):
 def run_synth(args) -> int:
     import os
 
+    _check_counts(args, "count")
     base = _parse_ring(args.ring) or RingBase(3, 1, 1)
     spec = GroupSpec.abelian(base.p, 1)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -285,6 +292,7 @@ def run_synth(args) -> int:
 
 
 def run_selftest(args) -> int:
+    _check_counts(args, "cases", "oracle_cases")
     rng = random.Random(args.seed)
     config = _config_dict(
         args,

@@ -57,6 +57,10 @@ class TowerSeries:
             raise InvalidInput("empty tower series")
         ns = sorted({n for n, _ in self.data})
         ms = sorted({m for _, m in self.data})
+        if ns[0] < 1:
+            raise InvalidInput(f"truncation n = {ns[0]} must be >= 1")
+        if ms[0] < 0:
+            raise InvalidInput(f"level m = {ms[0]} must be >= 0")
         for n in ns:
             for m in ms:
                 if (n, m) not in self.data:

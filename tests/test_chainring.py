@@ -222,12 +222,9 @@ def coordinate_array(ring, rng, nrows, ncols):
 
 @pytest.mark.parametrize("p, K", [(2, 5), (3, 4), (3, 14), (37, 6)])
 def test_object_kernel_matches_int64_kernel(p, K):
-    # e = f = 1, one coordinate per entry. (2, 5), (3, 4): valuation table
-    # against the object scan; (3, 14) and (37, 6) exceed VAL_TABLE_MAX, so
-    # both dtypes scan.
+    # e = f = 1, one coordinate per entry, small and large moduli.
     ring = ChainRing(p, 1, 1, K)
     assert ring.dtype is np.int64
-    assert (ring.pM <= chainring.VAL_TABLE_MAX) == (K < 6)
     rng = random.Random(7)
     for _ in range(12):
         A = structured_array(rng, p, K, rng.randrange(1, 9), rng.randrange(1, 9))[:, :, None]
@@ -235,22 +232,19 @@ def test_object_kernel_matches_int64_kernel(p, K):
 
 
 @pytest.mark.parametrize(
-    "ring, table",
+    "ring",
     [
-        (ChainRing(2, 2, 1, 5), True),
-        (ChainRing(2, 2, 1, 44), False),
-        (ChainRing(3, 1, 2, 4), True),
-        (ChainRing(3, 1, 2, 14), False),
-        (ChainRing(3, 2, 2, 4), True),
-        (ChainRing(3, 2, 2, 28), False),
+        ChainRing(2, 2, 1, 5),
+        ChainRing(2, 2, 1, 44),
+        ChainRing(3, 1, 2, 4),
+        ChainRing(3, 1, 2, 14),
+        ChainRing(3, 2, 2, 4),
+        ChainRing(3, 2, 2, 28),
     ],
     ids=repr,
 )
-def test_object_coordinate_kernel_matches_int64_kernel(ring, table):
-    # int64 pivots through the valuation table below VAL_TABLE_MAX and by a
-    # residue scan above it; object arrays always scan.
+def test_object_coordinate_kernel_matches_int64_kernel(ring):
     assert ring.dtype is np.int64
-    assert (ring.pM <= chainring.VAL_TABLE_MAX) == table
     rng = random.Random(ring.N)
     for _ in range(8):
         A = coordinate_array(ring, rng, rng.randrange(1, 8), rng.randrange(1, 8))
@@ -477,6 +471,91 @@ def test_diagonal_form_matches_sympy_hermite_form(ring, nrows, ncols):
         assert form.free_cols >= ncols - nrows
         for n in range(1, ring.N + 1):
             assert ordq_from_form(form, ring.N, n) == sympy_ordq(ring, rows, ncols, n)
+
+
+# When no unit is left, the per-pivot kernel divides the block by pi and goes
+# on over O/pi^(N-1), one higher in every later pivot valuation.  These
+# matrices reach that step at the first pivot or after a few unit pivots, and
+# their whole diagonal form is checked: a valuation >= N, which a division
+# that kept O/pi^N can leave, changes no order but the form.
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 37, 65537, 2 ** 31 - 1])
+def test_divisibility_test_matches_remainder(p):
+    rng = np.random.default_rng(p)
+    X = np.concatenate([rng.integers(0, 2 ** 62, 500), rng.integers(0, 2 ** 20, 500) * p, [0, p, 2 ** 63 - 1]])
+    assert (chainring._not_divisible(X, p) == (X % p != 0)).all()
+    assert (chainring._not_divisible(X.astype(object), p) == (X % p != 0)).all()
+
+
+def division_matrix(ring, rng, nrows, ncols, units):
+    """Random entries with every row after the first ``units`` in (pi), so
+    that no unit is left after at most ``units`` pivots, and the last row pi
+    times a combination of the others, so that rows and columns are left
+    when the block vanishes."""
+    rv = [0] * units + [min(rng.choice([1, 1, 2]), ring.N - 1) for _ in range(nrows - units - 1)]
+    rows = [[ring.mul(ring.random_scalar(rng), ring.pi_pow(v)) for _ in range(ncols)] for v in rv]
+    last = [ring.zero] * ncols
+    for r in rows:
+        c = ring.mul(ring.random_scalar(rng), ring.pi_pow(1))
+        last = [ring.add(x, ring.mul(c, y)) for x, y in zip(last, r)]
+    return rows + [last]
+
+
+def truncate(ring, rows, n):
+    """O/pi^n (n <= N) and the matrix reduced to it."""
+    small = ChainRing(ring.p, ring.e, ring.f, n)
+    return small, [[small.from_coeffs(ring.to_coeffs(x)) for x in r] for r in rows]
+
+
+def form_from_orders(orders, ncols):
+    """(diag_valuations, free_cols) pinned down by orders[n - 1], ord_q of the
+    cokernel over O/pi^n for n = 1..N: ord(n) - ord(n - 1) summands have
+    length >= n."""
+    longer = [ncols] + [b - a for a, b in zip([0] + orders, orders)]
+    vals = tuple(v for v in range(len(orders)) for _ in range(longer[v] - longer[v + 1]))
+    return vals, longer[-1]
+
+
+def assert_division_form(ring, rows, ncols, units, ordq):
+    form = diagonalize(ring, rows, ncols)
+    orders = [ordq(n) for n in range(1, ring.N + 1)]
+    assert (form.diag_valuations, form.free_cols) == form_from_orders(orders, ncols)
+    if units == 0:
+        assert form.diag_valuations and form.diag_valuations[0] >= 1
+    return form
+
+
+@pytest.mark.parametrize("ring", ORACLE_RINGS + [ChainRing(2, 3, 1, 4)], ids=repr)
+def test_division_by_pi_matches_bruteforce(ring):
+    # ChainRing(2, 3, 1, 4): the pi^0 digit holds p c with c not always 0
+    # mod p, so the division wraps it to the pi^2 digit.
+    rng = random.Random(ring.size)
+    nrows = 3 if ring.size <= 32 else 2
+    for units in range(nrows - 1):
+        for _ in range(2):
+            rows = division_matrix(ring, rng, nrows, 2, units)
+            assert_division_form(ring, rows, 2, units, lambda n: brute_force_ordq(*truncate(ring, rows, n), 2))
+
+
+@pytest.mark.parametrize(
+    "ring, nrows, ncols",
+    [
+        (ChainRing(2, 2, 1, 6), 6, 7),
+        (ChainRing(2, 3, 1, 7), 5, 6),
+        (ChainRing(3, 1, 2, 4), 5, 6),
+        (ChainRing(37, 2, 1, 14), 4, 5),
+    ],
+    ids=repr,
+)
+def test_division_by_pi_matches_sympy_hermite_form(ring, nrows, ncols):
+    # ChainRing(37, 2, 1, 14) eliminates Python ints (object dtype).
+    assert (ring.dtype is object) == (ring.p == 37)
+    rng = random.Random(ring.N)
+    for units in (0, 0, 1, 2, nrows - 2):
+        rows = division_matrix(ring, rng, nrows, ncols, units)
+        form = assert_division_form(ring, rows, ncols, units, lambda n: sympy_ordq(ring, rows, ncols, n))
+        assert any(form.diag_valuations)
 
 
 def test_diagonal_valuations_sorted_ascending():

@@ -261,6 +261,16 @@ def test_tower_rejects_malformed_arguments(tmp_path, capsys, option, value):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n, m", [(1, -1), (0, 0), (-1, 0)])
+def test_tower_rejects_points_below_the_grid(tmp_path, capsys, n, m):
+    path = tmp_path / "a.csv"
+    rows = [(n, m, 2), (n, m + 1, 6), (n + 2, m, 4), (n + 2, m + 1, 12)]
+    path.write_text("n,m,ord\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    assert cli.main(["tower", str(path), str(path), "--ring", "3,1,1", "--dim", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_reports_are_byte_identical(tmp_path):
     path = tmp_path / "m.json"
     write_module(path, GroundTruth(1, (2,), seed=9))
@@ -292,6 +302,19 @@ def test_selftest_command(tmp_path, capsys):
     assert cli.main(["selftest", "--cases", "0"]) == 0
     out = capsys.readouterr().out
     assert "vacuous" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["selftest", "--cases", "-2"], ["selftest", "--oracle-cases", "-1"], ["synth", "--count", "-2", "--out-dir", "corpus"]],
+    ids=["cases", "oracle-cases", "count"],
+)
+def test_negative_counts_are_refused(tmp_path, capsys, argv):
+    argv = [str(tmp_path / a) if a == "corpus" else a for a in argv]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and "must be >= 0" in err and err.count("\n") == 1
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_selftest_report_follows_out_and_format(tmp_path, capsys):

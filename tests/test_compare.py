@@ -244,6 +244,14 @@ def test_tower_rejects_a_negative_error_constant():
     assert tower_compare(A, A, Fraction(0)).kind == EQUAL
 
 
+@pytest.mark.parametrize("n, m", [(0, 0), (-1, 0), (1, -1)])
+def test_tower_series_rejects_points_below_the_grid(n, m):
+    # The fit needs p^(r m) to be an integer, and mu entries start at n = 1.
+    data = {(n, m): 2, (2, m): 3, (n, 1): 6, (2, 1): 9}
+    with pytest.raises(InvalidInput, match="must be >= "):
+        TowerSeries(r=1, p=3, data=data)
+
+
 def test_tower_grid_mismatch():
     A = make_series([2], 3, 1, [0, 1])
     B = make_series([2], 3, 1, [0, 1, 2])
