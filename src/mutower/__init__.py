@@ -48,7 +48,6 @@ from .invariants import (
     solve_multiplicities,
 )
 from .lambda_mod import (
-    LevelOrders,
     Presentation,
     coinvariants_ordq,
     koszul_homology_ordq,
@@ -73,7 +72,6 @@ __all__ = [
     "InconsistentProfile",
     "InvalidGarnish",
     "InvalidInput",
-    "LevelOrders",
     "MuProfile",
     "MutowerError",
     "NonAbelianUnsupported",

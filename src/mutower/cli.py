@@ -204,7 +204,7 @@ def run_invariants(args) -> int:
         report["converged"] = {str(n): profile.converged[n] for n in sorted(profile.converged)}
         report["c_hat"] = {str(n): str(profile.c_hat[n]) for n in sorted(profile.c_hat)}
         report["level_orders"] = {
-            str(n): {str(m): profile.raw[n].orders[m] for m in sorted(profile.raw[n].orders)}
+            str(n): {str(m): profile.raw[n][m] for m in sorted(profile.raw[n])}
             for n in sorted(profile.raw)
         }
         rep = inv.recover_elementary(profile)
@@ -238,8 +238,8 @@ def run_tower(args) -> int:
     if base is None:
         raise InvalidInput("tower command requires --ring p,e,f (p is used)")
     error_c = _parse_error_c(args.error_c)
-    A = modfile.load_tower_csv(args.left, base.p, args.dim, label=args.left)
-    B = modfile.load_tower_csv(args.right, base.p, args.dim, label=args.right)
+    A = modfile.load_tower_csv(args.left, base.p, args.dim)
+    B = modfile.load_tower_csv(args.right, base.p, args.dim)
     config = _config_dict(args, {"left": args.left, "right": args.right, "dim": args.dim})
     verdict = cmp.tower_compare(A, B, error_c)
     return _emit_verdict(config, verdict, args)
@@ -350,9 +350,7 @@ def run_selftest(args) -> int:
         except MutowerError:
             pass
         soundness_total += 1
-        if prof_q is not None and all(
-            prof_q.raw[n].orders == prof.raw[n].orders for n in prof.raw
-        ):
+        if prof_q is not None and prof_q.raw == prof.raw:
             soundness += 1
     record("roundtrip", roundtrip, len(gts))
     record("obfuscation-soundness", soundness, soundness_total)

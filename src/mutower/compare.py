@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
+from .chainring import _is_prime
 from .errors import GridMismatch, InvalidInput, NotConverged, InconsistentProfile, ProfileTooShort
 from .invariants import (
     DEFAULT_N_MAX,
@@ -24,7 +25,6 @@ from .invariants import (
     fit_mu,
     mu_profile,
     recover_elementary,
-    round_level,
 )
 from .lambda_mod import Presentation
 
@@ -48,9 +48,10 @@ class TowerSeries:
     r: int
     p: int
     data: Dict[Tuple[int, int], int]
-    label: str = ""
 
     def __post_init__(self):
+        if not _is_prime(self.p):
+            raise InvalidInput(f"p = {self.p} is not prime")
         if self.r < 1:
             raise InvalidInput(f"tower dimension r = {self.r} must be >= 1")
         if not self.data:
@@ -126,18 +127,15 @@ def compare_modules(
     prof_q, rep_q, reason_q = _profile_and_rep(Q, n_max, m_range)
     mu_p = prof_p.mu if prof_p else {}
     mu_q = prof_q.mu if prof_q else {}
-
-    def inconclusive(reason):
-        return Verdict(
-            INCONCLUSIVE,
-            reason=reason,
-            mu_profiles=(dict(mu_p), dict(mu_q)),
-            theta_pair=(rep_p.theta if rep_p else None, rep_q.theta if rep_q else None),
-        )
+    # every verdict below reports both profiles and whatever thetas were recovered
+    shared = dict(
+        mu_profiles=(dict(mu_p), dict(mu_q)),
+        theta_pair=(rep_p.theta if rep_p else None, rep_q.theta if rep_q else None),
+    )
 
     if mode == MODE_UP_TO_THETA:
         if rep_p is None:
-            return inconclusive(reason_p)
+            return Verdict(INCONCLUSIVE, reason=reason_p, **shared)
         if rep_p.free_rank != 0:
             raise InvalidInput("up-to-theta mode requires P recovered torsion")
         upto = rep_p.theta + 1
@@ -145,44 +143,22 @@ def compare_modules(
         upto = n_max
 
     if prof_p is None or prof_q is None:
-        return inconclusive(reason_p or reason_q)
+        return Verdict(INCONCLUSIVE, reason=reason_p or reason_q, **shared)
 
     for n in range(1, upto + 1):
         if not (prof_p.converged[n] and prof_q.converged[n]):
-            return inconclusive(REASON_MORE_LEVELS)
+            return Verdict(INCONCLUSIVE, reason=REASON_MORE_LEVELS, **shared)
         if mu_p[n] != mu_q[n]:
-            return Verdict(
-                UNEQUAL,
-                witness_n=n,
-                mu_profiles=(dict(mu_p), dict(mu_q)),
-                theta_pair=(rep_p.theta if rep_p else None, rep_q.theta if rep_q else None),
-            )
+            return Verdict(UNEQUAL, witness_n=n, **shared)
 
     # Profiles agree on the decisive range; certify by recovering both sides.
-    if rep_p is None:
-        return inconclusive(reason_p)
-    if rep_q is None:
-        return inconclusive(reason_q)
+    if rep_p is None or rep_q is None:
+        return Verdict(INCONCLUSIVE, reason=reason_p or reason_q, **shared)
     if mode == MODE_UP_TO_THETA and rep_q != rep_p:
-        return inconclusive(
-            "recovered representations disagree despite matching profiles"
+        return Verdict(
+            INCONCLUSIVE, reason="recovered representations disagree despite matching profiles", **shared
         )
-    return Verdict(
-        EQUAL,
-        mu_profiles=(dict(mu_p), dict(mu_q)),
-        theta_pair=(rep_p.theta, rep_q.theta),
-        reps=(rep_p, rep_q),
-    )
-
-
-def _fit_series(series: TowerSeries, n: int):
-    orders = {m: series.data[(n, m)] for m in series.ms}
-    return fit_mu(orders, series.p, series.r)
-
-
-def _round_at(series: TowerSeries, n: int, m: int) -> Optional[int]:
-    k, tie = round_level(series.data[(n, m)], series.p, series.r, m)
-    return None if tie else k
+    return Verdict(EQUAL, reps=(rep_p, rep_q), **shared)
 
 
 def _rep_or_none(mu: Dict[int, int]) -> Optional[ElementaryRep]:
@@ -211,34 +187,22 @@ def tower_compare(
     ms = A.ms
     if len(ms) < 2:
         return Verdict(INCONCLUSIVE, reason=REASON_FEW_LEVELS)
-    top, second = ms[-1], ms[-2]
 
     mu_a: Dict[int, int] = {}
     mu_b: Dict[int, int] = {}
     problem = None
     for n in A.ns:
-        fa, ca_ok, ca = _fit_series(A, n)
-        fb, cb_ok, cb = _fit_series(B, n)
-        ra1, ra2 = _round_at(A, n, top), _round_at(A, n, second)
-        rb1, rb2 = _round_at(B, n, top), _round_at(B, n, second)
-        if (
-            None not in (ra1, ra2, rb1, rb2)
-            and ra1 != rb1
-            and ra2 != rb2
-        ):
-            return Verdict(
-                UNEQUAL,
-                witness_n=n,
-                mu_profiles=(dict(mu_a), dict(mu_b)),
-            )
-        if not (ca_ok and cb_ok):
+        fa, fb = (fit_mu({m: S.data[(n, m)] for m in ms}, S.p, S.r) for S in (A, B))
+        if None not in fa.rounded + fb.rounded and all(a != b for a, b in zip(fa.rounded, fb.rounded)):
+            return Verdict(UNEQUAL, witness_n=n, mu_profiles=(dict(mu_a), dict(mu_b)))
+        if not (fa.converged and fb.converged):
             problem = problem or REASON_MORE_LEVELS
             continue
-        if ca > error_c or cb > error_c:
+        if fa.c_hat > error_c or fb.c_hat > error_c:
             problem = problem or REASON_RESIDUAL
             continue
-        mu_a[n] = fa
-        mu_b[n] = fb
+        mu_a[n] = fa.mu
+        mu_b[n] = fb.mu
     if problem is not None:
         return Verdict(INCONCLUSIVE, reason=problem, mu_profiles=(mu_a, mu_b))
     rep_a = _rep_or_none(mu_a)

@@ -8,18 +8,19 @@ The engine computes o(n, m) = ord_q((M/pi^n)_{G_m}) on a grid and exploits
 
 so mu_n is the nearest integer to o(n, m)/p^(rm) at the top levels (mu is a
 nonnegative integer, which makes the rounding exact once the error term is
-dominated).  The first differences D_n = mu_n - mu_(n-1) are nonnegative,
-nonincreasing and eventually constant at the rank; the multiplicities are
-their second differences.  A profile is only trusted once the rounded value
-agrees at the top two levels and the normalized residual is non-increasing
-there.
+dominated).  fit_mu is the one place that rounds, and an entry counts as
+converged when the values rounded at the top two levels agree and neither is
+a half-integer tie; nothing certifies the error term beyond that.  The first
+differences D_n = mu_n - mu_(n-1) are nonnegative, nonincreasing and
+eventually constant at the rank; the multiplicities are their second
+differences, and elementary_from_mu is the one place that takes them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .chainring import ordq_from_form
 from .errors import (
@@ -30,7 +31,7 @@ from .errors import (
     ProfileTooShort,
 )
 from .groupring import GroupSpec
-from .lambda_mod import LevelOrders, Presentation, check_expansion_budget, level_diagonal_form, quotient_pi
+from .lambda_mod import Presentation, check_expansion_budget, level_diagonal_form, quotient_pi
 
 DEFAULT_N_MAX = 6
 
@@ -42,17 +43,13 @@ def default_m_range(spec: GroupSpec) -> List[int]:
 
 @dataclass(frozen=True)
 class MuProfile:
-    """The sequence n -> mu(M/pi^n) with raw orders and diagnostics."""
+    """The sequence n -> mu(M/pi^n) with diagnostics; raw[n][m] is the level
+    order ord_q((M/pi^n)_{G_m})."""
 
     mu: Dict[int, int]
-    raw: Dict[int, LevelOrders]
+    raw: Dict[int, Dict[int, int]]
     converged: Dict[int, bool]
-    levels_used: Tuple[int, ...]
     c_hat: Dict[int, Fraction]
-
-    @property
-    def n_max(self) -> int:
-        return max(self.mu)
 
 
 @dataclass(frozen=True)
@@ -80,33 +77,34 @@ class ElementaryRep:
         )
 
 
-def round_level(order: int, p: int, r: int, m: int) -> Tuple[int, bool]:
-    """Nearest integer to order / p^(rm), and whether it is a half-integer tie
-    (which rounds down)."""
-    scale = p ** (r * m)
-    k, rem = divmod(order, scale)
-    return (k + 1 if 2 * rem > scale else k), 2 * rem == scale
+class Fit(NamedTuple):
+    """fit_mu's answer for one n."""
+
+    mu: int
+    converged: bool
+    c_hat: Fraction
+    rounded: Tuple[Optional[int], Optional[int]]  # (top, second); None is a tie
 
 
-def fit_mu(orders: Dict[int, int], p: int, r: int) -> Tuple[int, bool, Fraction]:
-    """Round orders/p^(rm) at the top level; certify by agreement at the top
-    two levels (half-integer ties count as non-converged).  The fitted C is
-    the largest normalized residual |ord - mu p^(rm)| / p^((r-1)m) over the
-    grid.  Returns (mu, converged, fitted C)."""
+def fit_mu(orders: Dict[int, int], p: int, r: int) -> Fit:
+    """Rounds orders/p^(rm) to the nearest integer at the top two levels; a
+    half-integer tie rounds down for mu and reads None in `rounded`.  mu is
+    the top level's value, converged means both values agree and neither is
+    a tie, and the fitted C is the largest normalized residual
+    |ord - mu p^(rm)| / p^((r-1)m) over the grid."""
     ms = sorted(orders)
     if len(ms) < 2:
         raise InvalidInput("need at least two levels")
-    top, second = ms[-1], ms[-2]
-    mu_top, tie_top = round_level(orders[top], p, r, top)
-    mu_sec, tie_sec = round_level(orders[second], p, r, second)
-    mu = mu_top
 
-    def norm_res(m):
-        return Fraction(abs(orders[m] - mu * p ** (r * m)), p ** ((r - 1) * m))
+    def nearest(m):
+        scale = p ** (r * m)
+        k, rem = divmod(orders[m], scale)
+        return None if 2 * rem == scale else k + (2 * rem > scale)
 
-    c_hat = max(norm_res(m) for m in ms)
-    converged = not tie_top and not tie_sec and mu_top == mu_sec
-    return mu, converged, c_hat
+    top, second = nearest(ms[-1]), nearest(ms[-2])
+    mu = orders[ms[-1]] // p ** (r * ms[-1]) if top is None else top
+    c_hat = max(Fraction(abs(orders[m] - mu * p ** (r * m)), p ** ((r - 1) * m)) for m in ms)
+    return Fit(mu, top is not None and top == second, c_hat, (top, second))
 
 
 def mu_profile(
@@ -133,27 +131,18 @@ def mu_profile(
     check_expansion_budget(P.spec, P.base, P.rels + P.gens, P.gens, ms[-1], n_max)
     Pq = quotient_pi(P, n_max)
     forms = {m: level_diagonal_form(Pq, m, n_max) for m in ms}
-    p, r = P.spec.p, P.spec.r
-
-    mu: Dict[int, int] = {}
-    raw: Dict[int, LevelOrders] = {}
-    conv: Dict[int, bool] = {}
-    c_hat: Dict[int, Fraction] = {}
-    for n in range(1, n_max + 1):
-        orders = {m: ordq_from_form(forms[m], n_max, n) for m in ms}
-        mu_n, ok, c = fit_mu(orders, p, r)
-        mu[n] = mu_n
-        raw[n] = LevelOrders(n, orders, n_max)
-        conv[n] = ok
-        c_hat[n] = c
-
+    raw = {n: {m: ordq_from_form(forms[m], n_max, n) for m in ms} for n in range(1, n_max + 1)}
+    fits = {n: fit_mu(orders, P.spec.p, P.spec.r) for n, orders in raw.items()}
+    mu = {n: fit.mu for n, fit in fits.items()}
     first_differences(mu)  # rejects a profile of the wrong shape
-    return MuProfile(mu, raw, conv, tuple(ms), c_hat)
+    converged = {n: fit.converged for n, fit in fits.items()}
+    return MuProfile(mu, raw, converged, {n: fit.c_hat for n, fit in fits.items()})
 
 
 def first_differences(mu: Dict[int, int]) -> List[int]:
-    """D_n = mu_n - mu_(n-1) for n = 1..n_max (mu_0 = 0).  Raises
-    InconsistentProfile unless they are nonnegative and nonincreasing, as
+    """D_n = mu_n - mu_(n-1) for n = 1..n_max (mu_0 = 0).  The one check
+    that a profile covers n = 1..n_max; raises InconsistentProfile unless the
+    differences are nonnegative and nonincreasing, as
     mu(M/pi^n) = n rank + sum min(n, alpha_i) forces."""
     ns = sorted(mu)
     if not ns or ns != list(range(1, len(ns) + 1)):
@@ -190,10 +179,7 @@ def recover_elementary(profile: MuProfile) -> ElementaryRep:
     method (elementary_from_mu).  The representation is built from the first
     differences D_n, so mu_of_quotient(n) = D_1 + ... + D_n = profile.mu[n]
     for every n <= n_max (summation by parts); nothing is left to re-check."""
-    ns = sorted(profile.mu)
-    if not ns or ns != list(range(1, ns[-1] + 1)):
-        raise InvalidInput("profile must cover n = 1..n_max")
-    bad = [n for n in ns if not profile.converged[n]]
+    bad = [n for n in sorted(profile.mu) if not profile.converged[n]]
     if bad:
         raise NotConverged(f"profile not converged at n={bad} (needs more levels)")
     return elementary_from_mu(profile.mu)

@@ -91,19 +91,6 @@ def presentation(spec: GroupSpec, base: RingBase, gens: int, rows) -> Presentati
     return Presentation(spec, base, gens, len(rows), rows)
 
 
-@dataclass(frozen=True)
-class LevelOrders:
-    """The map m -> ord_q((M/pi^n)_{G_m}) for one pi-power n."""
-
-    n: int
-    orders: Dict[int, int]
-    truncation: int
-
-    def __post_init__(self):
-        if self.truncation < self.n:
-            raise InvalidInput("ring truncation below the pi-power")
-
-
 def quotient_pi(P: Presentation, n: int) -> Presentation:
     """Presentation of M/pi^n: appends the relations pi^n e_j."""
     if n < 1:

@@ -125,7 +125,7 @@ def load_presentation(path: str) -> Presentation:
     return presentation_from_dict(data)
 
 
-def load_tower_csv(path: str, p: int, r: int, label: str = "") -> TowerSeries:
+def load_tower_csv(path: str, p: int, r: int) -> TowerSeries:
     data: Dict[Tuple[int, int], int] = {}
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -147,7 +147,7 @@ def load_tower_csv(path: str, p: int, r: int, label: str = "") -> TowerSeries:
             if (n, m) in data:
                 raise InvalidInput(f"{path}: line {lineno}: duplicate grid point ({n}, {m})")
             data[(n, m)] = o
-    return TowerSeries(r=r, p=p, data=data, label=label or path)
+    return TowerSeries(r=r, p=p, data=data)
 
 
 def save_tower_csv(series: TowerSeries, path: str) -> None:

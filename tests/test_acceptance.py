@@ -116,14 +116,14 @@ def test_criterion_2_asymptotic_residuals(corpus, garnished_corpus):
         spec, gt = rec.spec, rec.gt
         p, r = spec.p, spec.r
         true_rep = gt.expected_rep()
-        ms = sorted(rec.profile.levels_used)
+        ms = sorted(rec.profile.raw[1])
         c_fit = Fraction(0)
         per_n = {}
         for n in range(1, 5):
             mu_n = true_rep.mu_of_quotient(n)
             res = {
                 m: Fraction(
-                    abs(rec.profile.raw[n].orders[m] - mu_n * p ** (r * m)),
+                    abs(rec.profile.raw[n][m] - mu_n * p ** (r * m)),
                     p ** ((r - 1) * m),
                 )
                 for m in ms

@@ -197,13 +197,13 @@ def test_congruent_presentations_agree_mod_pi_n(case):
 # --- tower analyzer ---------------------------------------------------------
 
 
-def make_series(profile, p, r, ms, noise=None, label=""):
+def make_series(profile, p, r, ms, noise=None):
     data = {}
     for n, mu in enumerate(profile, start=1):
         for m in ms:
             eps = noise(n, m) if noise else 0
             data[(n, m)] = mu * p ** (r * m) + eps
-    return TowerSeries(r=r, p=p, data=data, label=label)
+    return TowerSeries(r=r, p=p, data=data)
 
 
 def test_tower_equal_exact():
@@ -252,6 +252,13 @@ def test_tower_series_rejects_points_below_the_grid(n, m):
         TowerSeries(r=1, p=3, data=data)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_tower_series_rejects_a_p_that_is_not_prime(p):
+    # p = 0 used to divide by zero in the fit, and p = 1 and 4 gave Equal.
+    with pytest.raises(InvalidInput, match="not prime"):
+        TowerSeries(r=1, p=p, data={(1, 0): 2, (1, 1): 6})
+
+
 def test_tower_grid_mismatch():
     A = make_series([2], 3, 1, [0, 1])
     B = make_series([2], 3, 1, [0, 1, 2])
@@ -265,6 +272,20 @@ def test_tower_grid_mismatch():
 def test_tower_insufficient_levels():
     A = make_series([2], 3, 1, [0])
     assert tower_compare(A, A).kind == INCONCLUSIVE
+
+
+@pytest.mark.parametrize(
+    "tied", [{(1, 1): 4, (1, 2): 10}, {(1, 1): 5, (1, 2): 8}], ids=["top", "second"]
+)
+def test_tower_never_takes_a_tied_level_as_unequal_witness(tied):
+    # At p = 2, r = 1 the order 10 = 2.5 * 2^2 ties at the top level and
+    # 5 = 2.5 * 2^1 at the second.  Rounded down, both top levels of A would
+    # read mu_1 = 2 against B's 4, which would be an Unequal witness.
+    B = make_series([4, 5], 2, 1, [0, 1, 2])
+    A = TowerSeries(r=1, p=2, data={**B.data, (1, 0): 2, **tied})
+    for left, right in [(A, B), (B, A)]:
+        v = tower_compare(left, right, Fraction(8))
+        assert (v.kind, v.witness_n, v.reason) == (INCONCLUSIVE, None, REASON_MORE_LEVELS)
 
 
 def test_tower_matches_module_verdicts_on_exact_series():

@@ -74,22 +74,36 @@ def test_profile_matches_estimate_mu_pointwise():
     prof = mu_profile(P, 4)
     for n in range(1, 5):
         Pq = quotient_pi(P, n)
-        direct = {m: coinvariants_ordq(Pq, m, n) for m in prof.levels_used}
-        assert prof.raw[n].orders == direct
-        mu, converged, c_hat = fit_mu(direct, P.spec.p, P.spec.r)
+        direct = {m: coinvariants_ordq(Pq, m, n) for m in prof.raw[n]}
+        assert prof.raw[n] == direct
+        mu, converged, c_hat, _rounded = fit_mu(direct, P.spec.p, P.spec.r)
         assert mu == prof.mu[n]
         assert converged == prof.converged[n]
         assert c_hat == prof.c_hat[n]
 
 
+@pytest.mark.parametrize("orders", [{0: 2, 1: 4, 2: 10}, {0: 2, 1: 5, 2: 8}], ids=["top", "second"])
+def test_fit_mu_rounds_a_half_integer_tie_down_and_does_not_converge(orders):
+    # p = 2, r = 1: 10 = 2.5 * 2^2 ties at the top level, 5 = 2.5 * 2^1 at the
+    # second.  Ties need p^(rm) even, so they occur only at p = 2.
+    fit = fit_mu(orders, 2, 1)
+    assert (fit[0], fit[1]) == (2, False)
+
+
+def test_fit_mu_reports_the_top_two_roundings_with_none_for_a_tie():
+    assert fit_mu({0: 2, 1: 4, 2: 10}, 2, 1).rounded == (None, 2)
+    assert fit_mu({0: 2, 1: 5, 2: 8}, 2, 1).rounded == (2, None)
+    # 3^2 * 4 + 4 rounds to 4 and 3 * 4 + 2 to 5 (up): not converged
+    assert fit_mu({0: 4, 1: 14, 2: 40}, 3, 1) == (4, False, Fraction(4), (4, 5))
+
+
 def test_recover_examples():
-    def prof(mus, levels=(0, 1)):
+    def prof(mus):
         n_max = len(mus)
         return MuProfile(
             {n: mus[n - 1] for n in range(1, n_max + 1)},
             {},
             {n: True for n in range(1, n_max + 1)},
-            tuple(levels),
             {n: Fraction(0) for n in range(1, n_max + 1)},
         )
 
@@ -102,7 +116,7 @@ def test_recover_examples():
 
 
 def test_recover_requires_convergence():
-    prof = MuProfile({1: 1, 2: 2}, {}, {1: True, 2: False}, (0, 1), {1: Fraction(0), 2: Fraction(0)})
+    prof = MuProfile({1: 1, 2: 2}, {}, {1: True, 2: False}, {1: Fraction(0), 2: Fraction(0)})
     with pytest.raises(NotConverged):
         recover_elementary(prof)
 
@@ -120,7 +134,6 @@ def test_recover_rejects_non_model_profile():
         {1: 2, 2: 3},
         {},
         {1: True, 2: True},
-        (0, 1),
         {1: Fraction(0), 2: Fraction(0)},
     )
     # deltas (2, 1): tail neither repeated nor zero
@@ -134,7 +147,6 @@ def test_recover_rejects_negative_differences():
         {1: 2, 2: 1, 3: 0},
         {},
         {1: True, 2: True, 3: True},
-        (0, 1),
         {n: Fraction(0) for n in (1, 2, 3)},
     )
     with pytest.raises(InconsistentProfile):
