@@ -23,32 +23,33 @@ between threads.
 Matrices.  A matrix over O/pi^N is one integer array of O-coordinates of
 shape (rows, cols, e*f), and _diagonalize_coordinates is the one per-pivot
 elimination for every ring.  Both eliminations here take one pivot rule:
-pivot on a unit, and when no unit is left, divide the block by pi (by p in
-the group-ring pass below) and go on one precision lower.  Over O/pi^N an
-entry that is not a unit lies in (pi), so the per-pivot kernel stops only at
-a zero block.  Division by pi shifts the pi-digits down, the pi^0 digit
-wrapping to the top divided by p, and every O-product is one matrix product
-through the structure tensor of O.  The pivot valuations, the divisions made
-before each pivot, are the pi-adic valuations of the cokernel.
+pivot on a unit, and when no unit is left, divide the block by pi and go on
+one precision lower.  Over O/pi^N an entry that is not a unit lies in (pi),
+so the per-pivot kernel stops only at a zero block.  Division by pi shifts
+the pi-digits down, the pi^0 digit wrapping to the top divided by p, and
+every O-product is one matrix product through the structure tensor of O.
+The pivot valuations, the divisions made before each pivot, are the pi-adic
+valuations of the cokernel.
 
 Unit blocks.  A level-m matrix is a GroupRingMatrix, a compact array of
 coefficients in the group ring (O/pi^N)[Q], Q = G/G_m of order L, standing
-for the matrix of L x L blocks rho(x) (row k = g_k * x).  Over O = Z_p,
-(Z/p^K)[Q] is local: rho(x) is invertible exactly when the augmentation of
-x is a unit mod p, and inverses, Schur complements and division by p stay
-in the group ring.  So _eliminate_units removes those entries on the
-compact array first, with int64 group-ring products (L^2 each, under the
-one exactness rule _kernel_dtype(p^N, L)).  What it leaves then descends
-the level's subgroup chain Q > Q' > ... of index-p subgroups down to order
-p (groupring.GroupLevel.subgroup_chain): restricted to Q', an entry x is a
-p x p block of elements of (Z/p^K)[Q'], the same matrix with its rows and
+for the matrix of L x L blocks rho(x) (row k = g_k * x).  (O/pi^N)[Q] is
+local with maximal ideal (pi, I), I the augmentation ideal: rho(x) is
+invertible exactly when the augmentation of x is a unit of O/pi^N, and
+inverses, Schur complements and division by pi stay in the group ring.  So
+_eliminate_units removes those entries on the compact array first, with
+int64 group-ring products (L^2 O-products each, under the one exactness
+rule _kernel_dtype(p^M, L e f)).  What it leaves then descends the level's
+subgroup chain Q > Q' > ... of index-p subgroups down to order p
+(groupring.GroupLevel.subgroup_chain): restricted to Q', an entry x is a
+p x p block of elements of (O/pi^N)[Q'], the same matrix with its rows and
 columns permuted, and an entry such as g - 1, in the augmentation ideal of
 Q, has diagonal blocks -1 over a Q' that does not contain g.  So
 _eliminate_units runs again after each restriction, and only the residual
-at order p, over some Z/p^K', K' <= N, is expanded for
-_diagonalize_coordinates, as is the whole matrix when e*f > 1 or p^N
-passes that rule.  _restrict is the one gather: the expansion is the
-restriction to the trivial subgroup.
+at order p, over some O/pi^N', N' <= N, is expanded for
+_diagonalize_coordinates, as is the whole matrix when p^M passes that
+rule.  _restrict is the one gather: the expansion is the restriction to the
+trivial subgroup.
 """
 
 from __future__ import annotations
@@ -490,8 +491,7 @@ class GroupRingMatrix:
     of the coefficient of the h-th element of Q in entry (i, j), element 0
     the identity, and div[g, c] is the index of g^-1 g_c.  chain holds the
     stages (gather, div') of a descent through index-p subgroups that the
-    unit pass takes over Z_p (groupring.GroupLevel.subgroup_chain), or
-    nothing."""
+    unit pass takes (groupring.GroupLevel.subgroup_chain), or nothing."""
 
     coords: np.ndarray
     div: np.ndarray
@@ -504,65 +504,125 @@ class GroupRingMatrix:
         return _restrict(self.coords, self.div[:, :, None])[:, :, 0]
 
 
-def _group_ring_inverse(x: np.ndarray, div: np.ndarray, p: int, K: int) -> np.ndarray:
-    """Inverse over (Z/p^K)[Q] of x (int64 residues) whose augmentation a is
-    a unit mod p, by Newton iteration y <- y + y (1 - x y) from a^-1.
+def _group_ring_products(X: np.ndarray, Y: np.ndarray, div: np.ndarray, S: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    """The products X_i Y_j in (O/pi^N)[Q] of int64 O-coordinates X (shape
+    (r, L, k)) and Y (shape (c, L, k)), k = e*f > 1, as an array of shape
+    (r, c, L, k) that is not reduced: (X_i Y_j)(h) = sum_g X_i(g) Y_j(g^-1 h),
+    one matrix product over (g, a) through the multiplication matrices of the
+    X_i(g) (S as in _product_matrix), so each coordinate sums L k products of
+    residues."""
+    r, L, k = X.shape
+    c = len(Y)
+    MX = (X @ S).reshape(r * L, k, k) % moduli  # MX[(i, g), a, t]: coordinate t of b_a X_i(g)
+    Z = Y[:, div.T].reshape(c * L, L * k) @ MX.reshape(r, L * k, k).transpose(1, 0, 2).reshape(L * k, r * k)
+    return Z.reshape(c, L, r, k).transpose(2, 0, 1, 3)
 
-    The error 1 - x y starts in the augmentation ideal and squares at every
-    step.  That ideal is nilpotent of index at most L mod p (Jennings), so
-    the error vanishes after ceil(log2(K L)) steps; a table that is not a
-    group's raises SingularBlock instead of returning a wrong inverse.
+
+def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np.ndarray:
+    """Inverse over (O/pi^N)[Q] of x (int64 O-coordinates of shape (L, e*f),
+    or residues of shape (L,) when e*f = 1) whose augmentation a is a unit.
+
+    With u = 1 - a^-1 x, x^-1 = (1 + u + u^2 + ...) a^-1, summed as Newton
+    iteration does: y <- y (1 + u^(2^s)), each step one product to extend y
+    and one to square the error.  u lies in the augmentation ideal, which is
+    nilpotent of index at most L mod p (Jennings), so the error vanishes after
+    ceil(log2(N L)) squarings; a table that is not a group's raises
+    SingularBlock instead of returning a wrong inverse.  a^-1 comes from
+    _inverse_matrix, computed once per ring and augmentation.
     """
-    mod, L = p ** K, len(x)
-    a = int(x.sum()) % mod
-    if a % p == 0:
-        raise SingularBlock(f"augmentation {a} is not a unit mod {p}")
-    one = (np.arange(L) == 0).astype(np.int64)
-    y = one * pow(a, -1, mod)
-    for _ in range((K * L - 1).bit_length() + 1):
-        err = (one - x @ y[div]) % mod
+    L = len(x)
+    one = np.zeros_like(x)
+    one.flat[0] = 1
+    if x.ndim == 1:
+        mod = ring.pM
+        a = int(x.sum()) % mod
+        if a % ring.p == 0:
+            raise SingularBlock(f"augmentation {a} is not a unit mod {ring.p}")
+        a_inv = pow(a, -1, mod)
+
+        def mul(u, v):
+            return u @ v[div]
+
+        def scale(u):  # u a^-1
+            return u * a_inv % mod
+    else:
+        mod = np.array(ring.moduli, dtype=np.int64)
+        a = x.sum(axis=0) % mod
+        if not (a[: ring.f] % ring.p).any():
+            raise SingularBlock(f"augmentation {tuple(a.tolist())} is not a unit of {ring!r}")
+        a_inv = _inverse_matrix(ring, tuple(a.tolist()), np.int64)
+        S = _product_matrix(ring, np.int64)
+
+        def mul(u, v):
+            return _group_ring_products(u[None], v[None], div, S, mod)[0, 0]
+
+        def scale(u):
+            return u @ a_inv % mod
+    y, err = one, (one - scale(x)) % mod  # y (1 - u) = 1 - err
+    for _ in range((ring.N * L - 1).bit_length() + 1):
         if not err.any():
-            return y
-        y = (y + y @ err[div]) % mod
-    raise SingularBlock(f"Newton inversion in a group ring of order {L} mod {p}^{K} did not converge")
+            return scale(y)
+        y = (y + (err if y is one else mul(y, err))) % mod  # y = 1 needs no product
+        err = mul(err, err) % mod
+    raise SingularBlock(f"Newton inversion in a group ring of order {L} over {ring!r} did not converge")
 
 
-def _eliminate_units(R: np.ndarray, div: np.ndarray, p: int, K: int) -> Tuple[List[int], np.ndarray, int, int]:
-    """Eliminate the unit entries of R (int64 residues mod p^K of shape
-    (rels, gens, L), overwritten), each L pivots of the expansion, dividing
-    by p whenever no unit is left and every entry is divisible by p.
+def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple[List[int], np.ndarray, "ChainRing", int]:
+    """Eliminate the unit entries of R (int64 O-coordinates over ring =
+    O/pi^N of shape (rels, gens, L, e*f), or residues of shape (rels, gens,
+    L) when e*f = 1; overwritten), each L pivots of the expansion, dividing
+    by pi whenever no unit is left and every entry lies in (pi).
 
-    Returns (pivot valuations, residual, K', shift): the residual, a view of
-    R of shape (rels', gens', L) over Z/p^K', has the rest of R's pivot
-    valuations less shift.  Requires _kernel_dtype(p^K, L) to be int64.
+    Returns (pivot valuations, residual, ring', shift): the residual, a view
+    of R over ring' = O/pi^N', has the rest of R's pivot valuations less
+    shift.  Requires _kernel_dtype(p^M, L e f) to be int64.
     """
-    mod = p ** K
+    p, f = ring.p, ring.f
     L = len(div)
+    simple = R.ndim == 3
+    if simple:
+        mod = ring.pM
+    else:
+        mod = np.array(ring.moduli, dtype=np.int64)
+        S = _product_matrix(ring, np.int64)  # reduced mod p^M, it serves every lower precision too
     vals: List[int] = []
     shift = 0
     d = 0  # the first d rows and columns are eliminated
     while d < min(R.shape[:2]):
-        S = R[d:, d:]
-        hit = np.flatnonzero(S.sum(axis=2) % p)
+        B = R[d:, d:]
+        # A unit's augmentation has pi^0-digit coordinates not all divisible by p.
+        if simple:
+            hit = np.flatnonzero(B.sum(axis=2) % p)
+        else:
+            hit = np.flatnonzero((B[..., :f].sum(axis=2) % p).any(axis=2))
         if hit.size:
-            i, j = divmod(int(hit[0]), S.shape[1])  # first unit entry, row-major
-            S[[0, i]] = S[[i, 0]]
-            S[:, [0, j]] = S[:, [j, 0]]
-            # Z = x^-1 S[0, 1:], then T -= S[1:, 0] Z through the division table.
-            Z = _group_ring_inverse(S[0, 0], div, p, K) @ S[0, 1:][:, div] % mod
-            T = S[1:, 1:]
-            T -= (S[1:, 0] @ Z[:, div].transpose(1, 0, 2).reshape(L, T.shape[1] * L)).reshape(T.shape)
-            np.remainder(T, mod, out=T)
+            i, j = divmod(int(hit[0]), B.shape[1])  # first unit entry, row-major
+            B[[0, i]] = B[[i, 0]]
+            B[:, [0, j]] = B[:, [j, 0]]
+            if min(B.shape[:2]) > 1:  # the last pivot leaves nothing to update
+                # Z = x^-1 B[0, 1:], then T -= B[1:, 0] Z through the division table.
+                inv = _group_ring_inverse(B[0, 0], div, ring)
+                T = B[1:, 1:]
+                if simple:
+                    Z = inv @ B[0, 1:][:, div] % mod
+                    T -= (B[1:, 0] @ Z[:, div].transpose(1, 0, 2).reshape(L, T.shape[1] * L)).reshape(T.shape)
+                else:
+                    Z = _group_ring_products(inv[None], B[0, 1:], div, S, mod)[0] % mod
+                    T -= _group_ring_products(B[1:, 0], Z, div, S, mod)
+                np.remainder(T, mod, out=T)
             vals += [shift] * L
             d += 1
-        elif K > 1 and not (S % p).any():
-            S //= p
-            K -= 1
-            mod //= p
+        elif ring.N > 1 and not (B % p if simple else B[..., :f] % p).any():
+            if simple:
+                B //= p
+            else:
+                B[...] = _div_pi_pow(B, ring, 1)
+            ring = ChainRing(p, ring.e, f, ring.N - 1)
+            mod = ring.pM if simple else np.array(ring.moduli, dtype=np.int64)
             shift += 1
         else:
             break
-    return vals, R[d:, d:], K, shift
+    return vals, R[d:, d:], ring, shift
 
 
 def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
@@ -591,6 +651,17 @@ def _structure_tensor(base: RingBase) -> np.ndarray:
     T = prods[i[:, None] + i[None, :], j[:, None] + j[None, :]]
     T.setflags(write=False)
     return T
+
+
+@lru_cache(maxsize=64)
+def _product_matrix(ring: ChainRing, dtype) -> np.ndarray:
+    """S[s, (a, t)] = T[a, s, t] mod the p^M of ring, of shape (k, k k): a
+    row of O-coordinates times S gives the multiplication matrices of its
+    entries side by side."""
+    k = ring.e * ring.f
+    S = (_structure_tensor(ring.base) % ring.pM).astype(dtype).transpose(1, 0, 2).reshape(k, k * k)
+    S.setflags(write=False)
+    return S
 
 
 @lru_cache(maxsize=4096)
@@ -645,10 +716,8 @@ def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
     dtype = A.dtype
     moduli = np.array(ring.moduli, dtype=dtype)
     A = A % moduli
-    # S[s, (a, t)] = T[a, s, t]: a row of coordinates times S gives the
-    # multiplication matrices of its entries side by side.  Reduced mod the
-    # p^M of O/pi^N, it serves every lower precision too.
-    S = (_structure_tensor(ring.base) % ring.pM).astype(dtype).transpose(1, 0, 2).reshape(k, k * k)
+    # Reduced mod the p^M of O/pi^N, S serves every lower precision too.
+    S = _product_matrix(ring, dtype)
     vals: List[int] = []
     shift = 0
     while min(A.shape[:2]):
@@ -717,14 +786,14 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     ``rows`` is a sequence of length-``ncols`` scalar rows, an integer array
     of O-coordinates of shape (rows, cols, e*f), e*f = 1 included, or a
     GroupRingMatrix, a level matrix over a group ring that stands for its
-    expansion; ``ncols`` is mandatory for empty matrices.  Over O = Z_p, for
-    L > 1, the unit entries of a GroupRingMatrix are eliminated on its
-    compact array when _kernel_dtype(p^N, L) is int64, then those of its
-    restrictions down the subgroup chain it carries, and only the rest, at
-    the chain's last subgroup, is expanded.  Everything else goes through
-    one pi-adic elimination on unit pivots, _diagonalize_coordinates.  The
-    multiset of diagonal valuations with the free-column count is an
-    isomorphism invariant of the cokernel.
+    expansion; ``ncols`` is mandatory for empty matrices.  For L > 1, the
+    unit entries of a GroupRingMatrix are eliminated on its compact array
+    when _kernel_dtype(p^M, L e f) is int64, then those of its restrictions
+    down the subgroup chain it carries, and only the rest, at the chain's
+    last subgroup, is expanded.  Everything else goes through one pi-adic
+    elimination on unit pivots, _diagonalize_coordinates.  The multiset of
+    diagonal valuations with the free-column count is an isomorphism
+    invariant of the cokernel.
     """
     vals: List[int] = []
     shift = 0
@@ -734,17 +803,20 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
         nrows, nc = len(R) * L, R.shape[1] * L
         if R.shape[2:] != (L, ring.e * ring.f) or div.shape != (L, L) or ncols not in (None, nc):
             raise InvalidInput(f"group-ring matrix {R.shape} with division table {div.shape} does not fit {ring!r}")
-        if ring.is_simple and L > 1 and _kernel_dtype(ring.pM, L) is np.int64:
-            vals, R, K, shift = _eliminate_units((R[..., 0] % ring.pM).astype(np.int64, copy=False), div, ring.p, ring.N)
+        if L > 1 and _kernel_dtype(ring.pM, L * ring.e * ring.f) is np.int64:
+            # e*f = 1 takes the pass on plain residues, without the O-coordinate axis.
+            R = R[..., 0] % ring.pM if ring.is_simple else R % np.array(ring.moduli, dtype=R.dtype)
+            vals, R, ring, shift = _eliminate_units(R.astype(np.int64, copy=False), div, ring)
             # What is left descends the chain (see the module docstring).
             for gather, sub_div in rows.chain:
                 if not R.size:
                     break
-                more, R, K, s = _eliminate_units(_restrict(R, gather), sub_div, ring.p, K)
+                more, R, ring, s = _eliminate_units(_restrict(R, gather), sub_div, ring)
                 vals += [v + shift for v in more]
                 shift += s
                 div = sub_div
-            R, ring = R[..., None], ChainRing(ring.p, 1, 1, K)
+            if ring.is_simple:
+                R = R[..., None]
         A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
     else:
         A = _coordinate_array(ring, rows, ncols)

@@ -62,6 +62,9 @@ class TowerSeries:
             raise InvalidInput(f"truncation n = {ns[0]} must be >= 1")
         if ms[0] < 0:
             raise InvalidInput(f"level m = {ms[0]} must be >= 0")
+        missing = sorted(set(range(1, ns[-1] + 1)) - set(ns))
+        if missing:
+            raise InvalidInput(f"truncations must be n = 1..{ns[-1]}: missing n = {missing}")
         for n in ns:
             for m in ms:
                 if (n, m) not in self.data:

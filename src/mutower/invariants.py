@@ -179,6 +179,9 @@ def recover_elementary(profile: MuProfile) -> ElementaryRep:
     method (elementary_from_mu).  The representation is built from the first
     differences D_n, so mu_of_quotient(n) = D_1 + ... + D_n = profile.mu[n]
     for every n <= n_max (summation by parts); nothing is left to re-check."""
+    missing = [n for n in sorted(profile.mu) if n not in profile.converged]
+    if missing:
+        raise InvalidInput(f"profile has no converged entry at n={missing}")
     bad = [n for n in sorted(profile.mu) if not profile.converged[n]]
     if bad:
         raise NotConverged(f"profile not converged at n={bad} (needs more levels)")

@@ -108,13 +108,24 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 
 
 # Largest dense expansion a level may build: the L x L int64 division table
-# of G/G_m (built in that one allocation, 8 L^2 bytes), the expanded
-# coordinate array with 8 more bytes a cell (the int64 copy the per-pivot
-# elimination reduces it into over Z_p; the int64 copy of the unit-block
-# pass is compact, L times smaller), and the k x k x k structure
-# tensor of O (k = e*f) that the elimination multiplies through, held with
-# its reduced and int64 copies (a measured peak of 3 * 8 k^3 bytes).
+# of G/G_m (built in that one allocation, 8 L^2 bytes); the subgroup chain of
+# a level with rows (_chain_bytes); for every cell of the expanded matrix,
+# four arrays of its k = e*f coordinates and 16 bytes more (the expansion,
+# the per-pivot kernel's reduced copy, the temporaries of its unit test and
+# Schur update, and the compact residual the expansion is gathered from: a
+# measured peak of 4 * 8 k + 5 bytes a cell on int64 levels); and the
+# k x k x k structure tensor of O that the elimination multiplies through,
+# held with its reduced and int64 copies (a measured peak of 3 * 8 k^3
+# bytes).
 EXPANSION_BUDGET_BYTES = 2 ** 30
+
+
+def _chain_bytes(p: int, L: int) -> int:
+    """Bytes that building the subgroup chain of a group of order L > p
+    holds at once: division tables of L/p, L/p^2, ... elements, at most
+    8 L^2/(p^2 - 1) bytes, one more table of the first stage while it is
+    built, 8 L^2/p^2, and the p x p x L' gathers, at most 8 p^2 L/(p - 1)."""
+    return 8 * L * L // (p * p - 1) + 8 * L * L // (p * p) + 8 * p * p * L // (p - 1)
 
 
 def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int, m: int, N: int) -> None:
@@ -130,7 +141,8 @@ def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int
     # (ChainRing.dtype) a pointer plus a CPython int of about M log2 p bits in
     # 30-bit digits.  p^M is formed only when it is small.
     width = 8 if bits < 64 and _kernel_dtype(base.p ** M, k) is np.int64 else 32 + 4 * math.ceil(bits / 30)
-    need = 8 * L * L + rels * L * gens * L * (k * width + 8) + 24 * k ** 3
+    chain = _chain_bytes(spec.p, L) if L > spec.p and rels else 0
+    need = 8 * L * L + chain + rels * L * gens * L * (4 * k * width + 16) + 24 * k ** 3
     if need > EXPANSION_BUDGET_BYTES:
         raise TooLarge(
             f"level m={m} expands to {L}x{L} group-ring blocks over O/pi^{N} of rank "
@@ -153,8 +165,8 @@ def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRing
     R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, len(div), ring.e * ring.f)
     # A relation that vanishes at this level would stand for L zero rows.
     R = R[R.any(axis=(1, 2, 3))]
-    # Only Z_p levels descend the subgroup chain, and only rows need it.
-    chain = level.subgroup_chain() if ring.is_simple and len(R) else ()
+    # Only rows need the subgroup chain.
+    chain = level.subgroup_chain() if len(R) else ()
     return ring, GroupRingMatrix(R, div, chain), P.gens * len(div)
 
 

@@ -714,8 +714,8 @@ def assert_matches_dense_oracle(ring, G):
     L = len(G.div)
     W = G.expand()[..., 0].astype(np.float64)
     expected_vals, expected_residual, expected_K, expected_shift = dense_unit_blocks(W, ring.p, ring.N, L)
-    vals, residual, K, shift = _eliminate_units(G.coords[..., 0].copy(), G.div, ring.p, ring.N)
-    assert (vals, K, shift) == (expected_vals, expected_K, expected_shift)
+    vals, residual, sub_ring, shift = _eliminate_units(G.coords[..., 0].copy(), G.div, ring)
+    assert (vals, sub_ring.N, shift) == (expected_vals, expected_K, expected_shift)
     assert residual.dtype == np.int64
     expanded = GroupRingMatrix(residual[..., None], G.div).expand()[..., 0]
     assert expanded.shape == expected_residual.shape and (expanded == expected_residual).all()
@@ -749,7 +749,7 @@ def test_garnished_residual_goes_to_per_pivot_kernel():
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(1),), seed=3), spec), 6)
     ring, G, ncols = _level_matrix(P, 2, 6)
-    _, residual, _, _ = _eliminate_units(G.coords[..., 0].copy(), G.div, 3, 6)
+    _, residual, _, _ = _eliminate_units(G.coords[..., 0].copy(), G.div, ring)
     assert residual.size and (residual % 3).any()
     assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
 
@@ -820,15 +820,15 @@ def test_block_inverse_of_unit_and_singular_blocks():
     base = RingBase(3, 1, 1)
     a, b = poly_gen(base, 1, 2), poly_gen(base, 2, 2)
     unit = poly_add(poly_int(base, 1, 2), poly_mul(spec, base, a, b))  # augmentation 2
-    mod = 3 ** 5
+    mod, ring = 3 ** 5, ChainRing(3, 1, 1, 5)
     for m in (1, 2):
         x, div = group_ring_element(spec, unit, m, 5)
-        y = _group_ring_inverse(x, div, 3, 5)
+        y = _group_ring_inverse(x, div, ring)
         one = np.eye(len(div), dtype=np.int64)[0]
         assert (x @ y[div] % mod == one).all() and (y @ x[div] % mod == one).all()
         # a - 1 lies in the augmentation ideal: not a unit
         with pytest.raises(SingularBlock):
-            _group_ring_inverse(group_ring_element(spec, poly_sub(a, poly_int(base, 1, 2)), m, 5)[0], div, 3, 5)
+            _group_ring_inverse(group_ring_element(spec, poly_sub(a, poly_int(base, 1, 2)), m, 5)[0], div, ring)
 
 
 def test_unit_pass_builds_no_dense_expansion(monkeypatch):
@@ -930,9 +930,9 @@ def test_descent_expands_only_the_last_residual(monkeypatch):
         events.append(("expand", len(self.div)))
         return expand(self)
 
-    def recording_eliminate(R, div, p, K):
+    def recording_eliminate(R, div, ring):
         events.append(("pass", len(div)))
-        return eliminate(R, div, p, K)
+        return eliminate(R, div, ring)
 
     monkeypatch.setattr(GroupRingMatrix, "expand", recording_expand)
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
@@ -952,3 +952,115 @@ def test_descent_expands_only_the_last_residual(monkeypatch):
     monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
     with pytest.raises(TooLarge):
         check_expansion_budget(spec, P.base, P.rels, P.gens, 2, 6)
+
+
+# ---------------------------------------------------------------------------
+# The unit pass and the descent over ramified and unramified O (e*f > 1).
+
+WIDE_RINGS = [RingBase(2, 2, 1), RingBase(2, 1, 2), RingBase(3, 2, 1), RingBase(3, 1, 2), RingBase(3, 2, 2)]
+WIDE_SPECS = [GroupSpec.abelian(2, 1), GroupSpec.abelian(2, 2), GroupSpec.abelian(3, 1), GroupSpec.metacyclic(3)]
+
+
+@st.composite
+def wide_levels(draw):
+    base = draw(st.sampled_from(WIDE_RINGS))
+    spec = draw(st.sampled_from([s for s in WIDE_SPECS if s.p == base.p]))
+    alphas = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
+    garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
+    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
+    N = draw(st.integers(1, 5))
+    return _level_matrix(quotient_pi(make_module(gt, spec, base), N), draw(st.integers(0, 2)), N)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(wide_levels())
+def test_wide_unit_pass_matches_per_pivot_kernel(case):
+    # The oracle is the per-pivot kernel on the whole expansion.
+    ring, G, ncols = case
+    assert bool(G.chain) == (len(G.coords) > 0 and len(G.div) > ring.p)
+    vals = _diagonalize_coordinates(G.expand(), ring)
+    form = diagonalize(ring, G, ncols)
+    assert form.diag_valuations == tuple(sorted(vals)) and form.free_cols == ncols - len(vals)
+
+
+def test_wide_descent_expands_only_the_last_residual(monkeypatch):
+    # Garnished abelian(3, 2) over the ramified O = Z_3[sqrt 3] at m = 2:
+    # g2 - 1 is a unit only over <g2^3>, so the pass runs at L' = 81, 27, 9
+    # and 3 with the O-coordinate axis, and only the L' = 3 residual is
+    # expanded.
+    spec, base = GroupSpec.abelian(3, 2), RingBase(3, 2, 1)
+    P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(2),), seed=3), spec, base), 6)
+    events = []
+    expand, eliminate = GroupRingMatrix.expand, chainring._eliminate_units
+
+    def recording_expand(self):
+        events.append(("expand", len(self.div)))
+        return expand(self)
+
+    def recording_eliminate(R, div, ring):
+        events.append(("pass", len(div), R.shape[3:], ring.N))
+        return eliminate(R, div, ring)
+
+    monkeypatch.setattr(GroupRingMatrix, "expand", recording_expand)
+    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    ring, G, ncols = _level_matrix(P, 2, 6)
+    form = diagonalize(ring, G, ncols)
+    assert events == [("pass", L, (2,), 6) for L in (81, 27, 9, 3)] + [("expand", 3)]
+    monkeypatch.undo()
+    assert form == scalar_form(ring, G, ncols)
+
+
+def naive_product(x, y, div, ring):
+    """Oracle: x y in (O/pi^N)[Q] on coordinate tuples, term by term through
+    RingBase.mul: (x y)(h) = sum_g x(g) y(g^-1 h), g^-1 h = div[g, h]."""
+    L = len(div)
+    out = [ring.zero] * L
+    for g in range(L):
+        for h in range(L):
+            term = ring.mul(tuple(x[g].tolist()), tuple(y[div[g, h]].tolist()))
+            out[h] = ring.add(out[h], term)
+    return np.array(out, dtype=np.int64)
+
+
+def wide_element(spec, base, x, m, N):
+    """x at level m over O/pi^N as int64 O-coordinates, with the division
+    table of the level."""
+    ring, G, _ = _level_matrix(presentation(spec, base, 1, [[x]]), m, N)
+    return ring, G.coords[0, 0], G.div
+
+
+@pytest.mark.parametrize("base", WIDE_RINGS, ids=repr)
+def test_wide_group_ring_inverse(base):
+    spec = GroupSpec.metacyclic(3) if base.p == 3 else GroupSpec.abelian(2, 2)
+    a, b = poly_gen(base, 1, 2), poly_gen(base, 2, 2)
+    # 1 + pi a + a b - b: augmentation 1 + pi, a unit in every O
+    pi_a = _norm_terms([(pi_pow_coeffs(base, 1), (1, 0))])
+    unit = poly_sub(poly_add(poly_add(poly_int(base, 1, 2), poly_mul(spec, base, a, b)), pi_a), b)
+    for m in (1, 2):
+        ring, x, div = wide_element(spec, base, unit, m, 4)
+        y = _group_ring_inverse(x, div, ring)
+        one = np.zeros_like(x)
+        one[0, 0] = 1
+        assert (naive_product(x, y, div, ring) == one).all() and (naive_product(y, x, div, ring) == one).all()
+        # a - 1 lies in the augmentation ideal: not a unit
+        with pytest.raises(SingularBlock):
+            _group_ring_inverse(wide_element(spec, base, poly_sub(a, poly_int(base, 1, 2)), m, 4)[1], div, ring)
+    # A table with no group law behind it: with row 1 constant at 2, u = g - 1
+    # (g the element 1) has u u = -u, so for x = 2 - g the error never vanishes.
+    fake = div.copy()
+    fake[1] = 2
+    x = np.zeros_like(x)
+    x[0, 0], x[1, 0] = 2, ring.moduli[0] - 1
+    with pytest.raises(SingularBlock):
+        _group_ring_inverse(x, fake, ring)
+
+
+def test_wide_group_ring_inverse_takes_every_newton_step():
+    # Over GR(16, 2)[C_2], x = 2 - g has u = 1 - x = g - 1 with u^j =
+    # (-2)^(j-1) u, so u^4 = -8 u is not 0 and the error vanishes only at the
+    # third squaring, u^8: all ceil(log2(N L)) = 3 of them.
+    spec, base = GroupSpec.abelian(2, 1), RingBase(2, 1, 2)
+    x = poly_sub(poly_int(base, 2, 1), poly_gen(base, 1, 1))
+    ring, xs, div = wide_element(spec, base, x, 1, 4)
+    y = _group_ring_inverse(xs, div, ring)
+    assert (naive_product(xs, y, div, ring) == [[1, 0], [0, 0]]).all()

@@ -271,6 +271,20 @@ def test_tower_rejects_points_below_the_grid(tmp_path, capsys, n, m):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_tower_rejects_truncations_that_are_not_1_to_k(tmp_path, capsys):
+    # Identical series with n in {1, 3}: an input error, not an Equal verdict
+    # without representations.
+    path = tmp_path / "a.csv"
+    rows = [(n, m, (n + 1) * 3 ** m) for n in (1, 3) for m in range(3)]
+    path.write_text("n,m,ord\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    out = tmp_path / "r.json"
+    argv = ["tower", str(path), str(path), "--ring", "3,1,1", "--dim", "1", "--out", str(out)]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing n = [2]" in err
+    assert not out.exists()
+
+
 def test_reports_are_byte_identical(tmp_path):
     path = tmp_path / "m.json"
     write_module(path, GroundTruth(1, (2,), seed=9))

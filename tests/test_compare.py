@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -249,6 +250,16 @@ def test_tower_series_rejects_points_below_the_grid(n, m):
     # The fit needs p^(r m) to be an integer, and mu entries start at n = 1.
     data = {(n, m): 2, (2, m): 3, (n, 1): 6, (2, 1): 9}
     with pytest.raises(InvalidInput, match="must be >= "):
+        TowerSeries(r=1, p=3, data=data)
+
+
+@pytest.mark.parametrize("ns, missing", [((1, 3), "[2]"), ((2, 3), "[1]"), ((1, 2, 5), "[3, 4]")])
+def test_tower_series_rejects_truncations_that_are_not_1_to_k(ns, missing):
+    # Two identical series with n in {1, 3} used to compare Equal with no
+    # elementary representation and no reason: the difference recovery
+    # needs every n from 1 up.
+    data = {(n, m): (n + 1) * 3 ** m for n in ns for m in range(3)}
+    with pytest.raises(InvalidInput, match=re.escape(f"missing n = {missing}")):
         TowerSeries(r=1, p=3, data=data)
 
 

@@ -7,6 +7,7 @@ from mutower.chainring import RingBase
 from mutower.errors import (
     InconsistentInput,
     InconsistentProfile,
+    InvalidInput,
     NotConverged,
     ProfileTooShort,
 )
@@ -118,6 +119,14 @@ def test_recover_examples():
 def test_recover_requires_convergence():
     prof = MuProfile({1: 1, 2: 2}, {}, {1: True, 2: False}, {1: Fraction(0), 2: Fraction(0)})
     with pytest.raises(NotConverged):
+        recover_elementary(prof)
+
+
+def test_recover_names_entries_without_a_converged_flag():
+    # A hand-built profile with mu[2] but no converged[2] used to raise an
+    # untyped KeyError.
+    prof = MuProfile({1: 1, 2: 2, 3: 3}, {}, {1: True}, {})
+    with pytest.raises(InvalidInput, match=r"no converged entry at n=\[2, 3\]"):
         recover_elementary(prof)
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mutower import lambda_mod, syzygy
-from mutower.chainring import ChainRing, RingBase
+from mutower.chainring import ChainRing, RingBase, diagonalize
 from mutower.errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from mutower.groupring import (
     GroupLevel,
@@ -19,6 +19,7 @@ from mutower.groupring import (
     group_level,
     poly_gen,
     poly_int,
+    poly_mul,
     poly_pi_pow,
     poly_sub,
     quotient_order,
@@ -28,6 +29,7 @@ from mutower.lambda_mod import (
     _binomial_row,
     _entry_to_spoly,
     _level_matrix,
+    check_expansion_budget,
     coinvariants_ordq,
     koszul_homology_ordq,
     presentation,
@@ -411,3 +413,70 @@ def test_level_matrix_peak_is_the_budgeted_division_table(spec, m):
     L = quotient_order(spec, m)
     assert G.coords.shape[0] == 0 and G.div.shape == (L, L)
     assert peak < 8 * L * L + 2 ** 20
+
+
+def level_peak(P, m, N, table_built=False):
+    """(level matrix, diagonal form, traced peak bytes) of level m over
+    O/pi^N, its tables built from scratch, or all but the division table."""
+    group_level.cache_clear()
+    if table_built:
+        group_level(P.spec, m).division_table()
+    tracemalloc.start()
+    try:
+        ring, G, ncols = _level_matrix(P, m, N)
+        form = diagonalize(ring, G, ncols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return G, form, peak
+
+
+@pytest.mark.parametrize(
+    "spec, m",
+    [(GroupSpec.abelian(2, 1), 10), (GroupSpec.abelian(3, 2), 3), (GroupSpec.metacyclic(3), 3), (GroupSpec.abelian(5, 2), 2)],
+    ids=str,
+)
+def test_subgroup_chain_peak_is_its_budget_term(spec, m):
+    # The relation 1 keeps a row, so the level builds its subgroup chain, and
+    # the unit pass clears it with no product: past the division table, the
+    # peak is the chain, which check_expansion_budget counts as
+    # _chain_bytes: more than its tables alone, 8 L^2/(p^2 - 1) bytes at
+    # most.
+    base = RingBase(spec.p, 1, 1)
+    G, form, peak = level_peak(presentation(spec, base, 1, [[poly_int(base, 1, spec.r)]]), m, 2, table_built=True)
+    L, p = quotient_order(spec, m), spec.p
+    assert len(G.chain) == spec.r * m - 1 and form.diag_valuations == (0,) * L
+    assert 8 * L * L // (p * p - 1) < peak <= lambda_mod._chain_bytes(p, L) + 2 ** 16
+
+
+@pytest.mark.parametrize(
+    "spec, m, base, size",
+    [
+        (GroupSpec.abelian(2, 1), 8, RingBase(2, 1, 1), 1),
+        (GroupSpec.abelian(3, 1), 5, RingBase(3, 1, 1), 1),
+        (GroupSpec.abelian(2, 1), 6, RingBase(2, 1, 1), 2),
+        (GroupSpec.abelian(2, 1), 7, RingBase(2, 2, 1), 1),
+        (GroupSpec.abelian(2, 2), 3, RingBase(2, 2, 1), 2),
+        (GroupSpec.abelian(3, 1), 4, RingBase(3, 2, 2), 1),
+        (GroupSpec.metacyclic(3), 2, RingBase(3, 1, 2), 2),
+    ],
+    ids=str,
+)
+def test_level_expanded_whole_peaks_within_its_budget(spec, m, base, size, monkeypatch):
+    # Over O/pi every entry of (z - 1) Lambda, z of order p at level m, stays
+    # a non-unit down the whole subgroup chain, so the level is expanded
+    # whole, and the per-pivot kernel works on its copies of it.  With the
+    # bound just below the measured peak the level is refused, and with
+    # twice the peak it is accepted.
+    p, r = spec.p, spec.r
+    z = poly_sub(poly_gen(base, r, r, power=p ** (m - 1)), poly_int(base, 1, r))
+    zg = poly_mul(spec, base, z, poly_gen(base, 1, r))
+    P = presentation(spec, base, size, [[z if i == j else zg for j in range(size)] for i in range(size)])
+    G, form, peak = level_peak(P, m, 1)
+    L = quotient_order(spec, m)
+    assert len(G.chain) == r * m - 1 and form.row_count == size * L
+    monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
+    with pytest.raises(TooLarge):
+        check_expansion_budget(spec, base, size, size, m, 1)
+    monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", 2 * peak)
+    check_expansion_budget(spec, base, size, size, m, 1)
