@@ -39,17 +39,19 @@ invertible exactly when the augmentation of x is a unit of O/pi^N, and
 inverses, Schur complements and division by pi stay in the group ring.  So
 _eliminate_units removes those entries on the compact array first, with
 int64 group-ring products (L^2 O-products each, under the one exactness
-rule _kernel_dtype(p^M, L e f)).  What it leaves then descends the level's
-subgroup chain Q > Q' > ... of index-p subgroups down to order p
-(groupring.GroupLevel.subgroup_chain): restricted to Q', an entry x is a
-p x p block of elements of (O/pi^N)[Q'], the same matrix with its rows and
-columns permuted, and an entry such as g - 1, in the augmentation ideal of
-Q, has diagonal blocks -1 over a Q' that does not contain g.  So
-_eliminate_units runs again after each restriction, and only the residual
-at order p, over some O/pi^N', N' <= N, is expanded for
-_diagonalize_coordinates, as is the whole matrix when p^M passes that
-rule.  _restrict is the one gather: the expansion is the restriction to the
-trivial subgroup.
+rule _kernel_dtype(p^M, L e f)).  What it leaves then descends through
+index-p subgroups Q > Q' > ... down to order p, each Q_d = <g_1^(p^d_1),
+..., g_r^(p^d_r)> (groupring.GroupLevel.stage): restricted to Q', an entry
+x is a p x p block of elements of (O/pi^N)[Q'], the same matrix with its
+rows and columns permuted, and an entry such as g - 1, in the augmentation
+ideal of Q, has diagonal blocks -1 over a Q' that does not contain g.  Each
+step strips one base-p digit of a generator chosen for the matrix at hand
+(_next_generator): the first whose restriction has a unit entry, so that a
+g_2 - 1 entry is cleared as soon as a g_1 - 1 one would be.  _eliminate_units
+runs again after each restriction, and only the residual at order p, over
+some O/pi^N', N' <= N, is expanded for _diagonalize_coordinates, as is the
+whole matrix when p^M passes that rule.  _restrict is the one gather: the
+expansion is the restriction to the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -308,7 +311,9 @@ class ChainRing:
             self.one = (1,) + self.zero[1:]
 
     @classmethod
+    @lru_cache(maxsize=256)
     def from_base(cls, base: RingBase, N: int) -> "ChainRing":
+        """O/pi^N, one shared instance per (base, N): rings are immutable."""
         return cls(base.p, base.e, base.f, N)
 
     def __repr__(self):
@@ -489,13 +494,14 @@ class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
     coords[i, j, h], of shape (rels, gens, L, e*f), holds the O-coordinates
     of the coefficient of the h-th element of Q in entry (i, j), element 0
-    the identity, and div[g, c] is the index of g^-1 g_c.  chain holds the
-    stages (gather, div') of a descent through index-p subgroups that the
-    unit pass takes (groupring.GroupLevel.subgroup_chain), or nothing."""
+    the identity, and div[g, c] is the index of g^-1 g_c.  level, when
+    given, is the group level of Q (groupring.GroupLevel, read through its
+    m, spec.r and stage(d, k)), through whose index-p subgroups the unit
+    pass descends (_descend)."""
 
     coords: np.ndarray
     div: np.ndarray
-    chain: Tuple[Tuple[np.ndarray, np.ndarray], ...] = ()
+    level: object = None
 
     def expand(self) -> np.ndarray:
         """The (rels L, gens L, e*f) coordinate array it stands for: the
@@ -617,12 +623,57 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple
                 B //= p
             else:
                 B[...] = _div_pi_pow(B, ring, 1)
-            ring = ChainRing(p, ring.e, f, ring.N - 1)
+            ring = ChainRing.from_base(ring.base, ring.N - 1)
             mod = ring.pM if simple else np.array(ring.moduli, dtype=np.int64)
             shift += 1
         else:
             break
     return vals, R[d:, d:], ring, shift
+
+
+def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing") -> int:
+    """The generator g_k whose digit d_k the descent strips next from Q_d
+    (R as in _eliminate_units, its entries in (O/pi^N)[Q_d], digits 0..m-1
+    per generator): the first whose restriction has a unit entry, else the
+    first with digits left.
+
+    Q' = Q_(d + e_k) has index p, so it is normal, and block (s, s') of a
+    restricted entry x has as augmentation the sum of x over the coset
+    Q' t_s^-1 t_s'.  So the p coset sums of each entry decide, and no table
+    is built: Q_d runs in increasing index, over the grid of the exponents
+    e_j / p^d_j of extents p^(m - d_j), and the coset of an element is its
+    g_k digit at position d_k, the lowest base-p digit along axis k."""
+    left = [k for k, dk in enumerate(d) if dk < m]
+    if len(left) > 1:
+        p = ring.p
+        X = R[..., None] if R.ndim == 3 else R[..., : ring.f]  # the pi^0-digit coordinates
+        extents = [p ** (m - dk) for dk in d]
+        for k in left:
+            grid = (prod(extents[:k]) * extents[k] // p, p, prod(extents[k + 1 :]))
+            sums = X.reshape(*X.shape[:2], *grid, X.shape[3]).sum(axis=(2, 4))
+            if (sums % p).any():
+                return k
+    return left[0]
+
+
+def _descend(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> Tuple[List[int], np.ndarray, np.ndarray, "ChainRing", int]:
+    """_eliminate_units over Q and then, if a level (GroupRingMatrix.level)
+    is given and entries are left, over its subgroups Q_d down to order p,
+    one index-p step chosen by _next_generator at a time.
+    Returns (pivot valuations, residual, the division table of its subgroup,
+    ring', shift) as _eliminate_units does."""
+    vals, R, ring, shift = _eliminate_units(R, div, ring)
+    if level is None:
+        return vals, R, div, ring, shift
+    d = (0,) * level.spec.r
+    while R.size and len(div) > ring.p:
+        k = _next_generator(R, d, level.m, ring)
+        gather, div = level.stage(d, k)
+        more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
+        vals += [v + shift for v in more]
+        shift += s
+        d = d[:k] + (d[k] + 1,) + d[k + 1 :]
+    return vals, R, div, ring, shift
 
 
 def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
@@ -731,7 +782,7 @@ def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
                 break
             # Every entry lies in (pi).
             A = _div_pi_pow(A, ring, 1)
-            ring = ChainRing(p, ring.e, f, ring.N - 1)
+            ring = ChainRing.from_base(ring.base, ring.N - 1)
             moduli = np.array(ring.moduli, dtype=dtype)
             shift += 1
             continue
@@ -789,8 +840,9 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     expansion; ``ncols`` is mandatory for empty matrices.  For L > 1, the
     unit entries of a GroupRingMatrix are eliminated on its compact array
     when _kernel_dtype(p^M, L e f) is int64, then those of its restrictions
-    down the subgroup chain it carries, and only the rest, at the chain's
-    last subgroup, is expanded.  Everything else goes through one pi-adic
+    to the index-p subgroups of its level that _descend picks for this
+    matrix, down to order p, and only the rest, over the last subgroup, is
+    expanded.  Everything else goes through one pi-adic
     elimination on unit pivots, _diagonalize_coordinates.  The multiset of
     diagonal valuations with the free-column count is an isomorphism
     invariant of the cokernel.
@@ -806,15 +858,7 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
         if L > 1 and _kernel_dtype(ring.pM, L * ring.e * ring.f) is np.int64:
             # e*f = 1 takes the pass on plain residues, without the O-coordinate axis.
             R = R[..., 0] % ring.pM if ring.is_simple else R % np.array(ring.moduli, dtype=R.dtype)
-            vals, R, ring, shift = _eliminate_units(R.astype(np.int64, copy=False), div, ring)
-            # What is left descends the chain (see the module docstring).
-            for gather, sub_div in rows.chain:
-                if not R.size:
-                    break
-                more, R, ring, s = _eliminate_units(_restrict(R, gather), sub_div, ring)
-                vals += [v + shift for v in more]
-                shift += s
-                div = sub_div
+            vals, R, div, ring, shift = _descend(R.astype(np.int64, copy=False), div, ring, rows.level)
             if ring.is_simple:
                 R = R[..., None]
         A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()

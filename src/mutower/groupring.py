@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chainring import ChainRing, RingBase, _is_prime
 from .errors import InvalidInput
@@ -100,7 +101,7 @@ class GroupLevel:
         self.radix = spec.p ** m
         self.order = spec.p ** (spec.r * m)
         self._div = None
-        self._chain = None
+        self._stages = {}
 
     def index(self, exps: Sequence[int]) -> int:
         if len(exps) != self.spec.r:
@@ -117,78 +118,85 @@ class GroupLevel:
         and of h = g_c: digit k of g^-1 h is a small broadcast term added in
         place, (h_k - g_k) mod p^m, except that the metacyclic a-digit is
         (h_1 - g_1) u^(-g_2), as (a^x1 b^x2)^-1 a^y1 b^y2 =
-        a^((y1 - x1) u^(-x2)) b^(y2 - x2)."""
+        a^((y1 - x1) u^(-x2)) b^(y2 - x2).  For r = 1 that term would be as
+        large as the table, so the table is gathered whole instead."""
         if self._div is not None:
             return self._div
         R, r = self.radix, self.spec.r
-        div = np.zeros((R,) * (2 * r), dtype=np.int64)
         digits = np.arange(R, dtype=np.int64)
+        if r == 1:
+            # Row g, (c - g) mod p^m, is the digits rotated by g: one gather
+            # from the windows of two copies, with no L x L temporary.
+            div = sliding_window_view(np.concatenate([digits, digits]), R)[R - digits]
+        else:
+            div = np.zeros((R,) * (2 * r), dtype=np.int64)
 
-        def along(axis):
-            return digits.reshape([R if a == axis else 1 for a in range(2 * r)])
+            def along(axis):
+                return digits.reshape([R if a == axis else 1 for a in range(2 * r)])
 
-        for k in range(r):
-            term = (along(r + k) - along(k)) % R
-            if k == 0 and self.spec.kind == METACYCLIC:
-                u = self.spec.action_unit
-                term = term * np.array([pow(u, -t, R) for t in range(R)], dtype=np.int64)[along(1)] % R
-            div += term * R ** (r - 1 - k)
+            for k in range(r):
+                term = (along(r + k) - along(k)) % R
+                if k == 0 and self.spec.kind == METACYCLIC:
+                    u = self.spec.action_unit
+                    term = term * np.array([pow(u, -t, R) for t in range(R)], dtype=np.int64)[along(1)] % R
+                div += term * R ** (r - 1 - k)
         div = div.reshape(self.order, self.order)
         div.setflags(write=False)
         self._div = div
         group_level.trim()
         return div
 
-    def subgroup_chain(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
-        """The descent Q = Q_0 > Q_1 > ... > Q_t, |Q_t| = p (no stage for
-        |Q| <= p), of index-p subgroups, as one (gather, div') per stage.
+    def _members(self, d: Tuple[int, ...]) -> np.ndarray:
+        """Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)>, the elements whose exponent
+        e_k is divisible by p^d_k, as increasing indices into Q."""
+        idx = np.zeros(1, dtype=np.int64)
+        for dk in d:
+            idx = (idx[:, None] * self.radix + np.arange(0, self.radix, self.spec.p ** dk)).ravel()
+        return idx
 
-        Q_(k+1) drops one base-p exponent digit of Q_k, first of g_1, then of
-        g_2, ...: <g_1^(p^(j+1)), g_2, ...> in <g_1^(p^j), g_2, ...>, with
-        transversal t_s = g_1^(s p^j).  For the metacyclic preset <a^(p^j), b>
-        is a subgroup because b a b^-1 = a^u with u = 1 mod p.  Over the right
-        cosets Q_(k+1) t_s of Q_k, an entry x of (O/pi^N)[Q_k] restricts to
-        the p x p block y_(s,s')(z) = x(t_s^-1 z t_s'), z in Q_(k+1), whose
-        regular representation is rho(x) with rows and columns permuted
-        (z t_s <-> (s, z)): gather[s, s', z] is the position in Q_k of
-        t_s^-1 z t_s', read from the division table as div[div[z, t_s], t_s'],
-        which needs no normality.  div' is the division table of Q_(k+1),
-        restricted from div and relabelled.  Every Q_k keeps the order of Q,
-        so its identity stays first."""
-        if self._chain is not None:
-            return self._chain
+    def stage(self, d: Tuple[int, ...], k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(gather, div') of the restriction from (O/pi^N)[Q_d] to its
+        index-p subgroup Q' = Q_(d + e_k), which strips digit d_k of g_k;
+        built on first use and kept.
+
+        Q_d is a subgroup in both presets: for the metacyclic one, b a b^-1
+        = a^u with u = 1 mod p.  Its members are labelled by increasing
+        index in Q (_members), so the identity stays first and a stage
+        depends on (d, k) alone, not on the stages that reached Q_d.  Over
+        the right cosets Q' t_s of Q_d, t_s = g_k^(s p^d_k), an entry x of
+        (O/pi^N)[Q_d] restricts to the p x p block y_(s,s')(z) = x(t_s^-1 z
+        t_s'), z in Q', whose regular representation is rho(x) with rows and
+        columns permuted (z t_s <-> (s, z)): gather[s, s', z] is the
+        position in Q_d of t_s^-1 z t_s', read from the division table as
+        div[div[z, t_s], t_s'].  div' is the division table of Q', restricted
+        from div and relabelled."""
+        stage = self._stages.get((d, k))
+        if stage is not None:
+            return stage
         p, R, r = self.spec.p, self.radix, self.spec.r
         div = self.division_table()
-        digits = np.indices((R,) * r).reshape(r, -1)  # exponent digits of every element of Q
-        members = np.arange(self.order)  # Q_k, as indices into Q
+        members = self._members(d)
+        sub = self._members(d[:k] + (d[k] + 1,) + d[k + 1 :])
+        t = np.arange(p) * p ** d[k] * R ** (r - 1 - k)
         position = np.empty(self.order, dtype=np.int64)
-        stages = []
-        for k in range(r):
-            for j in range(self.m):
-                if len(members) <= p:
-                    break
-                sub = members[digits[k, members] % p ** (j + 1) == 0]
-                t = np.arange(p) * p ** j * R ** (r - 1 - k)  # g_k^(s p^j)
-                position[members] = np.arange(len(members))
-                gather = position[div[div[sub[None, :], t[:, None]][:, None, :], t[None, :, None]]]
-                position[sub] = np.arange(len(sub))
-                sub_div = position[div[np.ix_(sub, sub)]]
-                for a in (gather, sub_div):
-                    a.setflags(write=False)
-                stages.append((gather, sub_div))
-                members = sub
-        self._chain = tuple(stages)
+        position[members] = np.arange(len(members))
+        gather = position[div[div[sub[None, :], t[:, None]][:, None, :], t[None, :, None]]]
+        position[sub] = np.arange(len(sub))
+        sub_div = position[div[np.ix_(sub, sub)]]
+        for a in (gather, sub_div):
+            a.setflags(write=False)
+        self._stages[d, k] = stage = (gather, sub_div)
         group_level.trim()
-        return self._chain
+        return stage
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the division table and subgroup chain built so far."""
+        """Bytes of the division table and of every stage built so far."""
         tables = [] if self._div is None else [self._div]
-        return sum(a.nbytes for a in tables + [a for stage in self._chain or () for a in stage])
+        return sum(a.nbytes for a in tables + [a for stage in self._stages.values() for a in stage])
 
 
-# Bytes of division tables and subgroup chains that group_level keeps between
+# Bytes of division tables and descent stages that group_level keeps between
 # calls.  The benchmark corpus needs well under 1 MB (its largest table is
 # 52 KB, at L = 81); a table beyond the bound is dropped once its caller
 # lets go of it.
@@ -197,7 +205,7 @@ LEVEL_CACHE_BYTES = 2 ** 28
 
 class _LevelCache:
     """group_level(spec, m): one GroupLevel per (spec, m), least recently used
-    first dropped once the levels' tables and chains pass LEVEL_CACHE_BYTES."""
+    first dropped once the levels' tables and stages pass LEVEL_CACHE_BYTES."""
 
     def __init__(self):
         self._levels: "OrderedDict[Tuple[GroupSpec, int], GroupLevel]" = OrderedDict()
@@ -213,7 +221,7 @@ class _LevelCache:
 
     def trim(self) -> None:
         """Drop least recently used levels until the rest fit the bound;
-        GroupLevel calls it whenever it builds a table."""
+        GroupLevel calls it whenever it builds a table or a stage."""
         held = self.nbytes
         while held > LEVEL_CACHE_BYTES:
             _, level = self._levels.popitem(last=False)

@@ -1,13 +1,14 @@
 import random
 import time
 import tracemalloc
+from itertools import permutations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
-from sympy.matrices.normalforms import hermite_normal_form
+from sympy import ZZ, Matrix, eye
+from sympy.matrices.normalforms import hermite_normal_form, invariant_factors
 
 from mutower import chainring, lambda_mod
 from mutower.chainring import (
@@ -26,6 +27,7 @@ from mutower.chainring import (
 )
 from mutower.errors import InvalidInput, SingularBlock, TooLarge
 from mutower.groupring import (
+    GroupLevel,
     GroupRingPoly,
     GroupSpec,
     _norm_terms,
@@ -567,6 +569,24 @@ def test_diagonal_valuations_sorted_ascending():
             assert list(form.diag_valuations) == sorted(form.diag_valuations)
 
 
+def test_lower_precision_rings_are_shared(monkeypatch):
+    # Every division by pi, in the per-pivot kernel and in the unit pass,
+    # takes O/pi^(N-1) from the one cached constructor.
+    base = RingBase(3, 1, 1)
+    ring = ChainRing.from_base(base, 4)
+    assert ChainRing.from_base(RingBase(3, 1, 1), 4) is ring
+    _, G, ncols = _level_matrix(presentation(GroupSpec.abelian(3, 1), base, 1, [[poly_int(base, 9, 1)]]), 1, 4)
+    cases = [([[3, 0], [0, 9]], None), (G, ncols)]
+    expected = [diagonalize(ring, rows, ncols) for rows, ncols in cases]
+    assert expected[0].diag_valuations == (1, 2) and expected[1].diag_valuations == (2, 2, 2)
+
+    def refuse(self, *args):
+        raise AssertionError(f"ChainRing{args} built again")
+
+    monkeypatch.setattr(ChainRing, "__init__", refuse)
+    assert [diagonalize(ring, rows, ncols) for rows, ncols in cases] == expected
+
+
 def test_mixed_ring_entries_rejected():
     ring = ChainRing(3, 1, 1, 2)
     with pytest.raises(InvalidInput):
@@ -664,28 +684,45 @@ def group_law(div):
     return (lambda g, h: div[inv[g], h]), inv
 
 
+def stripped(d, k):
+    """d with one more digit of generator k stripped."""
+    return d[:k] + (d[k] + 1,) + d[k + 1 :]
+
+
 def assert_stages_permute_the_expansion(G, p):
     """Each stage's restriction of the level matrix G (no elimination)
     expands to its parent's expansion with rows and columns permuted,
     (i, s, z) <-> (i, z t_s), t_s the transversal.  The subgroup and the
     transversal are read off the gather at s = 0 and z = 1, where t_0 = 1.
-    A chain runs down to order p, one index p at a time."""
-    orders = [len(G.div)] + [len(sub_div) for _, sub_div in G.chain]
-    if len(G.coords):
-        assert orders[-1] == min(orders[0], p) and all(a == b * p for a, b in zip(orders, orders[1:]))
-    R, div = G.coords[..., 0], G.div
-    for gather, sub_div in G.chain:
-        sub, L = _restrict(R, gather), len(div)
-        mul, _ = group_law(div)
-        members, t = gather[0, 0], gather[0, :, 0]
-        cosets = mul(members[None, :], t[:, None]).ravel()
-        assert sorted(cosets) == list(range(L))
-        rows = (np.arange(len(R))[:, None] * L + cosets).ravel()
-        cols = (np.arange(R.shape[1])[:, None] * L + cosets).ravel()
-        parent = regular_representation(R, div)
-        assert sub.shape == (len(R) * p, R.shape[1] * p, L // p)
-        assert (regular_representation(sub, sub_div) == parent[rows][:, cols]).all()
-        R, div = sub, sub_div
+    Checked on the descents that strip the generators' digits in each fixed
+    order, g_1 first, g_2 first, ..., each down to order p, one index p at
+    a time."""
+    level = G.level
+    r, m = level.spec.r, level.m
+    for order in permutations(range(r)):
+        R, div, d = G.coords[..., 0], G.div, (0,) * r
+        for k in [k for k in order for _ in range(m)][:-1]:
+            gather, sub_div = level.stage(d, k)
+            sub, L = _restrict(R, gather), len(div)
+            mul, _ = group_law(div)
+            members, t = gather[0, 0], gather[0, :, 0]
+            cosets = mul(members[None, :], t[:, None]).ravel()
+            assert sorted(cosets) == list(range(L))
+            rows = (np.arange(len(R))[:, None] * L + cosets).ravel()
+            cols = (np.arange(R.shape[1])[:, None] * L + cosets).ravel()
+            parent = regular_representation(R, div)
+            assert sub.shape == (len(R) * p, R.shape[1] * p, L // p)
+            assert (regular_representation(sub, sub_div) == parent[rows][:, cols]).all()
+            R, div, d = sub, sub_div, stripped(d, k)
+        assert len(div) == min(len(G.div), p)
+
+
+def garnishes(draw, spec):
+    """None, one or two pseudo-null summands Lambda/(pi, g_j - 1) for r = 2:
+    g_1, g_2, g_1 and g_2, or g_2 twice."""
+    if spec.r != 2:
+        return ()
+    return tuple(Garnish(j) for j in draw(st.sampled_from([(), (1,), (2,), (1, 2), (2, 2)])))
 
 
 @st.composite
@@ -693,8 +730,7 @@ def level_matrices(draw):
     spec = draw(st.sampled_from(BLOCK_SPECS))
     m = draw(st.integers(0, 2))
     alphas = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
-    garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
-    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
+    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnishes(draw, spec), seed=draw(st.integers(0, 10 ** 6)))
     N = draw(st.integers(1, 6))
     return _level_matrix(quotient_pi(make_module(gt, spec), N), m, N)
 
@@ -897,45 +933,80 @@ def test_descent_on_metacyclic_levels_matches_per_pivot_kernel(case):
     assert diagonalize(ring, G, ncols) == scalar_form(ring, G, ncols)
 
 
+class CommutedLevel:
+    """A level whose stages out of Q read x(z t_s^-1 t_s') in place of
+    x(t_s^-1 z t_s'), the same on abelian levels; at metacyclic m = 2 it is
+    wrong."""
+
+    def __init__(self, level):
+        self.level, self.m, self.spec = level, level.m, level.spec
+
+    def stage(self, d, k):
+        gather, sub_div = self.level.stage(d, k)
+        if any(d):
+            return gather, sub_div
+        mul, inv = group_law(self.level.division_table())
+        members, t = gather[0, 0], gather[0, :, 0]
+        return mul(mul(members, inv[t][:, None, None]), t[None, :, None]), sub_div
+
+
 def test_commuted_restriction_fails_on_a_metacyclic_level():
-    # Reading the restriction at x(z t_s^-1 t_s') in place of x(t_s^-1 z t_s')
-    # is the same on abelian levels; at metacyclic m = 2 it is wrong.
     rows = [
         [metacyclic_entry([(1, 1, 1), (-1, 0, 0)]), metacyclic_entry([(1, 0, 1), (2, 1, 0)])],
         [metacyclic_entry([(1, 2, 1), (1, 1, 0)]), metacyclic_entry([(3, 0, 0), (1, 1, 2), (-1, 0, 0)])],
     ]
     ring, G, ncols = _level_matrix(presentation(METACYCLIC, BASE3, 2, rows), 2, 4)
     mul, inv = group_law(G.div)
-    gather, sub_div = G.chain[0]
-    members, t = gather[0, 0], gather[0, :, 0]
-    assert (gather == mul(mul(inv[t][:, None, None], members), t[None, :, None])).all()
-    commuted = mul(mul(members, inv[t][:, None, None]), t[None, :, None])
-    wrong = GroupRingMatrix(G.coords, G.div, ((commuted, sub_div),) + G.chain[1:])
+    for k in (0, 1):
+        gather, _ = G.level.stage((0, 0), k)
+        members, t = gather[0, 0], gather[0, :, 0]
+        assert (gather == mul(mul(inv[t][:, None, None], members), t[None, :, None])).all()
+    wrong = GroupRingMatrix(G.coords, G.div, CommutedLevel(G.level))
     expected = scalar_form(ring, G, ncols)
     assert diagonalize(ring, G, ncols) == expected
     assert diagonalize(ring, wrong, ncols).diag_valuations != expected.diag_valuations
 
 
-def test_descent_expands_only_the_last_residual(monkeypatch):
-    # Garnished abelian(3, 2) at m = 2 (L = 81): g2 - 1 is no unit over Q,
-    # nor over the subgroups <g1^3, g2> and <g2> that keep g2 whole, but over
-    # <g2^3> its diagonal blocks are -1.  So the pass runs at L' = 81, 27, 9
-    # and 3, and only the L' = 3 residual is expanded.
-    spec = GroupSpec.abelian(3, 2)
-    P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(2),), seed=3), spec), 6)
-    events = []
-    expand, eliminate = GroupRingMatrix.expand, chainring._eliminate_units
+@pytest.mark.parametrize("spec", [GroupSpec.abelian(3, 2), GroupSpec.metacyclic(3)], ids=str)
+def test_stage_depends_only_on_the_subgroup(spec):
+    # Q_(1,1) = <g_1^3, g_2^3> at m = 2, reached by stripping a digit of g_1
+    # and then of g_2, or of g_2 and then of g_1: the same members, labelled
+    # in the same increasing order, and the same division table.
+    level = group_level(spec, 2)
 
-    def recording_expand(self):
-        events.append(("expand", len(self.div)))
-        return expand(self)
+    def descend(ks):
+        members, d = np.arange(level.order), (0, 0)
+        for k in ks:
+            gather, div = level.stage(d, k)
+            members, d = members[gather[0, 0]], stripped(d, k)
+        return members, div
 
-    def recording_eliminate(R, div, ring):
-        events.append(("pass", len(div)))
-        return eliminate(R, div, ring)
+    (a, div_a), (b, div_b) = descend((0, 1)), descend((1, 0))
+    assert a.tolist() == b.tolist() == [9 * e1 + e2 for e1 in (0, 3, 6) for e2 in (0, 3, 6)]
+    assert (div_a == div_b).all()
 
-    monkeypatch.setattr(GroupRingMatrix, "expand", recording_expand)
-    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+
+@pytest.mark.parametrize("spec", [GroupSpec.abelian(3, 2), GroupSpec.metacyclic(3), GroupSpec.abelian(2, 2)], ids=str)
+def test_g2_garnish_sends_nothing_to_the_kernel(spec, monkeypatch):
+    # Lambda/pi (+) Lambda/pi^3 (+) Lambda/(pi, g2 - 1) at m = 2: g2 - 1 is
+    # no unit over Q, but over <g1, g2^p> its diagonal blocks are -1, so the
+    # descent strips a digit of g2 first and the unit passes leave nothing
+    # for the per-pivot kernel (a chain that stripped g1 first sent it 270 x
+    # 189, 270 x 189 and 56 x 40 here).
+    P = quotient_pi(make_module(GroundTruth(0, (1, 3), (Garnish(2),), seed=0), spec), 6)
+    steps, kernel = [], []
+    stage, diagonalize_coordinates = GroupLevel.stage, chainring._diagonalize_coordinates
+
+    def recording_stage(self, d, k):
+        steps.append(k)
+        return stage(self, d, k)
+
+    def recording_kernel(A, ring):
+        kernel.append(A.shape)
+        return diagonalize_coordinates(A, ring)
+
+    monkeypatch.setattr(GroupLevel, "stage", recording_stage)
+    monkeypatch.setattr(chainring, "_diagonalize_coordinates", recording_kernel)
     group_level.cache_clear()
     tracemalloc.start()
     try:
@@ -944,7 +1015,7 @@ def test_descent_expands_only_the_last_residual(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert events == [("pass", 81), ("pass", 27), ("pass", 9), ("pass", 3), ("expand", 3)]
+    assert steps[0] == 1 and kernel == []
     monkeypatch.undo()
     assert form == scalar_form(ring, G, ncols)
     # The budget holds: with the bound just below the measured peak, the
@@ -952,6 +1023,42 @@ def test_descent_expands_only_the_last_residual(monkeypatch):
     monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
     with pytest.raises(TooLarge):
         check_expansion_budget(spec, P.base, P.rels, P.gens, 2, 6)
+
+
+def smith_valuations(A, p, N):
+    """Oracle: the p-adic valuations, capped at N, of the Smith invariants
+    over Z of the integer matrix A stacked on p^N I, those of its cokernel
+    over Z/p^N.  The lattice contains p^N Z^cols, so sympy's modular
+    Hermite form is a square basis of it, and sympy's Smith form is taken of
+    that: on the whole stack it ran for seconds to minutes."""
+    cols = A.shape[1]
+    H = hermite_normal_form(Matrix(A.tolist()).col_join(p ** N * eye(cols)).T, D=p ** (N * cols))
+    vals = []
+    for x in invariant_factors(H, domain=ZZ):
+        x, v = abs(int(x)), 0
+        while x % p == 0 and v < N:
+            x, v = x // p, v + 1
+        vals.append(v)
+    assert len(vals) == cols
+    return sorted(vals)
+
+
+@pytest.mark.parametrize(
+    "gt, m, N",
+    [
+        (GroundTruth(0, (1,), (Garnish(2),), seed=0), 1, 3),
+        (GroundTruth(0, (1,), (Garnish(2),), seed=0), 2, 3),
+        (GroundTruth(0, (1, 2), (Garnish(1), Garnish(2)), seed=1), 2, 4),
+        (GroundTruth(1, (2,), (Garnish(2), Garnish(2)), seed=2), 2, 4),
+    ],
+    ids=str,
+)
+def test_garnished_levels_match_sympy_smith_form(gt, m, N):
+    # abelian(2, 2) levels of L <= 16 over Z_2: the valuations of the
+    # diagonal form, free columns counting N, are those of the Smith form.
+    ring, G, ncols = _level_matrix(quotient_pi(make_module(gt, GroupSpec.abelian(2, 2)), N), m, N)
+    form = diagonalize(ring, G, ncols)
+    assert sorted(form.diag_valuations + (N,) * form.free_cols) == smith_valuations(G.expand()[..., 0], 2, N)
 
 
 # ---------------------------------------------------------------------------
@@ -966,8 +1073,7 @@ def wide_levels(draw):
     base = draw(st.sampled_from(WIDE_RINGS))
     spec = draw(st.sampled_from([s for s in WIDE_SPECS if s.p == base.p]))
     alphas = tuple(draw(st.lists(st.integers(1, 4), max_size=2)))
-    garnish = (Garnish(draw(st.integers(1, 2))),) if spec.r == 2 and draw(st.booleans()) else ()
-    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnish, seed=draw(st.integers(0, 10 ** 6)))
+    gt = GroundTruth(draw(st.integers(0, 1)), alphas, garnishes(draw, spec), seed=draw(st.integers(0, 10 ** 6)))
     N = draw(st.integers(1, 5))
     return _level_matrix(quotient_pi(make_module(gt, spec, base), N), draw(st.integers(0, 2)), N)
 
@@ -977,35 +1083,39 @@ def wide_levels(draw):
 def test_wide_unit_pass_matches_per_pivot_kernel(case):
     # The oracle is the per-pivot kernel on the whole expansion.
     ring, G, ncols = case
-    assert bool(G.chain) == (len(G.coords) > 0 and len(G.div) > ring.p)
+    assert G.level.order == len(G.div)
     vals = _diagonalize_coordinates(G.expand(), ring)
     form = diagonalize(ring, G, ncols)
     assert form.diag_valuations == tuple(sorted(vals)) and form.free_cols == ncols - len(vals)
 
 
-def test_wide_descent_expands_only_the_last_residual(monkeypatch):
+def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     # Garnished abelian(3, 2) over the ramified O = Z_3[sqrt 3] at m = 2:
-    # g2 - 1 is a unit only over <g2^3>, so the pass runs at L' = 81, 27, 9
-    # and 3 with the O-coordinate axis, and only the L' = 3 residual is
-    # expanded.
+    # g2 - 1 is a unit over <g1, g2^3>, so the descent strips a digit of g2
+    # first, with the O-coordinate axis, and the unit passes leave nothing
+    # for the per-pivot kernel.
     spec, base = GroupSpec.abelian(3, 2), RingBase(3, 2, 1)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(2),), seed=3), spec, base), 6)
     events = []
-    expand, eliminate = GroupRingMatrix.expand, chainring._eliminate_units
+    stage, eliminate = GroupLevel.stage, chainring._eliminate_units
 
-    def recording_expand(self):
-        events.append(("expand", len(self.div)))
-        return expand(self)
+    def recording_stage(self, d, k):
+        events.append(("stage", d, k))
+        return stage(self, d, k)
 
     def recording_eliminate(R, div, ring):
         events.append(("pass", len(div), R.shape[3:], ring.N))
         return eliminate(R, div, ring)
 
-    monkeypatch.setattr(GroupRingMatrix, "expand", recording_expand)
+    def refuse(A, ring):
+        raise AssertionError(f"{A.shape} residual sent to the per-pivot kernel")
+
+    monkeypatch.setattr(GroupLevel, "stage", recording_stage)
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    monkeypatch.setattr(chainring, "_diagonalize_coordinates", refuse)
     ring, G, ncols = _level_matrix(P, 2, 6)
     form = diagonalize(ring, G, ncols)
-    assert events == [("pass", L, (2,), 6) for L in (81, 27, 9, 3)] + [("expand", 3)]
+    assert events[:3] == [("pass", 81, (2,), 6), ("stage", (0, 0), 1), ("pass", 27, (2,), 6)]
     monkeypatch.undo()
     assert form == scalar_form(ring, G, ncols)
 

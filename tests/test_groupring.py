@@ -317,6 +317,22 @@ def test_division_table_inverts_the_group_law(spec, m):
     assert (np.take_along_axis(div, mul, axis=1) == np.arange(level.order)).all()
 
 
+def test_division_table_of_one_generator_peaks_at_the_table():
+    # For r = 1 the digit is written into the table in place: building it
+    # takes its 8 L^2 bytes and no L x L temporary.
+    group_level.cache_clear()
+    tracemalloc.start()
+    try:
+        div = group_level(GroupSpec.abelian(2, 1), 10).division_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    L = 2 ** 10
+    assert div.shape == (L, L) and div[3, 1] == L - 2
+    assert peak <= 8 * L * L + 2 ** 16
+    group_level.cache_clear()
+
+
 PRESETS = [GroupSpec.abelian(2, 1), GroupSpec.abelian(3, 1), GroupSpec.abelian(2, 2), GroupSpec.abelian(3, 2), GroupSpec.metacyclic(3)]
 # O = Z_p and the rings of the generic_ring benchmark workload
 BASES = {
@@ -367,7 +383,7 @@ def test_expansion_uses_no_scalar_arithmetic(base, monkeypatch):
 
 
 def test_level_cache_is_bounded_by_bytes(monkeypatch):
-    # Tables and chains of 0.7, 0.5, 2.8, 4.8 and 0.06 MB against a 2 MiB bound:
+    # Tables and first stages of 0.7, 0.5, 2.6, 4.7 and 0.06 MB against a 2 MiB bound:
     # least recently used levels go first, and a level over the bound alone
     # is not kept at all.
     bound = 2 ** 21
@@ -385,7 +401,8 @@ def test_level_cache_is_bounded_by_bytes(monkeypatch):
     try:
         for spec, m in levels:
             level = group_level(spec, m)
-            level.subgroup_chain()
+            stage = level.stage((0,) * spec.r, 0)
+            assert level.nbytes == level.division_table().nbytes + sum(a.nbytes for a in stage)
             built += level.nbytes
             del level
             assert group_level.nbytes <= bound

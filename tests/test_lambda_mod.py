@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 import warnings
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -415,12 +416,10 @@ def test_level_matrix_peak_is_the_budgeted_division_table(spec, m):
     assert peak < 8 * L * L + 2 ** 20
 
 
-def level_peak(P, m, N, table_built=False):
+def level_peak(P, m, N):
     """(level matrix, diagonal form, traced peak bytes) of level m over
-    O/pi^N, its tables built from scratch, or all but the division table."""
+    O/pi^N, its tables built from scratch."""
     group_level.cache_clear()
-    if table_built:
-        group_level(P.spec, m).division_table()
     tracemalloc.start()
     try:
         ring, G, ncols = _level_matrix(P, m, N)
@@ -437,16 +436,27 @@ def level_peak(P, m, N, table_built=False):
     ids=str,
 )
 def test_subgroup_chain_peak_is_its_budget_term(spec, m):
-    # The relation 1 keeps a row, so the level builds its subgroup chain, and
-    # the unit pass clears it with no product: past the division table, the
-    # peak is the chain, which check_expansion_budget counts as
-    # _chain_bytes: more than its tables alone, 8 L^2/(p^2 - 1) bytes at
-    # most.
-    base = RingBase(spec.p, 1, 1)
-    G, form, peak = level_peak(presentation(spec, base, 1, [[poly_int(base, 1, spec.r)]]), m, 2, table_built=True)
-    L, p = quotient_order(spec, m), spec.p
-    assert len(G.chain) == spec.r * m - 1 and form.diag_valuations == (0,) * L
-    assert 8 * L * L // (p * p - 1) < peak <= lambda_mod._chain_bytes(p, L) + 2 ** 16
+    # A descent builds one stage per index-p step down to order p, and the
+    # stages of every path have the same sizes: past the division table,
+    # building them peaks within _chain_bytes, which check_expansion_budget
+    # counts, and above their tables alone, 8 L^2/(p^2 - 1) bytes at most.
+    L, p, r = quotient_order(spec, m), spec.p, spec.r
+    for order in permutations(range(r)):
+        group_level.cache_clear()
+        level = group_level(spec, m)
+        level.division_table()
+        d = (0,) * r
+        tracemalloc.start()
+        try:
+            for k in [k for k in order for _ in range(m)][:-1]:
+                _, sub_div = level.stage(d, k)
+                d = d[:k] + (d[k] + 1,) + d[k + 1 :]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(level._stages) == r * m - 1 and len(sub_div) == p
+        assert 8 * L * L // (p * p - 1) < peak <= lambda_mod._chain_bytes(p, L) + 2 ** 16
+    group_level.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -474,7 +484,7 @@ def test_level_expanded_whole_peaks_within_its_budget(spec, m, base, size, monke
     P = presentation(spec, base, size, [[z if i == j else zg for j in range(size)] for i in range(size)])
     G, form, peak = level_peak(P, m, 1)
     L = quotient_order(spec, m)
-    assert len(G.chain) == r * m - 1 and form.row_count == size * L
+    assert len(G.level._stages) == r * m - 1 and form.row_count == size * L
     monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
     with pytest.raises(TooLarge):
         check_expansion_budget(spec, base, size, size, m, 1)
