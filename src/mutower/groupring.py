@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chainring import ChainRing, RingBase, _is_prime
 from .errors import InvalidInput
@@ -115,31 +114,33 @@ class GroupLevel:
         """Division table: div[g, c] = index of g^-1 g_c.
 
         Built in one L x L allocation with an axis per exponent digit of g
-        and of h = g_c: digit k of g^-1 h is a small broadcast term added in
-        place, (h_k - g_k) mod p^m, except that the metacyclic a-digit is
-        (h_1 - g_1) u^(-g_2), as (a^x1 b^x2)^-1 a^y1 b^y2 =
-        a^((y1 - x1) u^(-x2)) b^(y2 - x2).  For r = 1 that term would be as
-        large as the table, so the table is gathered whole instead."""
+        and of h = g_c: digit k of g^-1 h is (h_k - g_k) mod p^m, except
+        that the metacyclic a-digit is (h_1 - g_1) u^(-g_2), as (a^x1
+        b^x2)^-1 a^y1 b^y2 = a^((y1 - x1) u^(-x2)) b^(y2 - x2).  The leading
+        digit is assigned into the table one slab g_1 = g at a time, a term
+        of at most R^2 elements (assignment broadcasts without the buffers a
+        broadcast ufunc allocates), and each later digit, a broadcast term
+        of R^2 elements, is added in place: no other L x L array is made,
+        for any r."""
         if self._div is not None:
             return self._div
         R, r = self.radix, self.spec.r
         digits = np.arange(R, dtype=np.int64)
-        if r == 1:
-            # Row g, (c - g) mod p^m, is the digits rotated by g: one gather
-            # from the windows of two copies, with no L x L temporary.
-            div = sliding_window_view(np.concatenate([digits, digits]), R)[R - digits]
-        else:
-            div = np.zeros((R,) * (2 * r), dtype=np.int64)
 
-            def along(axis):
-                return digits.reshape([R if a == axis else 1 for a in range(2 * r)])
+        def along(axis):
+            return digits.reshape([R if a == axis else 1 for a in range(2 * r)])
 
-            for k in range(r):
-                term = (along(r + k) - along(k)) % R
-                if k == 0 and self.spec.kind == METACYCLIC:
-                    u = self.spec.action_unit
-                    term = term * np.array([pow(u, -t, R) for t in range(R)], dtype=np.int64)[along(1)] % R
-                div += term * R ** (r - 1 - k)
+        div = np.empty((R,) * (2 * r), dtype=np.int64)
+        if self.spec.kind == METACYCLIC:
+            u = self.spec.action_unit
+            unit_powers = np.array([pow(u, -t, R) for t in range(R)], dtype=np.int64)[along(1)[0]]
+        for g in range(R):
+            digit = (along(r)[0] - g) % R
+            if self.spec.kind == METACYCLIC:
+                digit = digit * unit_powers % R
+            div[g] = digit * R ** (r - 1)
+        for k in range(1, r):
+            div += (along(r + k) - along(k)) % R * R ** (r - 1 - k)
         div = div.reshape(self.order, self.order)
         div.setflags(write=False)
         self._div = div
@@ -199,7 +200,9 @@ class GroupLevel:
 # Bytes of division tables and descent stages that group_level keeps between
 # calls.  The benchmark corpus needs well under 1 MB (its largest table is
 # 52 KB, at L = 81); a table beyond the bound is dropped once its caller
-# lets go of it.
+# lets go of it.  It is the only bound on the stages that earlier descents,
+# which may have stripped other generators, leave on a kept level:
+# lambda_mod.check_expansion_budget counts the stages of one descent.
 LEVEL_CACHE_BYTES = 2 ** 28
 
 

@@ -109,7 +109,8 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 
 # Largest dense expansion a level may build: the L x L int64 division table
 # of G/G_m (built in that one allocation, 8 L^2 bytes); the stages of one
-# descent of a level with rows (_chain_bytes); for every cell of the
+# descent of a level with rows (_chain_bytes; stages that earlier descents
+# left on a kept level are bounded by groupring.LEVEL_CACHE_BYTES); for every cell of the
 # expanded matrix, four arrays of its k = e*f coordinates and 16 bytes more
 # (the expansion, the per-pivot kernel's reduced copy, the temporaries of
 # its unit test and Schur update, and the compact residual the expansion is
@@ -125,7 +126,10 @@ def _chain_bytes(p: int, L: int) -> int:
     hold at once, whichever generator each step strips: division tables of
     L/p, L/p^2, ... elements, at most 8 L^2/(p^2 - 1) bytes, one more table
     of the first stage while it is built, 8 L^2/p^2, and the p x p x L'
-    gathers, at most 8 p^2 L/(p - 1)."""
+    gathers, at most 8 p^2 L/(p - 1).  A level that group_level keeps also
+    keeps the stages of earlier descents, which may have stripped other
+    generators (about twice one path's tables for r = 2); those are not
+    counted here, and only LEVEL_CACHE_BYTES bounds them."""
     return 8 * L * L // (p * p - 1) + 8 * L * L // (p * p) + 8 * p * p * L // (p - 1)
 
 

@@ -992,13 +992,16 @@ def test_g2_garnish_sends_nothing_to_the_kernel(spec, monkeypatch):
     # no unit over Q, but over <g1, g2^p> its diagonal blocks are -1, so the
     # descent strips a digit of g2 first and the unit passes leave nothing
     # for the per-pivot kernel (a chain that stripped g1 first sent it 270 x
-    # 189, 270 x 189 and 56 x 40 here).
-    P = quotient_pi(make_module(GroundTruth(0, (1, 3), (Garnish(2),), seed=0), spec), 6)
+    # 189, 270 x 189 and 56 x 40 here).  The same module with a g1 garnish
+    # descends first, stripping g1, so the g2 descent runs on a cached level
+    # that keeps the other path's stages: the traced peak of both still lies
+    # within what check_expansion_budget counts for either.
+    modules = [quotient_pi(make_module(GroundTruth(0, (1, 3), (Garnish(j),), seed=0), spec), 6) for j in (1, 2)]
     steps, kernel = [], []
     stage, diagonalize_coordinates = GroupLevel.stage, chainring._diagonalize_coordinates
 
     def recording_stage(self, d, k):
-        steps.append(k)
+        steps[-1].append(k)
         return stage(self, d, k)
 
     def recording_kernel(A, ring):
@@ -1010,19 +1013,24 @@ def test_g2_garnish_sends_nothing_to_the_kernel(spec, monkeypatch):
     group_level.cache_clear()
     tracemalloc.start()
     try:
-        ring, G, ncols = _level_matrix(P, 2, 6)
-        form = diagonalize(ring, G, ncols)
+        for P in modules:
+            steps.append([])
+            ring, G, ncols = _level_matrix(P, 2, 6)
+            form = diagonalize(ring, G, ncols)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert steps[0] == 1 and kernel == []
+    assert [ks[0] for ks in steps] == [0, 1] and kernel == []
+    assert {((0, 0), 0), ((0, 0), 1)} <= set(G.level._stages)
     monkeypatch.undo()
     assert form == scalar_form(ring, G, ncols)
-    # The budget holds: with the bound just below the measured peak, the
+    # The budget holds: with the bound just below the measured peak, each
     # level is refused, so the budgeted bytes are at least the peak.
     monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
-    with pytest.raises(TooLarge):
-        check_expansion_budget(spec, P.base, P.rels, P.gens, 2, 6)
+    for P in modules:
+        with pytest.raises(TooLarge):
+            check_expansion_budget(spec, P.base, P.rels, P.gens, 2, 6)
+    group_level.cache_clear()
 
 
 def smith_valuations(A, p, N):

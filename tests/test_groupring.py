@@ -318,8 +318,8 @@ def test_division_table_inverts_the_group_law(spec, m):
 
 
 def test_division_table_of_one_generator_peaks_at_the_table():
-    # For r = 1 the digit is written into the table in place: building it
-    # takes its 8 L^2 bytes and no L x L temporary.
+    # For r = 1 the digit is assigned into the table one row at a time:
+    # building it takes its 8 L^2 bytes and no L x L temporary.
     group_level.cache_clear()
     tracemalloc.start()
     try:
