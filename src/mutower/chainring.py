@@ -21,37 +21,37 @@ All operations are pure; rings and scalars are immutable and safe to share
 between threads.
 
 Matrices.  A matrix over O/pi^N is one integer array of O-coordinates of
-shape (rows, cols, e*f), and _diagonalize_coordinates is the one per-pivot
-elimination for every ring.  Both eliminations here take one pivot rule:
-pivot on a unit, and when no unit is left, divide the block by pi and go on
-one precision lower.  Over O/pi^N an entry that is not a unit lies in (pi),
-so the per-pivot kernel stops only at a zero block.  Division by pi shifts
-the pi-digits down, the pi^0 digit wrapping to the top divided by p, and
-every O-product is one matrix product through the structure tensor of O.
-The pivot valuations, the divisions made before each pivot, are the pi-adic
-valuations of the cokernel.
+shape (rows, cols, e*f), and _eliminate_units is the one elimination for
+every ring and matrix, with one pivot rule: pivot on a unit, and when no
+unit is left and the block is not zero, divide it by pi and go on one
+precision lower.  Division by pi shifts the pi-digits down, the pi^0 digit
+wrapping to the top divided by p, and every O-product is one matrix product
+through the structure tensor of O.  The pivot valuations, the divisions
+made before each pivot, are the pi-adic valuations of the cokernel.
 
-Unit blocks.  A level-m matrix is a GroupRingMatrix, a compact array of
-coefficients in the group ring (O/pi^N)[Q], Q = G/G_m of order L, standing
-for the matrix of L x L blocks rho(x) (row k = g_k * x).  (O/pi^N)[Q] is
-local with maximal ideal (pi, I), I the augmentation ideal: rho(x) is
-invertible exactly when the augmentation of x is a unit of O/pi^N, and
-inverses, Schur complements and division by pi stay in the group ring.  So
-_eliminate_units removes those entries on the compact array first, with
-int64 group-ring products (L^2 O-products each, under the one exactness
-rule _kernel_dtype(p^M, L e f)).  What it leaves then descends through
-index-p subgroups Q > Q' > ... down to order p, each Q_d = <g_1^(p^d_1),
-..., g_r^(p^d_r)> (groupring.GroupLevel.stage): restricted to Q', an entry
-x is a p x p block of elements of (O/pi^N)[Q'], the same matrix with its
-rows and columns permuted, and an entry such as g - 1, in the augmentation
-ideal of Q, has diagonal blocks -1 over a Q' that does not contain g.  Each
-step strips one base-p digit of a generator chosen for the matrix at hand
-(_next_generator): the first whose restriction has a unit entry, so that a
-g_2 - 1 entry is cleared as soon as a g_1 - 1 one would be.  _eliminate_units
-runs again after each restriction, and only the residual at order p, over
-some O/pi^N', N' <= N, is expanded for _diagonalize_coordinates, as is the
-whole matrix when p^M passes that rule.  _restrict is the one gather: the
-expansion is the restriction to the trivial subgroup.
+Unit blocks.  The elimination works on a compact array of coefficients in
+a group ring (O/pi^N)[Q], Q of order L, standing for the matrix of L x L
+blocks rho(x) (row k = g_k * x).  (O/pi^N)[Q] is local with maximal ideal
+(pi, I), I the augmentation ideal: rho(x) is invertible exactly when the
+augmentation of x is a unit of O/pi^N, and inverses, Schur complements and
+division by pi stay in the group ring.  A plain matrix is the case Q = 1,
+where I = 0: every non-unit lies in (pi), and the pass diagonalizes whole.
+A level-m matrix is a GroupRingMatrix over Q = G/G_m, eliminated on the
+compact array with int64 group-ring products (L^2 O-products each) when
+the one exactness rule _kernel_dtype(p^M, L e f) allows.  What is left
+then descends through index-p subgroups Q > Q' > ... down to order p, each
+Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)> (groupring.GroupLevel.stage):
+restricted to Q', an entry x is a p x p block of elements of
+(O/pi^N)[Q'], the same matrix with its rows and columns permuted, and an
+entry such as g - 1, in the augmentation ideal of Q, has diagonal blocks -1
+over a Q' that does not contain g.  Each step strips one base-p digit of a
+generator chosen for the matrix at hand (_next_generator): the first whose
+restriction has a unit entry, so that a g_2 - 1 entry is cleared as soon
+as a g_1 - 1 one would be.  _eliminate_units runs again after each
+restriction, and only the residual at order p, over some O/pi^N', N' <= N,
+is expanded and finished over Q = 1, as is the whole matrix when p^M
+passes that rule.  _restrict is the one gather: the expansion is the
+restriction to the trivial subgroup.
 """
 
 from __future__ import annotations
@@ -511,7 +511,7 @@ class GroupRingMatrix:
 
 
 def _group_ring_products(X: np.ndarray, Y: np.ndarray, div: np.ndarray, S: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    """The products X_i Y_j in (O/pi^N)[Q] of int64 O-coordinates X (shape
+    """The products X_i Y_j in (O/pi^N)[Q] of the O-coordinates X (shape
     (r, L, k)) and Y (shape (c, L, k)), k = e*f > 1, as an array of shape
     (r, c, L, k) that is not reduced: (X_i Y_j)(h) = sum_g X_i(g) Y_j(g^-1 h),
     one matrix product over (g, a) through the multiplication matrices of the
@@ -525,8 +525,9 @@ def _group_ring_products(X: np.ndarray, Y: np.ndarray, div: np.ndarray, S: np.nd
 
 
 def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np.ndarray:
-    """Inverse over (O/pi^N)[Q] of x (int64 O-coordinates of shape (L, e*f),
-    or residues of shape (L,) when e*f = 1) whose augmentation a is a unit.
+    """Inverse over (O/pi^N)[Q] of x (O-coordinates of shape (L, e*f), or
+    residues of shape (L,) when e*f = 1, in x's dtype) whose augmentation a
+    is a unit.
 
     With u = 1 - a^-1 x, x^-1 = (1 + u + u^2 + ...) a^-1, summed as Newton
     iteration does: y <- y (1 + u^(2^s)), each step one product to extend y
@@ -537,7 +538,7 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
     _inverse_matrix, computed once per ring and augmentation.
     """
     L = len(x)
-    one = np.zeros_like(x)
+    one = np.zeros(x.shape, x.dtype)
     one.flat[0] = 1
     if x.ndim == 1:
         mod = ring.pM
@@ -552,12 +553,12 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
         def scale(u):  # u a^-1
             return u * a_inv % mod
     else:
-        mod = np.array(ring.moduli, dtype=np.int64)
+        mod = np.array(ring.moduli, dtype=x.dtype)
         a = x.sum(axis=0) % mod
         if not (a[: ring.f] % ring.p).any():
             raise SingularBlock(f"augmentation {tuple(a.tolist())} is not a unit of {ring!r}")
-        a_inv = _inverse_matrix(ring, tuple(a.tolist()), np.int64)
-        S = _product_matrix(ring, np.int64)
+        a_inv = _inverse_matrix(ring, tuple(a.tolist()), x.dtype)
+        S = _product_matrix(ring, x.dtype)
 
         def mul(u, v):
             return _group_ring_products(u[None], v[None], div, S, mod)[0, 0]
@@ -574,14 +575,17 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
 
 
 def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple[List[int], np.ndarray, "ChainRing", int]:
-    """Eliminate the unit entries of R (int64 O-coordinates over ring =
-    O/pi^N of shape (rels, gens, L, e*f), or residues of shape (rels, gens,
-    L) when e*f = 1; overwritten), each L pivots of the expansion, dividing
-    by pi whenever no unit is left and every entry lies in (pi).
+    """Eliminate the unit entries of R (O-coordinates over ring = O/pi^N of
+    shape (rels, gens, L, e*f), or residues of shape (rels, gens, L) when
+    e*f = 1; reduced, overwritten), each L pivots of the expansion, dividing
+    by pi whenever no unit is left, the block is not zero and every entry
+    lies in (pi).  Over the trivial group (L = 1, div = [[0]]) every
+    non-unit lies in (pi), so the pass diagonalizes R whole.
 
     Returns (pivot valuations, residual, ring', shift): the residual, a view
     of R over ring' = O/pi^N', has the rest of R's pivot valuations less
-    shift.  Requires _kernel_dtype(p^M, L e f) to be int64.
+    shift.  R's dtype is int64 when _kernel_dtype(p^M, L e f) is, and object
+    (Python ints) otherwise.
     """
     p, f = ring.p, ring.f
     L = len(div)
@@ -589,22 +593,23 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple
     if simple:
         mod = ring.pM
     else:
-        mod = np.array(ring.moduli, dtype=np.int64)
-        S = _product_matrix(ring, np.int64)  # reduced mod p^M, it serves every lower precision too
+        mod = np.array(ring.moduli, dtype=R.dtype)
+        S = _product_matrix(ring, R.dtype)  # reduced mod p^M, it serves every lower precision too
     vals: List[int] = []
     shift = 0
     d = 0  # the first d rows and columns are eliminated
     while d < min(R.shape[:2]):
         B = R[d:, d:]
-        # A unit's augmentation has pi^0-digit coordinates not all divisible by p.
-        if simple:
-            hit = np.flatnonzero(B.sum(axis=2) % p)
-        else:
-            hit = np.flatnonzero((B[..., :f].sum(axis=2) % p).any(axis=2))
+        # A unit's augmentation has pi^0-digit coordinates not all divisible
+        # by p (f = 1 when e*f = 1): the first unit entry, row-major, holds
+        # the first such coordinate.
+        hit = ((B.sum(axis=2) if simple else B[..., :f].sum(axis=2)) % p).ravel().nonzero()[0]
         if hit.size:
-            i, j = divmod(int(hit[0]), B.shape[1])  # first unit entry, row-major
-            B[[0, i]] = B[[i, 0]]
-            B[:, [0, j]] = B[:, [j, 0]]
+            i, j = divmod(int(hit[0]) // f, B.shape[1])
+            if i:
+                B[[0, i]] = B[[i, 0]]
+            if j:
+                B[:, [0, j]] = B[:, [j, 0]]
             if min(B.shape[:2]) > 1:  # the last pivot leaves nothing to update
                 # Z = x^-1 B[0, 1:], then T -= B[1:, 0] Z through the division table.
                 inv = _group_ring_inverse(B[0, 0], div, ring)
@@ -618,13 +623,13 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple
                 np.remainder(T, mod, out=T)
             vals += [shift] * L
             d += 1
-        elif ring.N > 1 and not (B % p if simple else B[..., :f] % p).any():
+        elif ring.N > 1 and B.any() and not (B % p if simple else B[..., :f] % p).any():
             if simple:
                 B //= p
             else:
                 B[...] = _div_pi_pow(B, ring, 1)
             ring = ChainRing.from_base(ring.base, ring.N - 1)
-            mod = ring.pM if simple else np.array(ring.moduli, dtype=np.int64)
+            mod = ring.pM if simple else np.array(ring.moduli, dtype=R.dtype)
             shift += 1
         else:
             break
@@ -658,15 +663,15 @@ def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing"
 
 def _descend(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> Tuple[List[int], np.ndarray, np.ndarray, "ChainRing", int]:
     """_eliminate_units over Q and then, if a level (GroupRingMatrix.level)
-    is given and entries are left, over its subgroups Q_d down to order p,
-    one index-p step chosen by _next_generator at a time.
+    is given and nonzero entries are left, over its subgroups Q_d down to
+    order p, one index-p step chosen by _next_generator at a time.
     Returns (pivot valuations, residual, the division table of its subgroup,
     ring', shift) as _eliminate_units does."""
     vals, R, ring, shift = _eliminate_units(R, div, ring)
     if level is None:
         return vals, R, div, ring, shift
     d = (0,) * level.spec.r
-    while R.size and len(div) > ring.p:
+    while R.any() and len(div) > ring.p:
         k = _next_generator(R, d, level.m, ring)
         gather, div = level.stage(d, k)
         more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
@@ -738,75 +743,6 @@ def _div_pi_pow(X: np.ndarray, ring: ChainRing, v: int) -> np.ndarray:
     return X
 
 
-def _not_divisible(X: np.ndarray, p: int) -> np.ndarray:
-    """X % p != 0 for residues X >= 0, on int64 by one wrapping product in
-    place of the slower remainder: x is divisible by an odd p iff x p^-1 mod
-    2^64 <= (2^64 - 1) // p, and by 2 iff x 2^63 mod 2^64 == 0 (Granlund and
-    Montgomery, "Division by invariant integers using multiplication", 1994)."""
-    if X.dtype != np.int64:
-        return X % p != 0
-    c, bound = (2 ** 63, 0) if p == 2 else (pow(p, -1, 2 ** 64), (2 ** 64 - 1) // p)
-    return X.view(np.uint64) * np.uint64(c) > np.uint64(bound)
-
-
-def _diagonalize_coordinates(A: np.ndarray, ring: ChainRing) -> List[int]:
-    """Diagonalize a coordinate array A over O/pi^N (shape (rows, cols, e*f),
-    int64 as in _kernel_dtype or Python ints) by invertible row and column
-    operations over O; returns the pivot valuations, all below N.
-
-    The pivot is the first unit entry in (row, col) lexicographic order, one
-    whose pi^0-digit coordinates are not all divisible by p.  When no unit is
-    left, every entry is divisible by pi: unless the block is zero, it is
-    divided by pi and the elimination goes on over O/pi^(N-1), one higher in
-    every later pivot valuation.  Every O-product is one matrix product
-    through the structure tensor, and every coordinate is reduced by
-    ring.moduli before the next one, so int64 arrays stay within the bound of
-    _kernel_dtype(p^M, e*f).  A itself is not modified.
-    """
-    p, f, k = ring.p, ring.f, ring.e * ring.f
-    dtype = A.dtype
-    moduli = np.array(ring.moduli, dtype=dtype)
-    A = A % moduli
-    # Reduced mod the p^M of O/pi^N, S serves every lower precision too.
-    S = _product_matrix(ring, dtype)
-    vals: List[int] = []
-    shift = 0
-    while min(A.shape[:2]):
-        # A unit has pi^0-digit coordinates not all divisible by p; f = 1
-        # reads the one coordinate, as a reduction over a trivial axis would
-        # cost as much as the test.
-        unit = _not_divisible(A[..., 0], p) if f == 1 else _not_divisible(A[..., :f], p).any(axis=2)
-        pos = int(np.argmax(unit))  # the first unit in row-major order
-        if not unit.flat[pos]:
-            if not A.any():
-                break
-            # Every entry lies in (pi).
-            A = _div_pi_pow(A, ring, 1)
-            ring = ChainRing.from_base(ring.base, ring.N - 1)
-            moduli = np.array(ring.moduli, dtype=dtype)
-            shift += 1
-            continue
-        i, j = divmod(pos, A.shape[1])
-        if i:
-            A[[0, i]] = A[[i, 0]]
-        if j:
-            A[:, [0, j]] = A[:, [j, 0]]
-        if min(A.shape[:2]) > 1:  # the last pivot leaves nothing to update
-            # F[i] * pivot = A[i, 0]: the row multipliers over O.
-            F = A[1:, 0] @ _inverse_matrix(ring, tuple(A[0, 0].tolist()), dtype) % moduli
-            c = A.shape[1] - 1
-            P = (A[0, 1:] @ S).reshape(c, k, k) % moduli
-            block = A[1:, 1:]
-            if k == 1:  # an outer product: broadcasting is twice as fast as matmul
-                block -= F[:, None] * P[None, :, 0]
-            else:
-                block -= (F @ P.transpose(1, 0, 2).reshape(k, c * k)).reshape(-1, c, k)
-            block %= moduli
-        vals.append(shift)
-        A = A[1:, 1:]
-    return vals
-
-
 def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray:
     """The array of shape (rows, cols, e*f) of a scalar matrix or array."""
     k = ring.e * ring.f
@@ -841,11 +777,11 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     unit entries of a GroupRingMatrix are eliminated on its compact array
     when _kernel_dtype(p^M, L e f) is int64, then those of its restrictions
     to the index-p subgroups of its level that _descend picks for this
-    matrix, down to order p, and only the rest, over the last subgroup, is
-    expanded.  Everything else goes through one pi-adic
-    elimination on unit pivots, _diagonalize_coordinates.  The multiset of
-    diagonal valuations with the free-column count is an isomorphism
-    invariant of the cokernel.
+    matrix, down to order p.  What is left, or the whole level when p^M
+    passes that rule, is expanded, and every matrix ends in the one
+    elimination, _eliminate_units over the trivial group, where it
+    diagonalizes whole.  The multiset of diagonal valuations with the
+    free-column count is an isomorphism invariant of the cokernel.
     """
     vals: List[int] = []
     shift = 0
@@ -865,8 +801,12 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     else:
         A = _coordinate_array(ring, rows, ncols)
         nrows, nc, _ = A.shape
-    if A.size:
-        vals += [v + shift for v in _diagonalize_coordinates(A, ring)]
+    # Over the trivial group an entry is an L = 1 group-ring element: the
+    # array becomes (rows, cols, 1) residues, or (rows, cols, 1, e*f), in a
+    # reduced copy that the pass may overwrite.
+    A = A % np.array(ring.moduli, dtype=A.dtype)
+    more, _, _, _ = _eliminate_units(A if ring.is_simple else A[:, :, None], np.zeros((1, 1), dtype=np.intp), ring)
+    vals += [v + shift for v in more]
     return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
 
 

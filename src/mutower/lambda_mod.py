@@ -112,10 +112,10 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # descent of a level with rows (_chain_bytes; stages that earlier descents
 # left on a kept level are bounded by groupring.LEVEL_CACHE_BYTES); for every cell of the
 # expanded matrix, four arrays of its k = e*f coordinates and 16 bytes more
-# (the expansion, the per-pivot kernel's reduced copy, the temporaries of
-# its unit test and Schur update, and the compact residual the expansion is
-# gathered from: a measured peak of 4 * 8 k + 5 bytes a cell on int64
-# levels); and the k x k x k structure tensor of O that the elimination
+# (the expansion, the reduced copy that the pass over the trivial group
+# eliminates, the temporaries of its unit test and Schur update, and the
+# compact residual the expansion is gathered from: a measured peak of
+# 4 * 8 k + 5 bytes a cell on int64 levels); and the k x k x k structure tensor of O that the elimination
 # multiplies through, held with its reduced and int64 copies (a measured
 # peak of 3 * 8 k^3 bytes).
 EXPANSION_BUDGET_BYTES = 2 ** 30

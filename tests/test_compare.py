@@ -148,7 +148,7 @@ def test_tate_dual_has_the_same_level_orders(spec):
     # every level order agrees exactly, not only the fitted mu.  Transposing
     # without iota agrees too on most seeds, but not at seed 4 on the
     # metacyclic preset.  One module over each of the e = 2 and f = 2 rings:
-    # their per-pivot elimination makes the top level cost 0.1 s a profile.
+    # their elimination over O makes the top level cost 0.1 s a profile.
     m_top = default_m_range(spec)[-1]
     Zp, ramified, unramified = bases(spec.p)
     cases = [(Zp, alphas, seed) for seed in range(6) for alphas in [(1,), (2,), (1, 3), (2, 2)]]

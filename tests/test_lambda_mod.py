@@ -475,9 +475,9 @@ def test_subgroup_chain_peak_is_its_budget_term(spec, m):
 def test_level_expanded_whole_peaks_within_its_budget(spec, m, base, size, monkeypatch):
     # Over O/pi every entry of (z - 1) Lambda, z of order p at level m, stays
     # a non-unit down the whole subgroup chain, so the level is expanded
-    # whole, and the per-pivot kernel works on its copies of it.  With the
-    # bound just below the measured peak the level is refused, and with
-    # twice the peak it is accepted.
+    # whole, and the pass over the trivial group works on its copies of it.
+    # With the bound just below the measured peak the level is refused, and
+    # with twice the peak it is accepted.
     p, r = spec.p, spec.r
     z = poly_sub(poly_gen(base, r, r, power=p ** (m - 1)), poly_int(base, 1, r))
     zg = poly_mul(spec, base, z, poly_gen(base, 1, r))
