@@ -535,17 +535,18 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
     nilpotent of index at most L mod p (Jennings), so the error vanishes after
     ceil(log2(N L)) squarings; a table that is not a group's raises
     SingularBlock instead of returning a wrong inverse.  a^-1 comes from
-    _inverse_matrix, computed once per ring and augmentation.
+    _inverse_matrix, computed once per ring and augmentation.  Over the
+    trivial group (L = 1) x is a and the inverse is a^-1 itself.
     """
     L = len(x)
-    one = np.zeros(x.shape, x.dtype)
-    one.flat[0] = 1
     if x.ndim == 1:
         mod = ring.pM
         a = int(x.sum()) % mod
         if a % ring.p == 0:
             raise SingularBlock(f"augmentation {a} is not a unit mod {ring.p}")
         a_inv = pow(a, -1, mod)
+        if L == 1:
+            return np.array([a_inv], dtype=x.dtype)
 
         def mul(u, v):
             return u @ v[div]
@@ -558,6 +559,8 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
         if not (a[: ring.f] % ring.p).any():
             raise SingularBlock(f"augmentation {tuple(a.tolist())} is not a unit of {ring!r}")
         a_inv = _inverse_matrix(ring, tuple(a.tolist()), x.dtype)
+        if L == 1:
+            return a_inv[:1].copy()  # row 0: the coordinates of 1 * a^-1
         S = _product_matrix(ring, x.dtype)
 
         def mul(u, v):
@@ -565,6 +568,8 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
 
         def scale(u):
             return u @ a_inv % mod
+    one = np.zeros(x.shape, x.dtype)
+    one.flat[0] = 1
     y, err = one, (one - scale(x)) % mod  # y (1 - u) = 1 - err
     for _ in range((ring.N * L - 1).bit_length() + 1):
         if not err.any():

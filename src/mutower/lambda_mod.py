@@ -40,10 +40,7 @@ from .groupring import (
     GroupRingPoly,
     GroupSpec,
     group_level,
-    poly_gen,
-    poly_int,
     poly_pi_pow,
-    poly_sub,
     quotient_order,
     reduce_poly,
 )
@@ -251,6 +248,35 @@ def _entry_to_spoly(entry: GroupRingPoly, ring: ChainRing, r: int) -> Dict[Tuple
     return out
 
 
+# An Euler sum asks for r + 1 degrees of one (P, N, m) in a row, so a few
+# entries serve it.
+@lru_cache(maxsize=8)
+def _koszul_module(P: Presentation, N: int, m: int) -> Tuple[Tuple[Element, ...], Tuple[Dict[Tuple[int, ...], object], ...]]:
+    """(U, ts) over O/pi^N: the nonzero relation rows of P as elements of
+    S^b, and the tower operators g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k
+    in R[T_1..T_r], none with a zero coefficient.  Cached, so the elements
+    are shared between calls and never mutated."""
+    ring = ChainRing.from_base(P.base, N)
+    r = P.spec.r
+    U = []
+    for row in P.matrix:
+        elem: Element = {}
+        for j, entry in enumerate(row):
+            if entry.is_zero:
+                continue
+            for mono, c in _entry_to_spoly(entry, ring, r).items():
+                elem[(j, mono)] = c
+        if elem:
+            U.append(elem)
+    pm = P.spec.p ** m
+    row = _binomial_row(ring.p, ring.M, pm)
+    ts = tuple(
+        {tuple(k if t == j else 0 for t in range(r)): ring.from_int(row[k]) for k in range(1, pm + 1) if row[k]}
+        for j in range(r)
+    )
+    return tuple(U), ts
+
+
 def _shift_block(elem: Element, offset: int) -> Element:
     return {(pos + offset, mono): c for (pos, mono), c in elem.items()}
 
@@ -302,23 +328,10 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
             f"the relation matrix expands to {terms} monomials in T_j = g_j - 1 "
             f"(budget {KOSZUL_BUDGET_CELLS}); lower the generator exponents"
         )
-    # relation rows as elements of S^b
-    U: List[Element] = []
-    for row in P.matrix:
-        elem: Element = {}
-        for j, entry in enumerate(row):
-            if entry.is_zero:
-                continue
-            for mono, c in _entry_to_spoly(entry, ring, r).items():
-                elem[(j, mono)] = c
-        if elem:
-            U.append(elem)
-    # the tower operators g_j^(p^m) - 1, none with a zero coefficient
-    one = poly_int(P.base, 1, r)
-    ts = [_entry_to_spoly(poly_sub(poly_gen(P.base, j, r, power=spec.p ** m), one), ring, r) for j in range(1, r + 1)]
+    U, ts = _koszul_module(P, N, m)
 
     if i == 0:
-        return quotient_ordq(ctx, b, U + [{(g, mono): c for mono, c in t.items()} for t in ts for g in range(b)])
+        return quotient_ordq(ctx, b, [*U, *({(g, mono): c for mono, c in t.items()} for t in ts for g in range(b))])
 
     subsets_i = list(combinations(range(r), i))
     subsets_lo = list(combinations(range(r), i - 1))

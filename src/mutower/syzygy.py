@@ -15,10 +15,29 @@ strong basis is maintained by completing S-polynomials together with the
 annihilator multiples pi^(N-v) * g, as in the Buchberger theory of strong
 bases over chain rings (Norton and Salagean).
 
+Inside strong_groebner each term (pos, mono) is one Python int of fixed-width
+fields, from the most significant down
+
+    flag | total degree | e_1 | ... | e_r | (maxpos - pos)
+
+(flag 1 when pos < split, maxpos the largest input position), so that the
+integer order is the term order: the leading term is max(elem), and the
+reduction and pair heaps hold ints.  The degree and each exponent field have
+EXPONENT_BITS value bits and one guard bit above them (the mask G).  A
+monomial shift is one addition t + (lcm - l): the two position fields cancel
+and each value field receives at most one carry, into its guard bit, so
+every term the kernel adds to an element is checked with t & G, and one that
+does not fit raises TooLarge instead of carrying into the next field.  With
+t's guard bits clear, l (same position) divides t exactly when
+((t | G) - l) & G == G: a field of t below l's borrows its guard bit.
+Inputs are encoded on entry (an exponent or a degree past the fields raises
+TooLarge) and the basis is decoded on exit.
+
 The Buchberger loop stores each basis element's leading term and leading
 valuation v once, when the element is appended, and reduces with a heap of
-terms.  Pairs leave a heap ordered by the total degree of the lcm of their
-leading monomials (the normal strategy).  The S-pair (i, j) is skipped by the
+terms; the reducers of a position are tried in basis order.  Pairs leave a
+heap ordered by the total degree of the lcm of their leading monomials (the
+normal strategy).  The S-pair (i, j) is skipped by the
 chain criterion (Gebauer and Moeller, 1988) when some k has LT_k dividing
 lcm(LT_i, LT_j) in the same position, v_k <= max(v_i, v_j), and the pairs
 (i, k) and (j, k) have already left the heap: the syzygy of (i, j) is then
@@ -43,13 +62,20 @@ The two consumers are:
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .chainring import ChainRing
-from .errors import InvalidInput
+from .errors import InvalidInput, TooLarge
 
 Term = Tuple[int, Tuple[int, ...]]
 Element = Dict[Term, object]
+
+# Value bits of the degree and exponent fields of a packed term: every
+# exponent and total degree, of the inputs and of every term the kernel
+# makes, stays below 2^EXPONENT_BITS or the call raises TooLarge.  Koszul
+# inputs stay below 2^20 (KOSZUL_BUDGET_CELLS bounds both the tower degrees
+# p^m and the relation exponents).
+EXPONENT_BITS = 24
 
 
 class PolyContext:
@@ -59,180 +85,225 @@ class PolyContext:
         self.ring = ring
         self.nvars = nvars
 
-    def key(self, split: int):
-        """Sort key of the term order: block flag, total degree, the
-        exponents lexicographically, then lower positions first.  The key is
-        a flat tuple of integers, so its negation reverses the order."""
 
-        def _key(term: Term):
-            pos, mono = term
-            return (1 if pos < split else 0, sum(mono), *mono, -pos)
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key)."""
 
-        return _key
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
 
-
-def _clean(ctx: PolyContext, elem: Element) -> Element:
-    ring = ctx.ring
-    return {t: c for t, c in elem.items() if not ring.is_zero(c)}
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
-def _add_into(ctx: PolyContext, acc: Element, other: Element, factor, shift: Tuple[int, ...], negate: bool) -> None:
-    ring = ctx.ring
-    for (pos, mono), c in other.items():
-        val = ring.mul(factor, c)
-        if negate:
-            val = ring.neg(val)
-        t = (pos, tuple(a + b for a, b in zip(mono, shift)))
-        cur = acc.get(t)
-        new = val if cur is None else ring.add(cur, val)
-        if ring.is_zero(new):
-            acc.pop(t, None)
-        else:
-            acc[t] = new
+class _Layout:
+    """The packed-term fields of one strong_groebner call (module
+    docstring) for nvars exponents and positions up to maxpos.
+    ``fields[mono]`` is mono's degree and exponent fields, in place above
+    the position field, and ``monos[bits]`` the monomial of the exponent
+    fields ``(t >> pos_bits) & exp_mask`` of a term t: each monomial is
+    packed and unpacked once per call."""
 
+    def __init__(self, nvars: int, maxpos: int):
+        w = self.width = EXPONENT_BITS
+        self.nvars = nvars
+        self.pos_bits = maxpos.bit_length()
+        self.pos_mask = (1 << self.pos_bits) - 1
+        self.deg_shift = self.pos_bits + nvars * (w + 1)
+        self.value_mask = (1 << w) - 1
+        self.exp_mask = (1 << nvars * (w + 1)) - 1
+        self.flag = 1 << (self.deg_shift + w + 1)
+        self.guards = sum(1 << (self.pos_bits + k * (w + 1) + w) for k in range(nvars + 1))
+        self.fields = _Memo(self._pack)
+        self.monos = _Memo(self._unpack)
 
-def scale_elem(ctx: PolyContext, elem: Element, factor) -> Element:
-    out: Element = {}
-    _add_into(ctx, out, elem, factor, (0,) * ctx.nvars, False)
-    return out
+    def _pack(self, mono: Tuple[int, ...]) -> int:
+        w = self.width
+        deg = sum(mono)
+        if deg >> w or min(mono, default=0) < 0:
+            raise TooLarge(f"monomial {mono} does not fit {w}-bit exponent fields")
+        fields = deg
+        for e in mono:
+            fields = (fields << w + 1) | e
+        return fields << self.pos_bits
 
+    def _unpack(self, bits: int) -> Tuple[int, ...]:
+        w, mask = self.width, self.value_mask
+        return tuple((bits >> (self.nvars - 1 - k) * (w + 1)) & mask for k in range(self.nvars))
 
-def leading_term(ctx: PolyContext, elem: Element, keyfn) -> Term:
-    return max(elem, key=keyfn)
-
-
-def _divides(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
-    return all(x <= y for x, y in zip(a, b))
-
-
-def normal_form(
-    ctx: PolyContext,
-    elem: Element,
-    basis: List[Element],
-    keyfn,
-    lead: Optional[List[Tuple[Term, int]]] = None,
-) -> Element:
-    """Full strong reduction of ``elem`` by ``basis`` (leading coefficients of
-    ``basis`` are pi^v after normalization).
-
-    ``lead`` lists the leading term and its coefficient's valuation of each
-    basis element; it is computed here when not given.  Terms are reduced
-    from the largest down, taken from a heap: reducing a term only adds
-    smaller ones.  The result lists its terms in decreasing order, so its
-    first key is its leading term."""
-    ring = ctx.ring
-    if lead is None:
-        lead = []
-        for g in basis:
-            lt = leading_term(ctx, g, keyfn)
-            lead.append((lt, ring.val(g[lt])))
-    work = dict(elem)
-    heap = [(tuple(-x for x in keyfn(t)), t) for t in work]
-    heapq.heapify(heap)
-    out: Element = {}
-    while heap:
-        t = heapq.heappop(heap)[1]
-        c = work.pop(t, None)
-        if c is None:
-            # cancelled after it was pushed
-            continue
-        vc = ring.val(c)
-        pos, mono = t
-        for g, ((lpos, lmono), vg) in zip(basis, lead):
-            if vg <= vc and lpos == pos and _divides(lmono, mono):
-                break
-        else:
-            out[t] = c
-            continue
-        # factor * pi^vg == c exactly, so the term is killed and only the
-        # tail of g, all of it below t, is added.
-        factor = ring.div_pi_pow(c, vg)
-        shift = tuple(a - b for a, b in zip(mono, lmono))
-        for (gpos, gmono), cg in g.items():
-            if gpos == lpos and gmono == lmono:
-                continue
-            s = (gpos, tuple(a + b for a, b in zip(gmono, shift)))
-            val = ring.mul(factor, cg)
-            if ring.is_zero(val):
-                continue
-            cur = work.get(s)
-            if cur is None:
-                work[s] = ring.neg(val)
-                heapq.heappush(heap, (tuple(-x for x in keyfn(s)), s))
-                continue
-            new = ring.sub(cur, val)
-            if ring.is_zero(new):
-                del work[s]
-            else:
-                work[s] = new
-    return out
+    def overflow(self) -> TooLarge:
+        return TooLarge(f"a Groebner term outgrew the {self.width}-bit exponent fields")
 
 
 def strong_groebner(ctx: PolyContext, gens: Sequence[Element], split: int = 0) -> List[Element]:
     """Strong Groebner basis of the submodule generated by ``gens``, by the
     Buchberger loop of the module docstring: pairs in the normal strategy's
-    order, the chain criterion on S-pairs, every annihilator pair reduced."""
+    order, the chain criterion on S-pairs, every annihilator pair reduced.
+    Each element of the basis lists its leading term first."""
     ring = ctx.ring
-    keyfn = ctx.key(split)
-    basis: List[Element] = []
-    lead: List[Tuple[Term, int]] = []
-    by_pos: Dict[int, List[int]] = {}
-    # (lcm degree, lcm key, j, i); i == j marks an annihilator pair
+    is_zero = ring.is_zero
+    maxpos = max((pos for g in gens for pos, _mono in g), default=0)
+    layout = _Layout(ctx.nvars, maxpos)
+    fields, flag = layout.fields, layout.flag
+    packed = []
+    for g in gens:
+        elem = {
+            (flag if pos < split else 0) | fields[mono] | (maxpos - pos): c
+            for (pos, mono), c in g.items()
+            if not is_zero(c)
+        }
+        if elem:
+            lt = max(elem)
+            packed.append({lt: elem.pop(lt), **elem})
+    monos, pos_bits, pos_mask, exp_mask = layout.monos, layout.pos_bits, layout.pos_mask, layout.exp_mask
+    return [
+        {(maxpos - (t & pos_mask), monos[(t >> pos_bits) & exp_mask]): c for t, c in elem.items()}
+        for elem in _buchberger(ring, layout, packed)
+    ]
+
+
+def _buchberger(ring: ChainRing, layout: _Layout, gens: List[Dict[int, object]]) -> List[Dict[int, object]]:
+    """The Buchberger loop on packed elements, each listing its leading
+    term first."""
+    mul, add, neg, sub, is_zero = ring.mul, ring.add, ring.neg, ring.sub, ring.is_zero
+    val, div_pi_pow, unit_part, inv, one = ring.val, ring.div_pi_pow, ring.unit_part, ring.inv, ring.one
+    N = ring.N
+    pi_pow = [ring.pi_pow(v) for v in range(N + 1)]
+    G, pos_mask, pos_bits, exp_mask = layout.guards, layout.pos_mask, layout.pos_bits, layout.exp_mask
+    width, deg_shift, monos_of, flag_pos = layout.width, layout.deg_shift, layout.monos, layout.flag | pos_mask
+    push, pop = heapq.heappush, heapq.heappop
+    basis: List[Dict[int, object]] = []
+    lead: List[Tuple[int, int]] = []  # (leading term, valuation of its coefficient)
+    monos: List[Tuple[int, ...]] = []  # exponents of each leading term
+    by_pos: Dict[int, List[int]] = {}  # position field -> basis indices
+    # position field -> (leading term, valuation, tail) in basis order
+    reducers: Dict[int, List[Tuple[int, int, List[Tuple[int, object]]]]] = {}
+    # (lcm degree, lcm, j, i); i == j marks an annihilator pair
     pairs: List[tuple] = []
     treated = set()
 
-    def push(i: int, j: int, lcm: Term) -> None:
-        heapq.heappush(pairs, (sum(lcm[1]), keyfn(lcm), j, i))
-
-    def append(elem: Element, lt: Term) -> None:
-        v = ring.val(elem[lt])
-        u = ring.unit_part(elem[lt])
-        if u != ring.one:
-            elem = scale_elem(ctx, elem, ring.inv(u))
+    def append(elem: Dict[int, object], lt: int) -> None:
+        c = elem[lt]
+        v = val(c)
+        u = unit_part(c)
+        if u != one:
+            u = inv(u)
+            elem = {t: mul(u, a) for t, a in elem.items()}
         k = len(basis)
         basis.append(elem)
         lead.append((lt, v))
-        pos, mono = lt
+        mono = monos_of[(lt >> pos_bits) & exp_mask]
+        monos.append(mono)
+        pos = lt & pos_mask
+        reducers.setdefault(pos, []).append((lt, v, [(t, a) for t, a in elem.items() if t != lt]))
         if v:
-            push(k, k, lt)
+            push(pairs, (sum(mono), lt, k, k))
         same = by_pos.setdefault(pos, [])
         for i in same:
-            push(i, k, (pos, tuple(max(a, b) for a, b in zip(lead[i][0][1], mono))))
+            # The lcm: lt's flag and position, the exponents max(LT_i, lt).
+            # Its degree, below 2^(width + 1), may set its guard bit; then a
+            # skipped pair makes no term, and the first term of a reduced
+            # one, LT_i shifted to the lcm, raises.
+            lcm = deg = 0
+            for x, y in zip(monos[i], mono):
+                e = x if x > y else y
+                deg += e
+                lcm = (lcm << width + 1) | e
+            push(pairs, (deg, (lt & flag_pos) | (deg << deg_shift) | (lcm << pos_bits), k, i))
         same.append(k)
 
+    def reduce(elem: Dict[int, object]) -> Dict[int, object]:
+        # Full strong reduction, the terms taken from the largest down:
+        # reducing a term only adds smaller ones.  The result lists its
+        # terms in decreasing order.
+        work = dict(elem)
+        heap = [-t for t in work]
+        heapq.heapify(heap)
+        out: Dict[int, object] = {}
+        while heap:
+            t = -pop(heap)
+            c = work.pop(t, None)
+            if c is None:
+                # cancelled after it was pushed
+                continue
+            vc = val(c)
+            tG = t | G
+            for l, vg, tail in reducers.get(t & pos_mask, ()):
+                if vg <= vc and (tG - l) & G == G:
+                    break
+            else:
+                out[t] = c
+                continue
+            # factor * pi^vg == c exactly, so the term is killed and only the
+            # tail of the reducer, all of it below t, is added.
+            factor = div_pi_pow(c, vg)
+            shift = t - l
+            for s, cg in tail:
+                s += shift
+                if s & G:
+                    raise layout.overflow()
+                a = mul(factor, cg)
+                if is_zero(a):
+                    continue
+                cur = work.get(s)
+                if cur is None:
+                    work[s] = neg(a)
+                    push(heap, -s)
+                    continue
+                a = sub(cur, a)
+                if is_zero(a):
+                    del work[s]
+                else:
+                    work[s] = a
+        return out
+
+    def add_into(acc: Dict[int, object], elem: Dict[int, object], factor, shift: int, negate: bool) -> None:
+        for t, c in elem.items():
+            t += shift
+            if t & G:
+                raise layout.overflow()
+            a = mul(factor, c)
+            if negate:
+                a = neg(a)
+            cur = acc.get(t)
+            if cur is not None:
+                a = add(cur, a)
+            if is_zero(a):
+                acc.pop(t, None)
+            else:
+                acc[t] = a
+
     for g in gens:
-        g = _clean(ctx, dict(g))
-        if g:
-            append(g, leading_term(ctx, g, keyfn))
+        append(g, next(iter(g)))
 
     while pairs:
-        _deg, _key, j, i = heapq.heappop(pairs)
-        (pos, mono_i), vi = lead[i]
+        _deg, lcm, j, i = pop(pairs)
+        lt_i, vi = lead[i]
+        cand: Dict[int, object] = {}
         if i == j:
-            cand = scale_elem(ctx, basis[i], ring.pi_pow(ring.N - vi))
+            add_into(cand, basis[i], pi_pow[N - vi], 0, False)
         else:
             treated.add((i, j))
-            (_, mono_j), vj = lead[j]
-            lcm = tuple(max(a, b) for a, b in zip(mono_i, mono_j))
+            lt_j, vj = lead[j]
             v = max(vi, vj)
+            lcmG = lcm | G
             if any(
                 k != i
                 and k != j
                 and lead[k][1] <= v
-                and _divides(lead[k][0][1], lcm)
+                and (lcmG - lead[k][0]) & G == G
                 and (min(i, k), max(i, k)) in treated
                 and (min(j, k), max(j, k)) in treated
-                for k in by_pos[pos]
+                for k in by_pos[lt_i & pos_mask]
             ):
                 continue
-            shift_i = tuple(a - b for a, b in zip(lcm, mono_i))
-            shift_j = tuple(a - b for a, b in zip(lcm, mono_j))
-            cand = {}
-            _add_into(ctx, cand, basis[i], ring.pi_pow(v - vi), shift_i, False)
-            _add_into(ctx, cand, basis[j], ring.pi_pow(v - vj), shift_j, True)
+            add_into(cand, basis[i], pi_pow[v - vi], lcm - lt_i, False)
+            add_into(cand, basis[j], pi_pow[v - vj], lcm - lt_j, True)
         if not cand:
             continue
-        rem = normal_form(ctx, cand, basis, keyfn, lead)
+        rem = reduce(cand)
         if rem:
             append(rem, next(iter(rem)))
     return basis
@@ -247,27 +318,22 @@ def preimage_gens(
     """Generators of {v in S^s : sum_i v_i * mapped[i] in <sub>}, where
     ``mapped[i]`` in S^target_rank is the image of the i-th source basis
     vector.  Computed by module elimination on the graph submodule."""
-    s = len(mapped)
     zero_mono = (0,) * ctx.nvars
+    ring = ctx.ring
     gens: List[Element] = []
     for i, b in enumerate(mapped):
-        g: Element = {}
-        for (pos, mono), c in b.items():
-            g[(pos, mono)] = c
+        g = dict(b)
         t = (target_rank + i, zero_mono)
-        g[t] = ctx.ring.add(g.get(t, ctx.ring.zero), ctx.ring.one)
-        gens.append(_clean(ctx, g))
-    for w in sub:
-        gens.append(_clean(ctx, dict(w)))
-    basis = strong_groebner(ctx, gens, split=target_rank)
-    out: List[Element] = []
-    for g in basis:
-        if any(pos < target_rank for (pos, _mono) in g):
-            continue
-        stripped = {(pos - target_rank, mono): c for (pos, mono), c in g.items()}
-        if stripped:
-            out.append(stripped)
-    return out
+        g[t] = ring.add(g.get(t, ring.zero), ring.one)
+        gens.append(g)
+    gens.extend(sub)
+    # The eliminated block's terms are the largest, so an element has one
+    # exactly when its leading term, listed first, lies there.
+    return [
+        {(pos - target_rank, mono): c for (pos, mono), c in g.items()}
+        for g in strong_groebner(ctx, gens, split=target_rank)
+        if next(iter(g))[0] >= target_rank
+    ]
 
 
 def quotient_ordq(ctx: PolyContext, rank: int, gens: Sequence[Element]) -> int:
@@ -276,11 +342,9 @@ def quotient_ordq(ctx: PolyContext, rank: int, gens: Sequence[Element]) -> int:
     ring = ctx.ring
     if rank == 0:
         return 0
-    basis = strong_groebner(ctx, gens, split=0)
-    keyfn = ctx.key(0)
     lts: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {pos: [] for pos in range(rank)}
-    for g in basis:
-        lt = leading_term(ctx, g, keyfn)
+    for g in strong_groebner(ctx, gens, split=0):
+        lt = next(iter(g))
         lts[lt[0]].append((lt[1], ring.val(g[lt])))
 
     total = 0

@@ -1301,3 +1301,28 @@ def test_wide_group_ring_inverse_takes_every_newton_step():
     ring, xs, div = wide_element(spec, base, x, 1, 4)
     y = _group_ring_inverse(xs, div, ring)
     assert (naive_product(xs, y, div, ring) == [[1, 0], [0, 0]]).all()
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [ChainRing(3, 1, 1, 5), ChainRing(2, 2, 1, 6), ChainRing(3, 1, 2, 4), ChainRing(2, 1, 1, 80), ChainRing(2, 2, 2, 130)],
+    ids=repr,
+)
+def test_trivial_group_inverse_is_the_scalar_inverse(ring, monkeypatch):
+    # Over the trivial group the inverse is a^-1 straight after the unit
+    # test: no Newton step, so no group-ring product is formed.
+    def refuse(*args, **kwargs):
+        raise AssertionError("Newton set-up over the trivial group")
+
+    monkeypatch.setattr(chainring, "_group_ring_products", refuse)
+    monkeypatch.setattr(chainring, "_product_matrix", refuse)
+    rng = random.Random(7)
+    div = np.zeros((1, 1), dtype=np.int64)
+    units = [a for a in (ring.random_scalar(rng) for _ in range(40)) if ring.val(a) == 0]
+    assert units
+    for a in units:
+        coords = ring.to_coeffs(a)
+        x = np.array([coords[0]] if ring.is_simple else [coords], dtype=ring.dtype)
+        y = _group_ring_inverse(x, div, ring)
+        assert y.shape == x.shape and y.dtype == x.dtype
+        assert tuple(y.ravel().tolist()) == ring.to_coeffs(ring.inv(a))

@@ -29,6 +29,7 @@ from mutower.lambda_mod import (
     Presentation,
     _binomial_row,
     _entry_to_spoly,
+    _koszul_module,
     _level_matrix,
     check_expansion_budget,
     coinvariants_ordq,
@@ -271,6 +272,38 @@ def test_tower_operator_expansion(base, N):
                 if not ring.is_zero(c):
                     expected[tuple(k if t == j else 0 for t in range(r))] = c
             assert _entry_to_spoly(g, ring, r) == expected, (m, j)
+
+
+@pytest.mark.parametrize("base, N", [(BASE2, 4), (BASE3, 3), (RingBase(2, 2, 1), 4), (RingBase(3, 1, 2), 2)], ids=str)
+def test_tower_operators_built_from_binomial_rows(base, N):
+    # the direct construction equals the T-expansion of g_j^(p^m) - 1
+    ring = ChainRing.from_base(base, N)
+    P = quotient_pi(free_module(GroupSpec.abelian(base.p, 2), base, 1), N)
+    for m in range(3):
+        towers = [
+            _entry_to_spoly(poly_sub(poly_gen(base, j, 2, power=base.p ** m), poly_int(base, 1, 2)), ring, 2)
+            for j in (1, 2)
+        ]
+        assert list(_koszul_module(P, N, m)[1]) == towers
+
+
+def test_euler_sum_expands_each_relation_entry_once(monkeypatch):
+    # r + 1 degrees of one module share one conversion of its relations
+    spec = GroupSpec.abelian(2, 2)
+    gt = GroundTruth(0, (1, 2), (Garnish(2),), seed=5)
+    P = make_module(gt, spec, BASE2)
+    calls = []
+
+    def counted(entry, ring, r):
+        calls.append(entry)
+        return _entry_to_spoly(entry, ring, r)
+
+    monkeypatch.setattr(lambda_mod, "_entry_to_spoly", counted)
+    _koszul_module.cache_clear()
+    N = max(gt.alphas)
+    euler = sum((-1) ** i * koszul_homology_ordq(P, 0, i, N) for i in range(spec.r + 1))
+    assert euler == gt.expected_rep().mu_total
+    assert len(calls) == sum(not entry.is_zero for row in P.matrix for entry in row) > 0
 
 
 def test_entry_expansion_of_a_product_of_generators():
