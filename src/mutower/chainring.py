@@ -52,12 +52,21 @@ restriction, and only the residual at order p, over some O/pi^N', N' <= N,
 is expanded and finished over Q = 1, as is the whole matrix when p^M
 passes that rule.  _restrict is the one gather: the expansion is the
 restriction to the trivial subgroup.
+
+Towers.  One unit pass per tower: a level-M matrix with its level also
+yields the forms of every level m < M (_tower, DiagonalForm.below).  The
+augmentation of G/G_M factors through G/G_m, and the projection
+(O/pi^N)[G/G_M] -> (O/pi^N)[G/G_m] is a ring map, so it carries every step
+of the pass over G/G_M, divisions by pi included, to level m, where each
+pivot stands for L_m pivots of the same valuation.  Only the residual is
+projected (every exponent reduced mod p^m, _project), and each projection
+takes its own pass over G/G_m, descent and expansion.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
 from math import prod
@@ -481,6 +490,11 @@ class DiagonalForm:
     free_cols: int
     row_count: int
     col_count: int
+    # The forms of the quotient levels m < M of a level-M matrix, indexed by
+    # m, when diagonalize derives them from its one pass (_tower); empty
+    # otherwise.  Their row counts are those of the level-M matrix's rows
+    # at level m, relations that vanish at m included.
+    below: Tuple["DiagonalForm", ...] = field(default=(), compare=False, repr=False)
 
 
 def _kernel_dtype(mod: int, terms: int):
@@ -496,8 +510,9 @@ class GroupRingMatrix:
     of the coefficient of the h-th element of Q in entry (i, j), element 0
     the identity, and div[g, c] is the index of g^-1 g_c.  level, when
     given, is the group level of Q (groupring.GroupLevel, read through its
-    m, spec.r and stage(d, k)), through whose index-p subgroups the unit
-    pass descends (_descend)."""
+    m, spec.p, spec.r, stage(d, k) and quotient(m)), through whose index-p
+    subgroups the unit pass descends (_descend) and whose quotient levels
+    diagonalize derives from that pass (_tower)."""
 
     coords: np.ndarray
     div: np.ndarray
@@ -666,24 +681,37 @@ def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing"
     return left[0]
 
 
-def _descend(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> Tuple[List[int], np.ndarray, np.ndarray, "ChainRing", int]:
-    """_eliminate_units over Q and then, if a level (GroupRingMatrix.level)
-    is given and nonzero entries are left, over its subgroups Q_d down to
-    order p, one index-p step chosen by _next_generator at a time.
-    Returns (pivot valuations, residual, the division table of its subgroup,
-    ring', shift) as _eliminate_units does."""
+def _descend(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
+    """Pivot valuations of R, the residual of a unit pass over Q (as
+    _eliminate_units returns it, over ring): the passes over the subgroups
+    Q_d of level, if one is given, down to order p, one index-p step chosen
+    by _next_generator at a time, and then the pass over the trivial group
+    on the expansion of what is left.  A zero residual has no pivots."""
+    vals: List[int] = []
+    shift = 0
+    if level is not None:
+        d = (0,) * level.spec.r
+        while R.any() and len(div) > ring.p:
+            k = _next_generator(R, d, level.m, ring)
+            gather, div = level.stage(d, k)
+            more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
+            vals += [v + shift for v in more]
+            shift += s
+            d = d[:k] + (d[k] + 1,) + d[k + 1 :]
+    if not R.any():
+        return vals
+    if ring.is_simple:
+        R = R[..., None]
+    A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
+    return vals + [v + shift for v in _trivial_pass(A, ring)]
+
+
+def _level_pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
+    """Pivot valuations of a compact matrix R (reduced int64, as in
+    _eliminate_units) over the group with division table div: its unit pass
+    over that group, then _descend."""
     vals, R, ring, shift = _eliminate_units(R, div, ring)
-    if level is None:
-        return vals, R, div, ring, shift
-    d = (0,) * level.spec.r
-    while R.any() and len(div) > ring.p:
-        k = _next_generator(R, d, level.m, ring)
-        gather, div = level.stage(d, k)
-        more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
-        vals += [v + shift for v in more]
-        shift += s
-        d = d[:k] + (d[k] + 1,) + d[k + 1 :]
-    return vals, R, div, ring, shift
+    return vals + [v + shift for v in _descend(R, div, ring, level)]
 
 
 def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
@@ -771,6 +799,61 @@ def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray
     return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k)
 
 
+def _project(R: np.ndarray, level, m: int) -> np.ndarray:
+    """R (shape (rels, gens, L, ...), entries in the group ring of a group
+    level of order L) mapped to its quotient level m, not reduced.  An
+    element's index has one base-p^M digit per generator, its exponent, and
+    the quotient keeps each exponent mod p^m (groupring.GroupLevel.quotient):
+    so each digit axis splits into (p^(M - m), p^m) and the high parts are
+    summed."""
+    p, r, M = level.spec.p, level.spec.r, level.m
+    head, tail = R.shape[:2], R.shape[3:]
+    X = R.reshape(*head, *(p ** (M - m), p ** m) * r, *tail)
+    return X.sum(axis=tuple(range(2, 2 + 2 * r, 2))).reshape(*head, p ** (r * m), *tail)
+
+
+def _trivial_pass(A: np.ndarray, ring: ChainRing) -> List[int]:
+    """Pivot valuations of the coordinate array A (shape (rows, cols, e*f))
+    by _eliminate_units over the trivial group, where an entry is an L = 1
+    group-ring element: the array becomes (rows, cols, 1) residues, or
+    (rows, cols, 1, e*f), in a reduced copy that the pass may overwrite."""
+    A = A % np.array(ring.moduli, dtype=A.dtype)
+    vals, _, _, _ = _eliminate_units(A if ring.is_simple else A[:, :, None], np.zeros((1, 1), dtype=np.intp), ring)
+    return vals
+
+
+def _form(vals: List[int], nrows: int, nc: int) -> DiagonalForm:
+    return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
+
+
+def _tower(R: np.ndarray, div: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
+    """The form of a level matrix R over Q = G/G_M (reduced int64, as in
+    _eliminate_units), with those of its quotient levels m < M in
+    ``below``, from one unit pass over Q.
+
+    The augmentation of Q factors through every quotient, so an entry is a
+    unit over Q exactly when its projection is one at level m; and the
+    projection is a ring map, so it carries every step of the pass,
+    divisions by pi included, to a valid step at level m.  So level m has
+    the pass's pivots, each standing for L_m pivots there with the same
+    valuation, and those of the projection of the residual, which takes its
+    own pass over G/G_m (_level_pivots); the residual itself goes on to
+    _descend at level M."""
+    rels, gens, L = R.shape[:3]
+    top, R, ring, shift = _eliminate_units(R, div, ring)
+    top = top[::L]  # one entry per pivot: each stands for L of the expansion
+    mod = ring.pM if ring.is_simple else np.array(ring.moduli, dtype=R.dtype)
+    forms = []
+    for m in range(level.m + 1):
+        if m < level.m:
+            sub = level.quotient(m)
+            Lm, more = sub.order, _level_pivots(_project(R, level, m) % mod, sub.division_table(), ring, sub)
+        else:
+            Lm, more = L, _descend(R, div, ring, level)
+        forms.append(_form(top * Lm + [v + shift for v in more], rels * Lm, gens * Lm))
+    return replace(forms[-1], below=tuple(forms[:-1]))
+
+
 def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalForm:
     """Diagonal normal form of a relation matrix over O/pi^N (see the module
     docstring).
@@ -780,16 +863,16 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     GroupRingMatrix, a level matrix over a group ring that stands for its
     expansion; ``ncols`` is mandatory for empty matrices.  For L > 1, the
     unit entries of a GroupRingMatrix are eliminated on its compact array
-    when _kernel_dtype(p^M, L e f) is int64, then those of its restrictions
-    to the index-p subgroups of its level that _descend picks for this
-    matrix, down to order p.  What is left, or the whole level when p^M
-    passes that rule, is expanded, and every matrix ends in the one
-    elimination, _eliminate_units over the trivial group, where it
-    diagonalizes whole.  The multiset of diagonal valuations with the
-    free-column count is an isomorphism invariant of the cokernel.
+    when _kernel_dtype(p^M, L e f) is int64; a matrix with a level then
+    also gets the forms of every quotient level m < M in ``below``, each
+    from a projection of that one pass's residual (_tower), and each
+    residual takes the restrictions to the index-p subgroups of its level
+    that _descend picks for it, down to order p.  What is left, or the
+    whole level when p^M passes that rule, is expanded, and every matrix
+    ends in the one elimination, _eliminate_units over the trivial group,
+    where it diagonalizes whole.  The multiset of diagonal valuations with
+    the free-column count is an isomorphism invariant of the cokernel.
     """
-    vals: List[int] = []
-    shift = 0
     if isinstance(rows, GroupRingMatrix):
         R, div = rows.coords, rows.div
         L = len(div)
@@ -799,20 +882,15 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
         if L > 1 and _kernel_dtype(ring.pM, L * ring.e * ring.f) is np.int64:
             # e*f = 1 takes the pass on plain residues, without the O-coordinate axis.
             R = R[..., 0] % ring.pM if ring.is_simple else R % np.array(ring.moduli, dtype=R.dtype)
-            vals, R, div, ring, shift = _descend(R.astype(np.int64, copy=False), div, ring, rows.level)
-            if ring.is_simple:
-                R = R[..., None]
+            R = R.astype(np.int64, copy=False)
+            if rows.level is not None:
+                return _tower(R, div, ring, rows.level)
+            return _form(_level_pivots(R, div, ring, None), nrows, nc)
         A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
     else:
         A = _coordinate_array(ring, rows, ncols)
         nrows, nc, _ = A.shape
-    # Over the trivial group an entry is an L = 1 group-ring element: the
-    # array becomes (rows, cols, 1) residues, or (rows, cols, 1, e*f), in a
-    # reduced copy that the pass may overwrite.
-    A = A % np.array(ring.moduli, dtype=A.dtype)
-    more, _, _, _ = _eliminate_units(A if ring.is_simple else A[:, :, None], np.zeros((1, 1), dtype=np.intp), ring)
-    vals += [v + shift for v in more]
-    return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
+    return _form(_trivial_pass(A, ring), nrows, nc)
 
 
 def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:

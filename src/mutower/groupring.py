@@ -147,6 +147,14 @@ class GroupLevel:
         group_level.trim()
         return div
 
+    def quotient(self, m: int) -> "GroupLevel":
+        """The level G/G_m, m <= self.m, a quotient of this one: an element
+        g_1^e_1 ... g_r^e_r maps to the element with every e_k reduced mod
+        p^m, so its index keeps the low base-p^m digit of each exponent."""
+        if not 0 <= m <= self.m:
+            raise InvalidInput(f"level {m} is not a quotient of level {self.m}")
+        return group_level(self.spec, m)
+
     def _members(self, d: Tuple[int, ...]) -> np.ndarray:
         """Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)>, the elements whose exponent
         e_k is divisible by p^d_k, as increasing indices into Q."""

@@ -114,10 +114,12 @@ def mu_profile(
 ) -> MuProfile:
     """Profiles n -> mu(M/pi^n) for n = 1..n_max.
 
-    One diagonalization per level at truncation n_max serves every n: the
-    base-change surjection O/pi^n_max -> O/pi^n caps each diagonal valuation
-    at n and keeps free coordinates free, so the derived orders equal the
-    direct N = n computations.  Raises InconsistentProfile if the recovered
+    One unit pass per tower at truncation n_max serves every level and
+    every n: the top level's pass over O/pi^n_max also gives the forms of
+    the levels below it, each a projection of its residual
+    (chainring.diagonalize), and the base-change surjection O/pi^n_max ->
+    O/pi^n caps each diagonal valuation at n and keeps free coordinates
+    free, so the derived orders equal the direct N = n computations.  Raises InconsistentProfile if the recovered
     sequence violates the monotonicity forced by mu(M/pi^n) = n rank +
     sum min(n, alpha_i), and TooLarge, before building anything, when the
     top level's expansion over O/pi^n_max exceeds the expansion budget.
@@ -130,7 +132,15 @@ def mu_profile(
     # before pi^n_max and O/pi^n_max are formed: p^n_max alone can be huge
     check_expansion_budget(P.spec, P.base, P.rels + P.gens, P.gens, ms[-1], n_max)
     Pq = quotient_pi(P, n_max)
-    forms = {m: level_diagonal_form(Pq, m, n_max) for m in ms}
+    # Levels from the top down: a level's form carries those of the levels
+    # below it (DiagonalForm.below) unless it fails the int64 rule, and then
+    # the next level down is diagonalized on its own.
+    forms = {}
+    for m in reversed(ms):
+        if m not in forms:
+            form = level_diagonal_form(Pq, m, n_max)
+            forms.update(enumerate(form.below))
+            forms[m] = form
     raw = {n: {m: ordq_from_form(forms[m], n_max, n) for m in ms} for n in range(1, n_max + 1)}
     fits = {n: fit_mu(orders, P.spec.p, P.spec.r) for n, orders in raw.items()}
     mu = {n: fit.mu for n, fit in fits.items()}

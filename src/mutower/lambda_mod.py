@@ -114,7 +114,10 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # compact residual the expansion is gathered from: a measured peak of
 # 4 * 8 k + 5 bytes a cell on int64 levels); and the k x k x k structure tensor of O that the elimination
 # multiplies through, held with its reduced and int64 copies (a measured
-# peak of 3 * 8 k^3 bytes).
+# peak of 3 * 8 k^3 bytes).  The levels below a top level that
+# chainring.diagonalize derives from its pass cost no more: each works on
+# a projection of the top level's residual, never larger than it, before
+# the top level's own descent and expansion.
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
@@ -171,8 +174,10 @@ def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRing
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:
-    """Diagonal form of the level-m expansion over O/pi^N.  Exposed so that
-    callers can base-change the result to every n <= N (ordq_from_form)."""
+    """Diagonal form of the level-m expansion over O/pi^N, with the forms of
+    the levels below m in its ``below`` when m passes the int64 rule
+    (chainring.diagonalize).  Exposed so that callers can base-change the
+    results to every n <= N (ordq_from_form)."""
     ring, rows, ncols = _level_matrix(P, m, N)
     return diagonalize(ring, rows, ncols)
 
@@ -255,7 +260,17 @@ def _koszul_module(P: Presentation, N: int, m: int) -> Tuple[Tuple[Element, ...]
     """(U, ts) over O/pi^N: the nonzero relation rows of P as elements of
     S^b, and the tower operators g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k
     in R[T_1..T_r], none with a zero coefficient.  Cached, so the elements
-    are shared between calls and never mutated."""
+    are shared between calls and never mutated.  Raises TooLarge, before
+    expanding any entry, when the relation matrix would expand to more than
+    KOSZUL_BUDGET_CELLS monomials in T; a raise is not cached, so every
+    call for P refuses."""
+    # a term c g^e expands to prod_j (e_j + 1) monomials in T
+    terms = sum(prod(e + 1 for e in exps) for row in P.matrix for entry in row for _, exps in entry.terms)
+    if terms > KOSZUL_BUDGET_CELLS:
+        raise TooLarge(
+            f"the relation matrix expands to {terms} monomials in T_j = g_j - 1 "
+            f"(budget {KOSZUL_BUDGET_CELLS}); lower the generator exponents"
+        )
     ring = ChainRing.from_base(P.base, N)
     r = P.spec.r
     U = []
@@ -320,13 +335,6 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
         raise TooLarge(
             f"Koszul degree {i} at level m={m} has {cells} chain coordinates "
             f"(p^(r m) b C(r, i); budget {KOSZUL_BUDGET_CELLS}); lower m"
-        )
-    # a term c g^e expands to prod_j (e_j + 1) monomials in T
-    terms = sum(prod(e + 1 for e in exps) for row in P.matrix for entry in row for _, exps in entry.terms)
-    if terms > KOSZUL_BUDGET_CELLS:
-        raise TooLarge(
-            f"the relation matrix expands to {terms} monomials in T_j = g_j - 1 "
-            f"(budget {KOSZUL_BUDGET_CELLS}); lower the generator exponents"
         )
     U, ts = _koszul_module(P, N, m)
 

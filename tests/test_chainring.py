@@ -863,7 +863,8 @@ def test_compact_unit_pass_matches_dense_block_oracle_on_nonabelian_level(gt, N)
 def test_garnished_residual_descends_past_the_first_pass(monkeypatch):
     # (pi, g1 - 1): g1 - 1 has augmentation 0 but is not divisible by p, so
     # the block pass over Q stops with a residual, and the descent leaves
-    # the pass over the trivial group nothing.
+    # the pass over the trivial group nothing.  The one pass over the
+    # trivial group is level 0's own pass over the projected residual.
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(1),), seed=3), spec), 6)
     ring, G, ncols = _level_matrix(P, 2, 6)
@@ -878,14 +879,16 @@ def test_garnished_residual_descends_past_the_first_pass(monkeypatch):
 
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
-    assert len(trivial) == 1 and 0 in trivial[0]
+    assert trivial == [(3, 2, 1)]
     assert form == scalar_form(ring, G, ncols)
 
 
 def test_zero_residual_stops_the_pass(monkeypatch):
     # Two equal relation rows at abelian(3, 1), m = 2, N = 12: one pivot
     # leaves a zero (1, 2, 9) residual, which the pass returns over O/pi^N
-    # with shift 0, neither divided by pi nor restricted further.
+    # with shift 0, neither divided by pi nor restricted further.  Its
+    # projections to levels 0 and 1 take their own passes, which find
+    # nothing.
     spec, base = GroupSpec.abelian(3, 1), RingBase(3, 1, 1)
     g = poly_gen(base, 1, 1)
     row = [poly_add(poly_int(base, 1, 1), g), poly_sub(g, poly_int(base, 1, 1)), poly_int(base, 3, 1)]
@@ -899,7 +902,7 @@ def test_zero_residual_stops_the_pass(monkeypatch):
 
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
-    assert [L for L, _ in calls] == [9, 1]
+    assert [L for L, _ in calls] == [9, 1, 3]
     vals, residual, sub_ring, shift = calls[0][1]
     assert vals == [0] * 9 and residual.shape == (1, 2, 9) and not residual.any()
     assert (sub_ring.N, shift) == (12, 0)
@@ -989,9 +992,9 @@ def test_block_inverse_of_unit_and_singular_blocks():
 
 def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     # Ungarnished Lambda (+) Lambda/p^2 (+) Lambda/p^3 at m = 2 (L = 81): the
-    # pass eliminates every torsion relation on the compact array, and the
-    # only expansion is the residual, the free summand with no rows left,
-    # which the pass over the trivial group then finds empty.
+    # pass eliminates every torsion relation on the compact array.  The
+    # residual, the free summand with no rows left, projects to levels 0
+    # and 1 for their own passes, and nothing is expanded.
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(1, (2, 3), seed=1), spec), 6)
     ring, G, ncols = _level_matrix(P, 2, 6)
@@ -1013,7 +1016,7 @@ def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
     assert (form.row_count, form.col_count, form.free_cols) == (243, 324, 81)
-    assert events == [("pass", (3, 4, 81)), ("expand", (0, 81, 1)), ("pass", (0, 81, 1))]
+    assert events == [("pass", (3, 4, 81)), ("pass", (0, 1, 1)), ("pass", (0, 1, 9))]
 
 
 # ---------------------------------------------------------------------------
@@ -1061,6 +1064,9 @@ class CommutedLevel:
 
     def __init__(self, level):
         self.level, self.m, self.spec = level, level.m, level.spec
+
+    def quotient(self, m):
+        return self.level.quotient(m)
 
     def stage(self, d, k):
         gather, sub_div = self.level.stage(d, k)
@@ -1112,7 +1118,8 @@ def test_g2_garnish_sends_nothing_to_the_kernel(spec, monkeypatch):
     # Lambda/pi (+) Lambda/pi^3 (+) Lambda/(pi, g2 - 1) at m = 2: g2 - 1 is
     # no unit over Q, but over <g1, g2^p> its diagonal blocks are -1, so the
     # descent strips a digit of g2 first and the unit passes leave nothing
-    # for the pass over the trivial group (a chain that stripped g1 first
+    # for the pass over the trivial group, which sees only the 4 x 3
+    # level-0 projection of each module (a chain that stripped g1 first
     # left it 270 x 189, 270 x 189 and 56 x 40 here).  The same module with a g1 garnish
     # descends first, stripping g1, so the g2 descent runs on a cached level
     # that keeps the other path's stages: the traced peak of both still lies
@@ -1142,7 +1149,7 @@ def test_g2_garnish_sends_nothing_to_the_kernel(spec, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [ks[0] for ks in steps] == [0, 1] and trivial == [0, 0]
+    assert [ks[0] for ks in steps] == [0, 1] and trivial == [12, 12]
     assert {((0, 0), 0), ((0, 0), 1)} <= set(G.level._stages)
     monkeypatch.undo()
     assert form == scalar_form(ring, G, ncols)
@@ -1220,8 +1227,9 @@ def test_wide_unit_pass_matches_per_pivot_kernel(case):
 def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     # Garnished abelian(3, 2) over the ramified O = Z_3[sqrt 3] at m = 2:
     # g2 - 1 is a unit over <g1, g2^3>, so the descent strips a digit of g2
-    # first, with the O-coordinate axis, and the unit passes leave nothing
-    # for the pass over the trivial group.
+    # first, with the O-coordinate axis, at level 2 as at level 1, and the
+    # unit passes leave nothing for the pass over the trivial group, which
+    # sees only the level-0 projection.
     spec, base = GroupSpec.abelian(3, 2), RingBase(3, 2, 1)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(2),), seed=3), spec, base), 6)
     events, trivial = [], []
@@ -1241,8 +1249,16 @@ def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     ring, G, ncols = _level_matrix(P, 2, 6)
     form = diagonalize(ring, G, ncols)
-    assert events[:3] == [("pass", 81, (2,), 6), ("stage", (0, 0), 1), ("pass", 27, (2,), 6)]
-    assert trivial == [0]
+    assert events[:7] == [
+        ("pass", 81, (2,), 6),
+        ("pass", 1, (2,), 6),
+        ("pass", 9, (2,), 6),
+        ("stage", (0, 0), 1),
+        ("pass", 3, (2,), 6),
+        ("stage", (0, 0), 1),
+        ("pass", 27, (2,), 6),
+    ]
+    assert trivial == [12]
     monkeypatch.undo()
     assert form == scalar_form(ring, G, ncols)
 
