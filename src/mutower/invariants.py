@@ -116,13 +116,14 @@ def mu_profile(
 
     One unit pass per tower at truncation n_max serves every level and
     every n: the top level's pass over O/pi^n_max also gives the forms of
-    the levels below it, each a projection of its residual
+    the levels below it, each from a projection of its residual
     (chainring.diagonalize), and the base-change surjection O/pi^n_max ->
     O/pi^n caps each diagonal valuation at n and keeps free coordinates
-    free, so the derived orders equal the direct N = n computations.  Raises InconsistentProfile if the recovered
-    sequence violates the monotonicity forced by mu(M/pi^n) = n rank +
-    sum min(n, alpha_i), and TooLarge, before building anything, when the
-    top level's expansion over O/pi^n_max exceeds the expansion budget.
+    free, so the derived orders equal the direct N = n computations.
+    Raises InconsistentProfile if the recovered sequence violates the
+    monotonicity forced by mu(M/pi^n) = n rank + sum min(n, alpha_i), and
+    TooLarge, before building anything, when the top level's expansion
+    over O/pi^n_max exceeds the expansion budget.
     """
     if n_max < 1:
         raise InvalidInput("need n_max >= 1")

@@ -1198,6 +1198,18 @@ def test_garnished_levels_match_sympy_smith_form(gt, m, N):
     assert sorted(form.diag_valuations + (N,) * form.free_cols) == smith_valuations(G.expand()[..., 0], 2, N)
 
 
+def test_tower_level_matches_sympy_smith_form():
+    # Level 1 (L = 4) of the garnished abelian(2, 2) level-2 tower, derived
+    # from the level-2 pass, against the Smith form of level 1's own
+    # expansion.
+    N = 3
+    P = quotient_pi(make_module(GroundTruth(0, (1, 2), (Garnish(1), Garnish(2)), seed=1), GroupSpec.abelian(2, 2)), N)
+    ring, G, ncols = _level_matrix(P, 2, N)
+    form = diagonalize(ring, G, ncols).below[1]
+    _, G1, _ = _level_matrix(P, 1, N)
+    assert sorted(form.diag_valuations + (N,) * form.free_cols) == smith_valuations(G1.expand()[..., 0], 2, N)
+
+
 # ---------------------------------------------------------------------------
 # The unit pass and the descent over ramified and unramified O (e*f > 1).
 

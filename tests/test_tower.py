@@ -14,10 +14,8 @@ from mutower import chainring, invariants
 from mutower.chainring import RingBase
 from mutower.groupring import GroupSpec, poly_mul, poly_pi_pow
 from mutower.invariants import mu_profile, recover_elementary
-from mutower.lambda_mod import _level_matrix, level_diagonal_form, presentation, quotient_pi
+from mutower.lambda_mod import level_diagonal_form, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, make_module
-
-from test_chainring import smith_valuations
 
 SPECS = [
     GroupSpec.abelian(2, 1),
@@ -63,17 +61,6 @@ def test_tower_levels_match_per_level_forms(case):
     assert len(top.below) == M
     for m, form in enumerate(top.below):
         assert invariant(form) == invariant(level_diagonal_form(P, m, N))
-
-
-def test_tower_level_matches_sympy_smith_form():
-    # Garnished abelian(2, 2) over Z_2: level 1 (L = 4) of the level-2 tower
-    # against the Smith form of level 1's own expansion, free columns
-    # counting N.
-    N = 3
-    P = quotient_pi(make_module(GroundTruth(0, (1, 2), (Garnish(1), Garnish(2)), seed=1), GroupSpec.abelian(2, 2)), N)
-    form = level_diagonal_form(P, 2, N).below[1]
-    _, G, _ = _level_matrix(P, 1, N)
-    assert sorted(form.diag_valuations + (N,) * form.free_cols) == smith_valuations(G.expand()[..., 0], 2, N)
 
 
 @pytest.mark.parametrize("n_max, expanded, derived", [(40, [2, 1, 0], [0, 0, 0]), (19, [2, 1], [0, 1])])
