@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from mutower import chainring, invariants
 from mutower.chainring import RingBase
-from mutower.groupring import GroupSpec, poly_mul, poly_pi_pow
+from mutower.errors import InvalidInput
+from mutower.groupring import GroupSpec, group_level, poly_mul, poly_pi_pow
 from mutower.invariants import mu_profile, recover_elementary
 from mutower.lambda_mod import level_diagonal_form, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, make_module
@@ -61,6 +62,14 @@ def test_tower_levels_match_per_level_forms(case):
     assert len(top.below) == M
     for m, form in enumerate(top.below):
         assert invariant(form) == invariant(level_diagonal_form(P, m, N))
+
+
+def test_quotient_levels_lie_below():
+    level = group_level(GroupSpec.metacyclic(3), 2)
+    assert [level.quotient(m).order for m in range(3)] == [1, 9, 81]
+    for m in (-1, 3):
+        with pytest.raises(InvalidInput):
+            level.quotient(m)
 
 
 @pytest.mark.parametrize("n_max, expanded, derived", [(40, [2, 1, 0], [0, 0, 0]), (19, [2, 1], [0, 1])])
