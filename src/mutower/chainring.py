@@ -37,9 +37,10 @@ augmentation of x is a unit of O/pi^N, and inverses, Schur complements and
 division by pi stay in the group ring.  A plain matrix is the case Q = 1,
 where I = 0: every non-unit lies in (pi), and the pass diagonalizes whole.
 A level-m matrix is a GroupRingMatrix over Q = G/G_m, eliminated on the
-compact array with int64 group-ring products (L^2 O-products each) when
-the one exactness rule _kernel_dtype(p^M, L e f) allows.  What is left
-then descends through index-p subgroups Q > Q' > ... down to order p, each
+compact array with group-ring products (L^2 O-products each), in int64
+when the one exactness rule _kernel_dtype(p^M, L e f) allows and on
+Python ints otherwise.  What is left then descends through index-p
+subgroups Q > Q' > ... down to order p, each
 Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)> (groupring.GroupLevel.stage):
 restricted to Q', an entry x is a p x p block of elements of
 (O/pi^N)[Q'], the same matrix with its rows and columns permuted, and an
@@ -49,9 +50,8 @@ generator chosen for the matrix at hand (_next_generator): the first whose
 restriction has a unit entry, so that a g_2 - 1 entry is cleared as soon
 as a g_1 - 1 one would be.  _eliminate_units runs again after each
 restriction, and only the residual at order p, over some O/pi^N', N' <= N,
-is expanded and finished over Q = 1, as is the whole matrix when p^M
-passes that rule.  _restrict is the one gather: the expansion is the
-restriction to the trivial subgroup.
+is expanded and finished over Q = 1.  _restrict is the one gather: the
+expansion is the restriction to the trivial subgroup.
 
 Towers.  One unit pass per tower: a level-M matrix with its level also
 yields the forms of every level m < M (_tower, DiagonalForm.below).  The
@@ -491,9 +491,9 @@ class DiagonalForm:
     row_count: int
     col_count: int
     # The forms of the quotient levels m < M of a level-M matrix, indexed by
-    # m, when diagonalize derives them from its one pass (_tower); empty
-    # otherwise.  Their row counts are those of the level-M matrix's rows
-    # at level m, relations that vanish at m included.
+    # m, which diagonalize derives from its one pass (_tower); empty for a
+    # plain matrix and at level 0.  Their row counts are those of the
+    # level-M matrix's rows at level m, relations that vanish at m included.
     below: Tuple["DiagonalForm", ...] = field(default=(), compare=False, repr=False)
 
 
@@ -508,15 +508,15 @@ class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
     coords[i, j, h], of shape (rels, gens, L, e*f), holds the O-coordinates
     of the coefficient of the h-th element of Q in entry (i, j), element 0
-    the identity, and div[g, c] is the index of g^-1 g_c.  level, when
-    given, is the group level of Q (groupring.GroupLevel, read through its
-    m, spec.p, spec.r, stage(d, k) and quotient(m)), through whose index-p
-    subgroups the unit pass descends (_descend) and whose quotient levels
-    diagonalize derives from that pass (_tower)."""
+    the identity, and div[g, c] is the index of g^-1 g_c.  level is the
+    group level of Q (groupring.GroupLevel, read through its m, spec.p,
+    spec.r, stage(d, k) and quotient(m)), through whose index-p subgroups
+    the unit pass descends (_descend) and whose quotient levels diagonalize
+    derives from that pass (_tower)."""
 
     coords: np.ndarray
     div: np.ndarray
-    level: object = None
+    level: object
 
     def expand(self) -> np.ndarray:
         """The (rels L, gens L, e*f) coordinate array it stands for: the
@@ -684,30 +684,29 @@ def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing"
 def _descend(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
     """Pivot valuations of R, the residual of a unit pass over Q (as
     _eliminate_units returns it, over ring): the passes over the subgroups
-    Q_d of level, if one is given, down to order p, one index-p step chosen
-    by _next_generator at a time, and then the pass over the trivial group
-    on the expansion of what is left.  A zero residual has no pivots."""
+    Q_d of level down to order p, one index-p step chosen by
+    _next_generator at a time, and then the pass over the trivial group on
+    the expansion of what is left.  A zero residual has no pivots."""
     vals: List[int] = []
     shift = 0
-    if level is not None:
-        d = (0,) * level.spec.r
-        while R.any() and len(div) > ring.p:
-            k = _next_generator(R, d, level.m, ring)
-            gather, div = level.stage(d, k)
-            more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
-            vals += [v + shift for v in more]
-            shift += s
-            d = d[:k] + (d[k] + 1,) + d[k + 1 :]
+    d = (0,) * level.spec.r
+    while R.any() and len(div) > ring.p:
+        k = _next_generator(R, d, level.m, ring)
+        gather, div = level.stage(d, k)
+        more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
+        vals += [v + shift for v in more]
+        shift += s
+        d = d[:k] + (d[k] + 1,) + d[k + 1 :]
     if not R.any():
         return vals
     if ring.is_simple:
         R = R[..., None]
-    A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
+    A = _restrict(R.astype(ring.dtype, copy=False), div[:, :, None])[:, :, 0]
     return vals + [v + shift for v in _trivial_pass(A, ring)]
 
 
 def _level_pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
-    """Pivot valuations of a compact matrix R (reduced int64, as in
+    """Pivot valuations of a compact matrix R (reduced, as in
     _eliminate_units) over the group with division table div: its unit pass
     over that group, then _descend."""
     vals, R, ring, shift = _eliminate_units(R, div, ring)
@@ -827,7 +826,7 @@ def _form(vals: List[int], nrows: int, nc: int) -> DiagonalForm:
 
 
 def _tower(R: np.ndarray, div: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
-    """The form of a level matrix R over Q = G/G_M (reduced int64, as in
+    """The form of a level matrix R over Q = G/G_M (reduced, as in
     _eliminate_units), with those of its quotient levels m < M in
     ``below``, from one unit pass over Q.
 
@@ -861,36 +860,28 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     ``rows`` is a sequence of length-``ncols`` scalar rows, an integer array
     of O-coordinates of shape (rows, cols, e*f), e*f = 1 included, or a
     GroupRingMatrix, a level matrix over a group ring that stands for its
-    expansion; ``ncols`` is mandatory for empty matrices.  For L > 1, the
-    unit entries of a GroupRingMatrix are eliminated on its compact array
-    when _kernel_dtype(p^M, L e f) is int64; a matrix with a level then
-    also gets the forms of every quotient level m < M in ``below``, each
-    from a projection of that one pass's residual (_tower), and each
-    residual takes the restrictions to the index-p subgroups of its level
-    that _descend picks for it, down to order p.  What is left, or the
-    whole level when p^M passes that rule, is expanded, and every matrix
-    ends in the one elimination, _eliminate_units over the trivial group,
-    where it diagonalizes whole.  The multiset of diagonal valuations with
-    the free-column count is an isomorphism invariant of the cokernel.
+    expansion; ``ncols`` is mandatory for empty matrices.  The unit entries
+    of a GroupRingMatrix are eliminated on its compact array, in the dtype
+    _kernel_dtype(p^M, L e f) gives, and its form gets those of every
+    quotient level m < M in ``below``, each from a projection of that one
+    pass's residual (_tower); each residual takes the restrictions to the
+    index-p subgroups of its level that _descend picks for it, down to
+    order p.  What is left is expanded, and every matrix ends in the one
+    elimination, _eliminate_units over the trivial group, where it
+    diagonalizes whole.  The multiset of diagonal valuations with the
+    free-column count is an isomorphism invariant of the cokernel.
     """
     if isinstance(rows, GroupRingMatrix):
         R, div = rows.coords, rows.div
         L = len(div)
-        nrows, nc = len(R) * L, R.shape[1] * L
-        if R.shape[2:] != (L, ring.e * ring.f) or div.shape != (L, L) or ncols not in (None, nc):
+        if R.shape[2:] != (L, ring.e * ring.f) or div.shape != (L, L) or ncols not in (None, R.shape[1] * L):
             raise InvalidInput(f"group-ring matrix {R.shape} with division table {div.shape} does not fit {ring!r}")
-        if L > 1 and _kernel_dtype(ring.pM, L * ring.e * ring.f) is np.int64:
-            # e*f = 1 takes the pass on plain residues, without the O-coordinate axis.
-            R = R[..., 0] % ring.pM if ring.is_simple else R % np.array(ring.moduli, dtype=R.dtype)
-            R = R.astype(np.int64, copy=False)
-            if rows.level is not None:
-                return _tower(R, div, ring, rows.level)
-            return _form(_level_pivots(R, div, ring, None), nrows, nc)
-        A = GroupRingMatrix(R.astype(ring.dtype, copy=False), div).expand()
-    else:
-        A = _coordinate_array(ring, rows, ncols)
-        nrows, nc, _ = A.shape
-    return _form(_trivial_pass(A, ring), nrows, nc)
+        R = R.astype(_kernel_dtype(ring.pM, L * ring.e * ring.f), copy=False)
+        # e*f = 1 takes the pass on plain residues, without the O-coordinate axis.
+        R = R[..., 0] % ring.pM if ring.is_simple else R % np.array(ring.moduli, dtype=R.dtype)
+        return _tower(R, div, ring, rows.level)
+    A = _coordinate_array(ring, rows, ncols)
+    return _form(_trivial_pass(A, ring), *A.shape[:2])
 
 
 def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:

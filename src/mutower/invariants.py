@@ -130,18 +130,14 @@ def mu_profile(
     ms = sorted(set(m_range)) if m_range is not None else default_m_range(P.spec)
     if len(ms) < 2:
         raise InvalidInput("need at least two levels")
+    if ms[0] < 0:
+        raise InvalidInput("level m must be >= 0")
     # before pi^n_max and O/pi^n_max are formed: p^n_max alone can be huge
     check_expansion_budget(P.spec, P.base, P.rels + P.gens, P.gens, ms[-1], n_max)
-    Pq = quotient_pi(P, n_max)
-    # Levels from the top down: a level's form carries those of the levels
-    # below it (DiagonalForm.below) unless it fails the int64 rule, and then
-    # the next level down is diagonalized on its own.
-    forms = {}
-    for m in reversed(ms):
-        if m not in forms:
-            form = level_diagonal_form(Pq, m, n_max)
-            forms.update(enumerate(form.below))
-            forms[m] = form
+    # The top level's form carries those of every level below it, indexed
+    # by m (DiagonalForm.below).
+    top = level_diagonal_form(quotient_pi(P, n_max), ms[-1], n_max)
+    forms = top.below + (top,)
     raw = {n: {m: ordq_from_form(forms[m], n_max, n) for m in ms} for n in range(1, n_max + 1)}
     fits = {n: fit_mu(orders, P.spec.p, P.spec.r) for n, orders in raw.items()}
     mu = {n: fit.mu for n, fit in fits.items()}

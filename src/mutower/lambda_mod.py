@@ -112,12 +112,15 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # (the expansion, the reduced copy that the pass over the trivial group
 # eliminates, the temporaries of its unit test and Schur update, and the
 # compact residual the expansion is gathered from: a measured peak of
-# 4 * 8 k + 5 bytes a cell on int64 levels); and the k x k x k structure tensor of O that the elimination
-# multiplies through, held with its reduced and int64 copies (a measured
-# peak of 3 * 8 k^3 bytes).  The levels below a top level that
-# chainring.diagonalize derives from its pass cost no more: each works on
-# a projection of the top level's residual, never larger than it, before
-# the top level's own descent and expansion.
+# 4 * 8 k + 5 bytes a cell with 8-byte coordinates), a coordinate counted
+# at its width in the level's dtype (check_expansion_budget); and the
+# k x k x k structure tensor of O that the elimination multiplies through,
+# held with its reduced copy and its copy in that dtype (a measured peak
+# of 3 * 8 k^3 bytes with 8-byte coordinates).  The unit pass and its
+# tower work on the compact (rels, gens, L, k) array in the same dtype,
+# L times smaller than the expansion, and each level below the top one
+# works on a projection of the top level's residual, never larger than
+# it, before the top level's own descent and expansion.
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
@@ -175,9 +178,9 @@ def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRing
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:
     """Diagonal form of the level-m expansion over O/pi^N, with the forms of
-    the levels below m in its ``below`` when m passes the int64 rule
-    (chainring.diagonalize).  Exposed so that callers can base-change the
-    results to every n <= N (ordq_from_form)."""
+    the levels below m in its ``below`` (chainring.diagonalize).  Exposed
+    so that callers can base-change the results to every n <= N
+    (ordq_from_form)."""
     ring, rows, ncols = _level_matrix(P, m, N)
     return diagonalize(ring, rows, ncols)
 

@@ -834,7 +834,7 @@ def assert_matches_dense_oracle(ring, G):
     vals, residual, sub_ring, shift = _eliminate_units(G.coords[..., 0].copy(), G.div, ring)
     assert (vals, sub_ring.N, shift) == (expected_vals, expected_K, expected_shift)
     assert residual.dtype == np.int64
-    expanded = GroupRingMatrix(residual[..., None], G.div).expand()[..., 0]
+    expanded = GroupRingMatrix(residual[..., None], G.div, G.level).expand()[..., 0]
     assert expanded.shape == expected_residual.shape and (expanded == expected_residual).all()
 
 
@@ -922,7 +922,7 @@ def test_zero_block_rows():
     assert form == scalar_form(ring, G, ncols) and form.row_count == 9
     # explicit zero rows, kept in the array, change nothing
     R = G.coords
-    padded = GroupRingMatrix(np.concatenate([np.zeros_like(R[:1]), R, np.zeros_like(R[:2])]), G.div)
+    padded = GroupRingMatrix(np.concatenate([np.zeros_like(R[:1]), R, np.zeros_like(R[:2])]), G.div, G.level)
     padded_form = diagonalize(ring, padded, ncols)
     assert (padded_form.diag_valuations, padded_form.free_cols) == (form.diag_valuations, form.free_cols)
 
@@ -950,21 +950,85 @@ def test_unit_pass_runs_up_to_the_int64_bound(N, monkeypatch):
     assert form.diag_valuations.count(2) == 9 and form.diag_valuations.count(5) == 9
 
 
-def test_modulus_above_int64_bound_expands_whole(monkeypatch):
+def test_unit_pass_above_the_int64_bound_runs_on_python_ints(monkeypatch):
+    # At N = 19 the rule fails for L = 9 though not for the trivial group:
+    # the level's unit pass runs on its compact array of Python ints, like
+    # every pass after it, and agrees with the per-pivot reference.
     P = quotient_pi(make_module(INT64_BOUND_MODULE, GroupSpec.abelian(3, 1)), 19)
     ring, G, ncols = _level_matrix(P, 2, 19)
     assert ring.dtype is np.int64 and chainring._kernel_dtype(ring.pM, 9) is object
     expected = scalar_form(ring, G, ncols)
-    eliminate = chainring._eliminate_units
+    passes, eliminate = [], chainring._eliminate_units
 
-    def refuse(R, div, r):
-        if len(div) > 1:
-            raise AssertionError("int64 unit pass above the bound for L = 9")
+    def recording_eliminate(R, div, r):
+        passes.append((len(div), R.dtype))
         return eliminate(R, div, r)
 
-    monkeypatch.setattr(chainring, "_eliminate_units", refuse)
+    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     assert diagonalize(ring, G, ncols) == expected
+    assert passes[0] == (9, np.dtype(object)) and {dtype for _, dtype in passes} == {np.dtype(object)}
     assert expected.diag_valuations.count(2) == 9 and expected.diag_valuations.count(5) == 9
+
+
+# Levels whose unit pass runs on Python ints, _kernel_dtype(p^M, L e f) is
+# object, on every preset and on e = 2 and f = 2 rings: (spec, (e, f), m,
+# N, module).  At abelian(3, r) with N = 19 only the compact pass fails the
+# rule; the expansion of each level is int64.
+PYTHON_INT_LEVELS = [
+    (GroupSpec.abelian(2, 1), (1, 1), 3, 100, GroundTruth(1, (2, 40), seed=8)),
+    (GroupSpec.abelian(3, 1), (1, 1), 2, 19, INT64_BOUND_MODULE),
+    (GroupSpec.abelian(3, 1), (2, 1), 2, 40, GroundTruth(1, (2, 5), seed=8)),
+    (GroupSpec.abelian(2, 1), (1, 2), 2, 40, GroundTruth(1, (2, 5), seed=8)),
+    (GroupSpec.abelian(2, 2), (1, 1), 2, 40, GroundTruth(1, (2, 5), (Garnish(1),), seed=8)),
+    (GroupSpec.abelian(3, 2), (1, 1), 2, 19, GroundTruth(1, (2, 5), (Garnish(2),), seed=8)),
+    (GroupSpec.abelian(3, 2), (2, 1), 1, 100, GroundTruth(0, (3, 30), (Garnish(1),), seed=2)),
+    (GroupSpec.metacyclic(3), (1, 1), 2, 100, GroundTruth(0, (2, 40), seed=3)),
+    (GroupSpec.metacyclic(3), (1, 2), 1, 40, GroundTruth(1, (2, 5), seed=8)),
+]
+
+
+@pytest.mark.parametrize("spec, ef, m, N, gt", PYTHON_INT_LEVELS)
+def test_python_int_tower_matches_per_level_reference(spec, ef, m, N, gt):
+    # Each level's reference is the per-pivot form of its own expansion,
+    # reduced to that level from the presentation, not projected; its rows
+    # omit the relations that vanish there, which a form below keeps.
+    P = quotient_pi(make_module(gt, spec, RingBase(spec.p, *ef)), N)
+    ring, G, ncols = _level_matrix(P, m, N)
+    assert chainring._kernel_dtype(ring.pM, len(G.div) * ring.e * ring.f) is object
+    form = diagonalize(ring, G, ncols)
+    assert form == scalar_form(ring, G, ncols) and len(form.below) == m
+    for k, lower in enumerate(form.below):
+        expected = scalar_form(*_level_matrix(P, k, N))
+        assert (lower.diag_valuations, lower.free_cols, lower.col_count) == (
+            expected.diag_valuations,
+            expected.free_cols,
+            expected.col_count,
+        )
+        assert lower.row_count == len(G.coords) * spec.p ** (spec.r * k)
+
+
+@pytest.mark.parametrize(
+    "spec, m, N", [(GroupSpec.abelian(3, 1), 3, 40), (GroupSpec.metacyclic(3), 2, 100)]
+)
+def test_python_int_tower_peaks_below_the_budget(spec, m, N, monkeypatch):
+    # The tower of a Python-int level works on the compact array, so its
+    # traced peak, stages of the descent included, stays below the bytes
+    # check_expansion_budget counts for the level's expansion: with the
+    # bound at the peak, the level is refused.
+    P = quotient_pi(make_module(GroundTruth(0, (1, 2), seed=4), spec), N)
+    group_level.cache_clear()
+    ring, G, ncols = _level_matrix(P, m, N)
+    assert G.coords.dtype == object
+    tracemalloc.start()
+    try:
+        form = diagonalize(ring, G, ncols)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(form.below) == m
+    monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak)
+    with pytest.raises(TooLarge):
+        check_expansion_budget(spec, P.base, P.rels, P.gens, m, N)
 
 
 def group_ring_element(spec, x, m, K):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mutower import invariants
 from mutower.chainring import RingBase
 from mutower.errors import (
     InconsistentInput,
@@ -65,6 +66,19 @@ def test_profile_free_module():
     P = module(GroundTruth(1, ()), obfuscate=False)
     prof = mu_profile(P, 5)
     assert [prof.mu[n] for n in range(1, 6)] == [1, 2, 3, 4, 5]
+
+
+def test_profile_refuses_a_negative_level(monkeypatch):
+    # Only the top level is diagonalized, and a negative level must not
+    # index its tower from the end: the profile refuses before any work.
+    P = module(GroundTruth(0, (1, 3), seed=5))
+
+    def refuse(*args):
+        raise AssertionError("diagonalized a level of a refused profile")
+
+    monkeypatch.setattr(invariants, "level_diagonal_form", refuse)
+    with pytest.raises(InvalidInput, match="level m must be >= 0"):
+        mu_profile(P, 4, [-1, 0, 1])
 
 
 def test_profile_matches_estimate_mu_pointwise():
