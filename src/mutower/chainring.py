@@ -37,10 +37,12 @@ augmentation of x is a unit of O/pi^N, and inverses, Schur complements and
 division by pi stay in the group ring.  A plain matrix is the case Q = 1,
 where I = 0: every non-unit lies in (pi), and the pass diagonalizes whole.
 A level-m matrix is a GroupRingMatrix over Q = G/G_m, eliminated on the
-compact array with group-ring products (L^2 O-products each), in int64
-when the one exactness rule _kernel_dtype(p^M, L e f) allows and on
-Python ints otherwise.  What is left then descends through index-p
-subgroups Q > Q' > ... down to order p, each
+compact array with group-ring products (L^2 O-products each).  Every pass
+runs in int64 when the one exactness rule _kernel_dtype(p^M', L' e f)
+allows it for the order L' of its group and its precision N', and on
+Python ints otherwise, so a Python-int level goes back to int64 at the
+first stage small enough.  What is left after a pass descends through
+index-p subgroups Q > Q' > ... down to the trivial group, each
 Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)> (groupring.GroupLevel.stage):
 restricted to Q', an entry x is a p x p block of elements of
 (O/pi^N)[Q'], the same matrix with its rows and columns permuted, and an
@@ -49,9 +51,9 @@ over a Q' that does not contain g.  Each step strips one base-p digit of a
 generator chosen for the matrix at hand (_next_generator): the first whose
 restriction has a unit entry, so that a g_2 - 1 entry is cleared as soon
 as a g_1 - 1 one would be.  _eliminate_units runs again after each
-restriction, and only the residual at order p, over some O/pi^N', N' <= N,
-is expanded and finished over Q = 1.  _restrict is the one gather: the
-expansion is the restriction to the trivial subgroup.
+restriction (_pivots), until no residual is left or Q_d = 1.  _restrict is
+the one gather, and the expansion is the restriction to the trivial
+subgroup: the last stage's p x p gather, whose pass diagonalizes whole.
 
 Towers.  One unit pass per tower: a level-M matrix with its level also
 yields the forms of every level m < M (_tower, DiagonalForm.below).  The
@@ -59,8 +61,9 @@ augmentation of G/G_M factors through G/G_m, and the projection
 (O/pi^N)[G/G_M] -> (O/pi^N)[G/G_m] is a ring map, so it carries every step
 of the pass over G/G_M, divisions by pi included, to level m, where each
 pivot stands for L_m pivots of the same valuation.  Only the residual is
-projected (every exponent reduced mod p^m, _project), and each projection
-takes its own pass over G/G_m, descent and expansion.
+projected (every exponent reduced mod p^m, _project), and every level,
+M included, ends in the same loop: _pivots on its residual, over its own
+subgroups down to the trivial group.
 """
 
 from __future__ import annotations
@@ -508,15 +511,19 @@ class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
     coords[i, j, h], of shape (rels, gens, L, e*f), holds the O-coordinates
     of the coefficient of the h-th element of Q in entry (i, j), element 0
-    the identity, and div[g, c] is the index of g^-1 g_c.  level is the
-    group level of Q (groupring.GroupLevel, read through its m, spec.p,
-    spec.r, stage(d, k) and quotient(m)), through whose index-p subgroups
-    the unit pass descends (_descend) and whose quotient levels diagonalize
-    derives from that pass (_tower)."""
+    the identity.  level is the group level of Q (groupring.GroupLevel, read
+    through its m, spec.p, spec.r, division_table(), stage(d, k) and
+    quotient(m)), through whose index-p subgroups the unit passes descend
+    (_pivots) and whose quotient levels diagonalize derives from the first
+    pass (_tower)."""
 
     coords: np.ndarray
-    div: np.ndarray
     level: object
+
+    @property
+    def div(self) -> np.ndarray:
+        """The division table of the level: div[g, c] is the index of g^-1 g_c."""
+        return self.level.division_table()
 
     def expand(self) -> np.ndarray:
         """The (rels L, gens L, e*f) coordinate array it stands for: the
@@ -597,18 +604,21 @@ def _group_ring_inverse(x: np.ndarray, div: np.ndarray, ring: "ChainRing") -> np
 def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple[List[int], np.ndarray, "ChainRing", int]:
     """Eliminate the unit entries of R (O-coordinates over ring = O/pi^N of
     shape (rels, gens, L, e*f), or residues of shape (rels, gens, L) when
-    e*f = 1; reduced, overwritten), each L pivots of the expansion, dividing
+    e*f = 1; reduced), each L pivots of the expansion, dividing
     by pi whenever no unit is left, the block is not zero and every entry
     lies in (pi).  Over the trivial group (L = 1, div = [[0]]) every
     non-unit lies in (pi), so the pass diagonalizes R whole.
 
-    Returns (pivot valuations, residual, ring', shift): the residual, a view
-    of R over ring' = O/pi^N', has the rest of R's pivot valuations less
-    shift.  R's dtype is int64 when _kernel_dtype(p^M, L e f) is, and object
-    (Python ints) otherwise.
+    The pass runs in the dtype of the one exactness rule, int64 when
+    _kernel_dtype(p^M, L e f) is and object (Python ints) otherwise: R is
+    cast to it first, and overwritten only when it already has it.  Returns
+    (pivot valuations, residual, ring', shift): the residual, a view of the
+    array the pass ran on, over ring' = O/pi^N', has the rest of R's pivot
+    valuations less shift.
     """
     p, f = ring.p, ring.f
     L = len(div)
+    R = R.astype(_kernel_dtype(ring.pM, L * ring.e * ring.f), copy=False)
     simple = R.ndim == 3
     if simple:
         mod = ring.pM
@@ -681,36 +691,26 @@ def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing"
     return left[0]
 
 
-def _descend(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
-    """Pivot valuations of R, the residual of a unit pass over Q (as
-    _eliminate_units returns it, over ring): the passes over the subgroups
-    Q_d of level down to order p, one index-p step chosen by
-    _next_generator at a time, and then the pass over the trivial group on
-    the expansion of what is left.  A zero residual has no pivots."""
+def _pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
+    """Pivot valuations of R (reduced, as in _eliminate_units, over ring) over
+    the group Q_d with division table div: a unit pass over Q_d and, while a
+    residual is left and Q_d is not trivial, a restriction to the index-p
+    subgroup that _next_generator picks (level.stage) and a pass over it, down
+    to the trivial group, whose restriction is the expansion of what is
+    left.  A plain matrix (L = 1) takes the one pass and reads no level."""
     vals: List[int] = []
     shift = 0
-    d = (0,) * level.spec.r
-    while R.any() and len(div) > ring.p:
-        k = _next_generator(R, d, level.m, ring)
-        gather, div = level.stage(d, k)
-        more, R, ring, s = _eliminate_units(_restrict(R, gather), div, ring)
+    d = (0,) * level.spec.r if len(div) > 1 else ()
+    while True:
+        more, R, ring, s = _eliminate_units(R, div, ring)
         vals += [v + shift for v in more]
         shift += s
+        if len(div) == 1 or not R.any():
+            return vals
+        k = _next_generator(R, d, level.m, ring)
+        gather, div = level.stage(d, k)
+        R = _restrict(R, gather)
         d = d[:k] + (d[k] + 1,) + d[k + 1 :]
-    if not R.any():
-        return vals
-    if ring.is_simple:
-        R = R[..., None]
-    A = _restrict(R.astype(ring.dtype, copy=False), div[:, :, None])[:, :, 0]
-    return vals + [v + shift for v in _trivial_pass(A, ring)]
-
-
-def _level_pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
-    """Pivot valuations of a compact matrix R (reduced, as in
-    _eliminate_units) over the group with division table div: its unit pass
-    over that group, then _descend."""
-    vals, R, ring, shift = _eliminate_units(R, div, ring)
-    return vals + [v + shift for v in _descend(R, div, ring, level)]
 
 
 def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
@@ -811,21 +811,11 @@ def _project(R: np.ndarray, level, m: int) -> np.ndarray:
     return X.sum(axis=tuple(range(2, 2 + 2 * r, 2))).reshape(*head, p ** (r * m), *tail)
 
 
-def _trivial_pass(A: np.ndarray, ring: ChainRing) -> List[int]:
-    """Pivot valuations of the coordinate array A (shape (rows, cols, e*f))
-    by _eliminate_units over the trivial group, where an entry is an L = 1
-    group-ring element: the array becomes (rows, cols, 1) residues, or
-    (rows, cols, 1, e*f), in a reduced copy that the pass may overwrite."""
-    A = A % np.array(ring.moduli, dtype=A.dtype)
-    vals, _, _, _ = _eliminate_units(A if ring.is_simple else A[:, :, None], np.zeros((1, 1), dtype=np.intp), ring)
-    return vals
-
-
 def _form(vals: List[int], nrows: int, nc: int) -> DiagonalForm:
     return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
 
 
-def _tower(R: np.ndarray, div: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
+def _tower(R: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
     """The form of a level matrix R over Q = G/G_M (reduced, as in
     _eliminate_units), with those of its quotient levels m < M in
     ``below``, from one unit pass over Q.
@@ -835,20 +825,19 @@ def _tower(R: np.ndarray, div: np.ndarray, ring: ChainRing, level) -> DiagonalFo
     projection is a ring map, so it carries every step of the pass,
     divisions by pi included, to a valid step at level m.  So level m has
     the pass's pivots, each standing for L_m pivots there with the same
-    valuation, and those of the projection of the residual, which takes its
-    own pass over G/G_m (_level_pivots); the residual itself goes on to
-    _descend at level M."""
+    valuation, and those of the projection of the residual (_pivots over
+    G/G_m).  Level M takes the residual itself, last, as its passes
+    overwrite it: its first pass finds nothing, since the top pass stopped
+    there."""
     rels, gens, L = R.shape[:3]
-    top, R, ring, shift = _eliminate_units(R, div, ring)
+    top, R, ring, shift = _eliminate_units(R, level.division_table(), ring)
     top = top[::L]  # one entry per pivot: each stands for L of the expansion
     mod = ring.pM if ring.is_simple else np.array(ring.moduli, dtype=R.dtype)
     forms = []
     for m in range(level.m + 1):
-        if m < level.m:
-            sub = level.quotient(m)
-            Lm, more = sub.order, _level_pivots(_project(R, level, m) % mod, sub.division_table(), ring, sub)
-        else:
-            Lm, more = L, _descend(R, div, ring, level)
+        sub, X = (level, R) if m == level.m else (level.quotient(m), _project(R, level, m) % mod)
+        div = sub.division_table()
+        Lm, more = len(div), _pivots(X, div, ring, sub)
         forms.append(_form(top * Lm + [v + shift for v in more], rels * Lm, gens * Lm))
     return replace(forms[-1], below=tuple(forms[:-1]))
 
@@ -861,27 +850,27 @@ def diagonalize(ring: ChainRing, rows, ncols: Optional[int] = None) -> DiagonalF
     of O-coordinates of shape (rows, cols, e*f), e*f = 1 included, or a
     GroupRingMatrix, a level matrix over a group ring that stands for its
     expansion; ``ncols`` is mandatory for empty matrices.  The unit entries
-    of a GroupRingMatrix are eliminated on its compact array, in the dtype
-    _kernel_dtype(p^M, L e f) gives, and its form gets those of every
-    quotient level m < M in ``below``, each from a projection of that one
-    pass's residual (_tower); each residual takes the restrictions to the
-    index-p subgroups of its level that _descend picks for it, down to
-    order p.  What is left is expanded, and every matrix ends in the one
-    elimination, _eliminate_units over the trivial group, where it
-    diagonalizes whole.  The multiset of diagonal valuations with the
-    free-column count is an isomorphism invariant of the cokernel.
+    of a GroupRingMatrix are eliminated on its compact array, and its form
+    gets those of every quotient level m < M in ``below``, each from a
+    projection of that one pass's residual (_tower).  Every matrix ends in
+    the one loop _pivots: passes of _eliminate_units over the subgroups of
+    its level, each restricted from the last, down to the trivial group,
+    where the pass diagonalizes whole; a plain matrix is a matrix over the
+    trivial group and takes that last pass alone.  The multiset of diagonal
+    valuations with the free-column count is an isomorphism invariant of
+    the cokernel.
     """
     if isinstance(rows, GroupRingMatrix):
-        R, div = rows.coords, rows.div
-        L = len(div)
-        if R.shape[2:] != (L, ring.e * ring.f) or div.shape != (L, L) or ncols not in (None, R.shape[1] * L):
-            raise InvalidInput(f"group-ring matrix {R.shape} with division table {div.shape} does not fit {ring!r}")
-        R = R.astype(_kernel_dtype(ring.pM, L * ring.e * ring.f), copy=False)
+        R, L = rows.coords.astype(ring.dtype, copy=False), len(rows.div)
+        if R.shape[2:] != (L, ring.e * ring.f) or ncols not in (None, R.shape[1] * L):
+            raise InvalidInput(f"group-ring matrix {R.shape} over a group of order {L} does not fit {ring!r}")
         # e*f = 1 takes the pass on plain residues, without the O-coordinate axis.
         R = R[..., 0] % ring.pM if ring.is_simple else R % np.array(ring.moduli, dtype=R.dtype)
-        return _tower(R, div, ring, rows.level)
+        return _tower(R, ring, rows.level)
     A = _coordinate_array(ring, rows, ncols)
-    return _form(_trivial_pass(A, ring), *A.shape[:2])
+    A = A % np.array(ring.moduli, dtype=A.dtype)  # a reduced copy that the pass may overwrite
+    vals = _pivots(A if ring.is_simple else A[:, :, None], np.zeros((1, 1), dtype=np.intp), ring, None)
+    return _form(vals, *A.shape[:2])
 
 
 def cokernel_ordq(ring: ChainRing, rows, ncols: Optional[int] = None) -> int:

@@ -62,8 +62,10 @@ class TowerSeries:
             raise InvalidInput(f"truncation n = {ns[0]} must be >= 1")
         if ms[0] < 0:
             raise InvalidInput(f"level m = {ms[0]} must be >= 0")
-        missing = sorted(set(range(1, ns[-1] + 1)) - set(ns))
-        if missing:
+        if ns != list(range(1, len(ns) + 1)):
+            # ns is sorted, distinct and starts at 1 or more: the first n out
+            # of place is one more than the truncation before it.
+            missing = next(i for i, n in enumerate(ns, start=1) if n != i)
             raise InvalidInput(f"truncations must be n = 1..{ns[-1]}: missing n = {missing}")
         for n in ns:
             for m in ms:

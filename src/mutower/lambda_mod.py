@@ -109,27 +109,30 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # descent of a level with rows (_chain_bytes; stages that earlier descents
 # left on a kept level are bounded by groupring.LEVEL_CACHE_BYTES); for every cell of the
 # expanded matrix, four arrays of its k = e*f coordinates and 16 bytes more
-# (the expansion, the reduced copy that the pass over the trivial group
-# eliminates, the temporaries of its unit test and Schur update, and the
-# compact residual the expansion is gathered from: a measured peak of
-# 4 * 8 k + 5 bytes a cell with 8-byte coordinates), a coordinate counted
-# at its width in the level's dtype (check_expansion_budget); and the
-# k x k x k structure tensor of O that the elimination multiplies through,
-# held with its reduced copy and its copy in that dtype (a measured peak
-# of 3 * 8 k^3 bytes with 8-byte coordinates).  The unit pass and its
-# tower work on the compact (rels, gens, L, k) array in the same dtype,
-# L times smaller than the expansion, and each level below the top one
-# works on a projection of the top level's residual, never larger than
-# it, before the top level's own descent and expansion.
+# (the expansion, which is the last descent stage's restriction to the
+# trivial group and which the pass over it eliminates in place; its copy
+# when that pass casts it to int64 from a Python-int level; the
+# temporaries of the unit test and Schur update; and the compact residual
+# the expansion is gathered from: a measured peak of 2.9 to 3.7 times
+# 8 k bytes a cell with 8-byte coordinates), a coordinate counted at its
+# width in the level's dtype (check_expansion_budget); and the k x k x k
+# structure tensor of O that the elimination multiplies through, held with
+# its reduced copy and its copy in that dtype (a measured peak of
+# 3 * 8 k^3 bytes with 8-byte coordinates).  The unit pass and its tower
+# work on the compact (rels, gens, L, k) array, L times smaller than the
+# expansion, and each level below the top one works on a projection of
+# the top level's residual, never larger than it, before the top level's
+# own descent.
 EXPANSION_BUDGET_BYTES = 2 ** 30
 
 
 def _chain_bytes(p: int, L: int) -> int:
-    """Bytes that the stages of one descent through a group of order L > p
-    hold at once, whichever generator each step strips: division tables of
-    L/p, L/p^2, ... elements, at most 8 L^2/(p^2 - 1) bytes, one more table
-    of the first stage while it is built, 8 L^2/p^2, and the p x p x L'
-    gathers, at most 8 p^2 L/(p - 1).  A level that group_level keeps also
+    """Bytes that the stages of one descent through a group of order L > 1
+    hold at once, whichever generator each step strips, down to the trivial
+    group: division tables of L/p, L/p^2, ..., 1 elements, at most
+    8 L^2/(p^2 - 1) bytes, one more table of the first stage while it is
+    built, 8 L^2/p^2, and the p x p x L' gathers, the last one (L' = 1) the
+    expansion's, at most 8 p^2 L/(p - 1).  A level that group_level keeps also
     keeps the stages of earlier descents, which may have stripped other
     generators (about twice one path's tables for r = 2); those are not
     counted here, and only LEVEL_CACHE_BYTES bounds them."""
@@ -149,7 +152,7 @@ def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int
     # (ChainRing.dtype) a pointer plus a CPython int of about M log2 p bits in
     # 30-bit digits.  p^M is formed only when it is small.
     width = 8 if bits < 64 and _kernel_dtype(base.p ** M, k) is np.int64 else 32 + 4 * math.ceil(bits / 30)
-    chain = _chain_bytes(spec.p, L) if L > spec.p and rels else 0
+    chain = _chain_bytes(spec.p, L) if L > 1 and rels else 0
     need = 8 * L * L + chain + rels * L * gens * L * (4 * k * width + 16) + 24 * k ** 3
     if need > EXPANSION_BUDGET_BYTES:
         raise TooLarge(
@@ -168,12 +171,11 @@ def _level_matrix(P: Presentation, m: int, N: int) -> Tuple[ChainRing, GroupRing
     check_expansion_budget(P.spec, P.base, P.rels, P.gens, m, N)
     ring = ChainRing.from_base(P.base, N)
     level = group_level(P.spec, m)
-    div = level.division_table()
     entries = [entry for row in P.matrix for entry in row]
-    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, len(div), ring.e * ring.f)
+    R = reduce_poly(entries, P.spec, m, ring).reshape(P.rels, P.gens, level.order, ring.e * ring.f)
     # A relation that vanishes at this level would stand for L zero rows.
     R = R[R.any(axis=(1, 2, 3))]
-    return ring, GroupRingMatrix(R, div, level), P.gens * len(div)
+    return ring, GroupRingMatrix(R, level), P.gens * level.order
 
 
 def level_diagonal_form(P: Presentation, m: int, N: int) -> DiagonalForm:

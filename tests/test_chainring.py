@@ -834,7 +834,7 @@ def assert_matches_dense_oracle(ring, G):
     vals, residual, sub_ring, shift = _eliminate_units(G.coords[..., 0].copy(), G.div, ring)
     assert (vals, sub_ring.N, shift) == (expected_vals, expected_K, expected_shift)
     assert residual.dtype == np.int64
-    expanded = GroupRingMatrix(residual[..., None], G.div, G.level).expand()[..., 0]
+    expanded = GroupRingMatrix(residual[..., None], G.level).expand()[..., 0]
     assert expanded.shape == expected_residual.shape and (expanded == expected_residual).all()
 
 
@@ -888,7 +888,7 @@ def test_zero_residual_stops_the_pass(monkeypatch):
     # leaves a zero (1, 2, 9) residual, which the pass returns over O/pi^N
     # with shift 0, neither divided by pi nor restricted further.  Its
     # projections to levels 0 and 1 take their own passes, which find
-    # nothing.
+    # nothing, and so does level 2's own pass over the residual.
     spec, base = GroupSpec.abelian(3, 1), RingBase(3, 1, 1)
     g = poly_gen(base, 1, 1)
     row = [poly_add(poly_int(base, 1, 1), g), poly_sub(g, poly_int(base, 1, 1)), poly_int(base, 3, 1)]
@@ -902,7 +902,7 @@ def test_zero_residual_stops_the_pass(monkeypatch):
 
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
-    assert [L for L, _ in calls] == [9, 1, 3]
+    assert [L for L, _ in calls] == [9, 1, 3, 9]
     vals, residual, sub_ring, shift = calls[0][1]
     assert vals == [0] * 9 and residual.shape == (1, 2, 9) and not residual.any()
     assert (sub_ring.N, shift) == (12, 0)
@@ -922,7 +922,7 @@ def test_zero_block_rows():
     assert form == scalar_form(ring, G, ncols) and form.row_count == 9
     # explicit zero rows, kept in the array, change nothing
     R = G.coords
-    padded = GroupRingMatrix(np.concatenate([np.zeros_like(R[:1]), R, np.zeros_like(R[:2])]), G.div, G.level)
+    padded = GroupRingMatrix(np.concatenate([np.zeros_like(R[:1]), R, np.zeros_like(R[:2])]), G.level)
     padded_form = diagonalize(ring, padded, ncols)
     assert (padded_form.diag_valuations, padded_form.free_cols) == (form.diag_valuations, form.free_cols)
 
@@ -950,24 +950,53 @@ def test_unit_pass_runs_up_to_the_int64_bound(N, monkeypatch):
     assert form.diag_valuations.count(2) == 9 and form.diag_valuations.count(5) == 9
 
 
+def recording_pass_dtypes(monkeypatch):
+    """[(L, dtype the pass ran on, dtype the rule gives)] of every unit pass
+    from here on; the pass runs on the array its residual views."""
+    passes, eliminate = [], chainring._eliminate_units
+
+    def recording_eliminate(R, div, ring):
+        out = eliminate(R, div, ring)
+        passes.append((len(div), out[1].dtype, np.dtype(chainring._kernel_dtype(ring.pM, len(div) * ring.e * ring.f))))
+        return out
+
+    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    return passes
+
+
 def test_unit_pass_above_the_int64_bound_runs_on_python_ints(monkeypatch):
     # At N = 19 the rule fails for L = 9 though not for the trivial group:
-    # the level's unit pass runs on its compact array of Python ints, like
-    # every pass after it, and agrees with the per-pivot reference.
+    # the level's unit pass runs on its compact array of Python ints.  That
+    # pass divides by pi five times, and over O/pi^14 the rule admits L = 9,
+    # so every later pass, level 2's own over the residual included, runs
+    # on int64; the form agrees with the per-pivot reference.
     P = quotient_pi(make_module(INT64_BOUND_MODULE, GroupSpec.abelian(3, 1)), 19)
     ring, G, ncols = _level_matrix(P, 2, 19)
     assert ring.dtype is np.int64 and chainring._kernel_dtype(ring.pM, 9) is object
     expected = scalar_form(ring, G, ncols)
-    passes, eliminate = [], chainring._eliminate_units
-
-    def recording_eliminate(R, div, r):
-        passes.append((len(div), R.dtype))
-        return eliminate(R, div, r)
-
-    monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
+    passes = recording_pass_dtypes(monkeypatch)
     assert diagonalize(ring, G, ncols) == expected
-    assert passes[0] == (9, np.dtype(object)) and {dtype for _, dtype in passes} == {np.dtype(object)}
+    assert passes[0][:2] == (9, np.dtype(object)) and all(ran == rule for _, ran, rule in passes)
+    int64 = np.dtype(np.int64)
+    assert [(L, ran) for L, ran, _ in passes[1:]] == [(1, int64), (3, int64), (9, int64)]
     assert expected.diag_valuations.count(2) == 9 and expected.diag_valuations.count(5) == 9
+
+
+def test_python_int_level_returns_to_int64_at_a_small_stage(monkeypatch):
+    # Garnished abelian(3, 2) at m = 2, N = 19: the rule fails for L >= 9, so
+    # the top pass runs on Python ints; level 1's projection descends to
+    # <g1>, of order 3, where the pass runs on int64 again, as does level
+    # 0's.  Every pass runs in the dtype _kernel_dtype(p^M', L' e f) gives
+    # for its own order and precision.
+    spec, ef, m, N, gt = PYTHON_INT_LEVELS[5]
+    assert (spec, ef, m, N) == (GroupSpec.abelian(3, 2), (1, 1), 2, 19)
+    ring, G, ncols = _level_matrix(quotient_pi(make_module(gt, spec, RingBase(spec.p, *ef)), N), m, N)
+    expected = scalar_form(ring, G, ncols)
+    passes = recording_pass_dtypes(monkeypatch)
+    form = diagonalize(ring, G, ncols)
+    assert passes[0][:2] == (81, np.dtype(object)) and all(ran == rule for _, ran, rule in passes)
+    assert (3, np.dtype(np.int64)) in [(L, ran) for L, ran, _ in passes[1:]]
+    assert form == expected
 
 
 # Levels whose unit pass runs on Python ints, _kernel_dtype(p^M, L e f) is
@@ -1058,7 +1087,8 @@ def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     # Ungarnished Lambda (+) Lambda/p^2 (+) Lambda/p^3 at m = 2 (L = 81): the
     # pass eliminates every torsion relation on the compact array.  The
     # residual, the free summand with no rows left, projects to levels 0
-    # and 1 for their own passes, and nothing is expanded.
+    # and 1 for their own passes, level 2 passes over it once more, and
+    # nothing is expanded.
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(1, (2, 3), seed=1), spec), 6)
     ring, G, ncols = _level_matrix(P, 2, 6)
@@ -1080,7 +1110,7 @@ def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
     assert (form.row_count, form.col_count, form.free_cols) == (243, 324, 81)
-    assert events == [("pass", (3, 4, 81)), ("pass", (0, 1, 1)), ("pass", (0, 1, 9))]
+    assert events == [("pass", (3, 4, 81)), ("pass", (0, 1, 1)), ("pass", (0, 1, 9)), ("pass", (0, 1, 81))]
 
 
 # ---------------------------------------------------------------------------
@@ -1129,6 +1159,9 @@ class CommutedLevel:
     def __init__(self, level):
         self.level, self.m, self.spec = level, level.m, level.spec
 
+    def division_table(self):
+        return self.level.division_table()
+
     def quotient(self, m):
         return self.level.quotient(m)
 
@@ -1152,7 +1185,7 @@ def test_commuted_restriction_fails_on_a_metacyclic_level():
         gather, _ = G.level.stage((0, 0), k)
         members, t = gather[0, 0], gather[0, :, 0]
         assert (gather == mul(mul(inv[t][:, None, None], members), t[None, :, None])).all()
-    wrong = GroupRingMatrix(G.coords, G.div, CommutedLevel(G.level))
+    wrong = GroupRingMatrix(G.coords, CommutedLevel(G.level))
     expected = scalar_form(ring, G, ncols)
     assert diagonalize(ring, G, ncols) == expected
     assert diagonalize(ring, wrong, ncols).diag_valuations != expected.diag_valuations
@@ -1303,7 +1336,8 @@ def test_wide_unit_pass_matches_per_pivot_kernel(case):
 def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     # Garnished abelian(3, 2) over the ramified O = Z_3[sqrt 3] at m = 2:
     # g2 - 1 is a unit over <g1, g2^3>, so the descent strips a digit of g2
-    # first, with the O-coordinate axis, at level 2 as at level 1, and the
+    # first, with the O-coordinate axis, at level 1 as at level 2 (after
+    # level 2's own pass over its residual, which finds nothing), and the
     # unit passes leave nothing for the pass over the trivial group, which
     # sees only the level-0 projection.
     spec, base = GroupSpec.abelian(3, 2), RingBase(3, 2, 1)
@@ -1325,12 +1359,13 @@ def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     ring, G, ncols = _level_matrix(P, 2, 6)
     form = diagonalize(ring, G, ncols)
-    assert events[:7] == [
+    assert events[:8] == [
         ("pass", 81, (2,), 6),
         ("pass", 1, (2,), 6),
         ("pass", 9, (2,), 6),
         ("stage", (0, 0), 1),
         ("pass", 3, (2,), 6),
+        ("pass", 81, (2,), 6),
         ("stage", (0, 0), 1),
         ("pass", 27, (2,), 6),
     ]

@@ -281,8 +281,25 @@ def test_tower_rejects_truncations_that_are_not_1_to_k(tmp_path, capsys):
     argv = ["tower", str(path), str(path), "--ring", "3,1,1", "--dim", "1", "--out", str(out)]
     assert cli.main(argv) == cli.EXIT_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "missing n = [2]" in err
+    assert err.startswith("error:") and err.rstrip().endswith("missing n = 2")
     assert not out.exists()
+
+
+def test_tower_refuses_a_huge_truncation_at_once(tmp_path, capsys):
+    # n = 10^12 in a 4-point CSV exits 1 with a one-line message that names
+    # the first missing truncation, without building the range of n.
+    path = tmp_path / "a.csv"
+    rows = [(n, m, (n + 1) * 3 ** m) for n in (1, 10 ** 12) for m in range(2)]
+    path.write_text("n,m,ord\n" + "".join(f"{a},{b},{c}\n" for a, b, c in rows))
+    tracemalloc.start()
+    try:
+        code = cli.main(["tower", str(path), str(path), "--ring", "3,1,1", "--dim", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_ERROR and err.count("\n") == 1 and len(err) < 120
+    assert err.rstrip().endswith("missing n = 2") and peak < 2 ** 20
 
 
 def test_reports_are_byte_identical(tmp_path):

@@ -433,19 +433,21 @@ def test_expansion_budget_refuses_before_allocating(monkeypatch):
 @pytest.mark.parametrize("spec, m", [(GroupSpec.abelian(2, 2), 5), (GroupSpec.metacyclic(3), 3)], ids=str)
 def test_level_matrix_peak_is_the_budgeted_division_table(spec, m):
     # Every relation pi^N e_j of a free module's pi^N-quotient vanishes over
-    # O/pi^N, so the level matrix keeps no row and its peak is the division
-    # table, which check_expansion_budget counts as 8 L^2 bytes.
+    # O/pi^N, so the level matrix keeps no row, and its peak with the
+    # division table it reads from its level is that table, which
+    # check_expansion_budget counts as 8 L^2 bytes.
     N = 2
     P = quotient_pi(free_module(spec, RingBase(spec.p, 1, 1), 2), N)
     group_level.cache_clear()
     tracemalloc.start()
     try:
         _, G, _ = _level_matrix(P, m, N)
+        div = G.div
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     L = quotient_order(spec, m)
-    assert G.coords.shape[0] == 0 and G.div.shape == (L, L)
+    assert G.coords.shape[0] == 0 and div.shape == (L, L)
     assert peak < 8 * L * L + 2 ** 20
 
 
@@ -508,7 +510,8 @@ def test_subgroup_chain_peak_is_its_budget_term(spec, m):
 def test_level_expanded_whole_peaks_within_its_budget(spec, m, base, size, monkeypatch):
     # Over O/pi every entry of (z - 1) Lambda, z of order p at level m, stays
     # a non-unit down the whole subgroup chain, so the level is expanded
-    # whole, and the pass over the trivial group works on its copies of it.
+    # whole, by the last stage down to the trivial group, and the pass over
+    # the trivial group works on that expansion.
     # With the bound just below the measured peak the level is refused, and
     # with twice the peak it is accepted.
     p, r = spec.p, spec.r
@@ -517,7 +520,7 @@ def test_level_expanded_whole_peaks_within_its_budget(spec, m, base, size, monke
     P = presentation(spec, base, size, [[z if i == j else zg for j in range(size)] for i in range(size)])
     G, form, peak = level_peak(P, m, 1)
     L = quotient_order(spec, m)
-    assert len(G.level._stages) == r * m - 1 and form.row_count == size * L
+    assert len(G.level._stages) == r * m and form.row_count == size * L
     monkeypatch.setattr(lambda_mod, "EXPANSION_BUDGET_BYTES", peak - 1)
     with pytest.raises(TooLarge):
         check_expansion_budget(spec, base, size, size, m, 1)
