@@ -63,7 +63,8 @@ of the pass over G/G_M, divisions by pi included, to level m, where each
 pivot stands for L_m pivots of the same valuation.  Only the residual is
 projected (every exponent reduced mod p^m, _project), and every level,
 M included, ends in the same loop: _pivots on its residual, over its own
-subgroups down to the trivial group.
+subgroups down to the trivial group.  Level M's loop starts at its first
+restriction, since the top pass was its pass over G/G_M.
 """
 
 from __future__ import annotations
@@ -691,20 +692,24 @@ def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing"
     return left[0]
 
 
-def _pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level) -> List[int]:
+def _pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level, passed: bool = False) -> List[int]:
     """Pivot valuations of R (reduced, as in _eliminate_units, over ring) over
     the group Q_d with division table div: a unit pass over Q_d and, while a
     residual is left and Q_d is not trivial, a restriction to the index-p
     subgroup that _next_generator picks (level.stage) and a pass over it, down
     to the trivial group, whose restriction is the expansion of what is
-    left.  A plain matrix (L = 1) takes the one pass and reads no level."""
+    left.  A plain matrix (L = 1) takes the one pass and reads no level.
+    ``passed`` marks an R that is already the residual of a pass over Q_d:
+    the loop then starts at its first restriction."""
     vals: List[int] = []
     shift = 0
     d = (0,) * level.spec.r if len(div) > 1 else ()
     while True:
-        more, R, ring, s = _eliminate_units(R, div, ring)
-        vals += [v + shift for v in more]
-        shift += s
+        if not passed:
+            more, R, ring, s = _eliminate_units(R, div, ring)
+            vals += [v + shift for v in more]
+            shift += s
+        passed = False
         if len(div) == 1 or not R.any():
             return vals
         k = _next_generator(R, d, level.m, ring)
@@ -827,8 +832,8 @@ def _tower(R: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
     the pass's pivots, each standing for L_m pivots there with the same
     valuation, and those of the projection of the residual (_pivots over
     G/G_m).  Level M takes the residual itself, last, as its passes
-    overwrite it: its first pass finds nothing, since the top pass stopped
-    there."""
+    overwrite it, and starts at its first restriction: a pass over Q would
+    find nothing, since the top pass stopped there."""
     rels, gens, L = R.shape[:3]
     top, R, ring, shift = _eliminate_units(R, level.division_table(), ring)
     top = top[::L]  # one entry per pivot: each stands for L of the expansion
@@ -837,7 +842,7 @@ def _tower(R: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
     for m in range(level.m + 1):
         sub, X = (level, R) if m == level.m else (level.quotient(m), _project(R, level, m) % mod)
         div = sub.division_table()
-        Lm, more = len(div), _pivots(X, div, ring, sub)
+        Lm, more = len(div), _pivots(X, div, ring, sub, passed=m == level.m)
         forms.append(_form(top * Lm + [v + shift for v in more], rels * Lm, gens * Lm))
     return replace(forms[-1], below=tuple(forms[:-1]))
 

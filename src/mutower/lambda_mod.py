@@ -19,6 +19,10 @@ The two computational primitives are
     it is supported at the maximal ideal, so it is computed faithfully over
     the polynomial ring R[T_1, ..., T_r] (g_j = 1 + T_j) with strong Groebner
     bases; no working-depth truncation is involved and the answers are exact.
+    H_i is K_i / B_i, the cycles over the boundaries (both modulo the
+    relations), read off two strong bases: K_i from degree i's one
+    elimination and B_i from degree i + 1's, so the r + 1 degrees of an
+    Euler sum share r + 1 Groebner calls.
 """
 
 from __future__ import annotations
@@ -301,11 +305,51 @@ def _shift_block(elem: Element, offset: int) -> Element:
     return {(pos + offset, mono): c for (pos, mono), c in elem.items()}
 
 
+def _boundary(
+    ts: Tuple[Dict[Tuple[int, ...], object], ...],
+    ring: ChainRing,
+    J: Tuple[int, ...],
+    g: int,
+    b: int,
+    index: Dict[Tuple[int, ...], int],
+) -> Element:
+    """d(e_J (x) e_g) = sum_l (-1)^l t_{J[l]} e_{J \\ J[l]} (x) e_g, the
+    (|J|-1)-subsets placed in blocks of b positions by ``index``.  The l-th
+    terms land in a block of their own, so no two terms meet."""
+    return {
+        (index[J[:l] + J[l + 1 :]] * b + g, mono): ring.neg(c) if l % 2 else c
+        for l, j in enumerate(J)
+        for mono, c in ts[j].items()
+    }
+
+
+# An Euler sum needs E_1, ..., E_(r+1) of one (P, N, m), and each E_i
+# serves degrees i - 1 and i, so a few entries serve it.
+@lru_cache(maxsize=8)
+def _elimination(P: Presentation, N: int, m: int, i: int) -> Tuple[List[Element], List[Element]]:
+    """E_i for 1 <= i <= r + 1: (strong basis of K_i, strong basis of
+    B_(i-1)) over O/pi^N, from one strong basis of the graph of the Koszul
+    boundary d_i: C_i -> C_(i-1) with the relation blocks U_(i-1) of
+    C_(i-1), the target block eliminated (syzygy.preimage_gens).  Here
+    C_i = Lambda^b (x) ext^i has a block of b positions for each i-subset
+    of the generators (in combinations order), U_i is U copied into each
+    block of C_i, K_i = {v in C_i : d_i v in U_(i-1)} and
+    B_(i-1) = d_i C_i + U_(i-1).  E_(r+1) has no source (C_(r+1) = 0): its
+    image is a strong basis of U_r.  Cached, so the bases are shared by
+    the two degrees that read them and never mutated."""
+    r, b = P.spec.r, P.gens
+    U, ts = _koszul_module(P, N, m)
+    ring = ChainRing.from_base(P.base, N)
+    lo = {J: t for t, J in enumerate(combinations(range(r), i - 1))}
+    mapped = [_boundary(ts, ring, J, g, b, lo) for J in combinations(range(r), i) for g in range(b)]
+    sub = [_shift_block(u, blk * b) for blk in range(len(lo)) for u in U]
+    return preimage_gens(PolyContext(ring, r), len(lo) * b, mapped, sub)
+
+
 # Largest Koszul chain module koszul_homology_ordq may take: p^(r m) * b *
 # C(r, i), the rank over O/pi^N of the degree-i chains of the free cover
-# Lambda^b at level m.  The staircase count of quotient_ordq walks up to that
-# many cells, and the Groebner bases grow with it.  The largest tested case
-# has 162 (abelian(3,2), m = 2, b = 1, i = 1).
+# Lambda^b at level m.  The Groebner bases grow with it.  The largest
+# tested case has 162 (abelian(3,2), m = 2, b = 1, i = 1).
 KOSZUL_BUDGET_CELLS = 2 ** 20
 
 
@@ -313,10 +357,17 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     """ord_q(H_i(G_m, M)) for pi-power-torsion M of exponent <= N.
 
     Degree 0 equals coinvariants_ordq; higher degrees require an abelian
-    preset (Koszul complex on the commuting operators g_j^(p^m) - 1).
-    Raises TooLarge, before any Groebner work, when the degree-i chains
-    exceed KOSZUL_BUDGET_CELLS, and before expanding any entry when the
-    relation matrix would expand to more than that many monomials in T.
+    preset (Koszul complex on the commuting operators t_j = g_j^(p^m) - 1).
+    With M = Lambda^b / U, H_i = K_i / B_i, where K_i, the cycles modulo
+    U, comes from degree i's elimination E_i (K_0 = C_0) and B_i =
+    d C_(i+1) + U_i from degree i + 1's, E_(i+1) (_elimination).  The order
+    is read off the two strong bases by quotient_ordq (finite, as every t_j
+    maps K_i into B_i), so an Euler sum makes r + 1 strong_groebner calls.
+
+    Raises TooLarge, before any Groebner work, when a chain module that
+    degree i reads (degrees i - 1, i and i + 1) exceeds
+    KOSZUL_BUDGET_CELLS, and before expanding any entry when the relation
+    matrix would expand to more than that many monomials in T.
     """
     spec = P.spec
     if i < 0 or i > spec.r:
@@ -329,54 +380,21 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
         raise NonAbelianUnsupported(
             "higher Koszul homology is only defined here for abelian presets"
         )
-    ring = ChainRing.from_base(P.base, N)
-    ctx = PolyContext(ring, spec.r)
-    b = P.gens
-    r = spec.r
+    b, r = P.gens, spec.r
     if b == 0:
         return 0
-    cells = spec.p ** (r * m) * b * comb(r, i)
+    k = max(range(max(i - 1, 0), min(i + 1, r) + 1), key=lambda d: comb(r, d))
+    cells = spec.p ** (r * m) * b * comb(r, k)
     if cells > KOSZUL_BUDGET_CELLS:
         raise TooLarge(
-            f"Koszul degree {i} at level m={m} has {cells} chain coordinates "
-            f"(p^(r m) b C(r, i); budget {KOSZUL_BUDGET_CELLS}); lower m"
+            f"Koszul degree {i} at level m={m} reads the degree-{k} chains, {cells} "
+            f"coordinates (p^(r m) b C(r, {k}); budget {KOSZUL_BUDGET_CELLS}); lower m"
         )
-    U, ts = _koszul_module(P, N, m)
-
-    if i == 0:
-        return quotient_ordq(ctx, b, [*U, *({(g, mono): c for mono, c in t.items()} for t in ts for g in range(b))])
-
-    subsets_i = list(combinations(range(r), i))
-    subsets_lo = list(combinations(range(r), i - 1))
-    lo_index = {J: t for t, J in enumerate(subsets_lo)}
-    ci = len(subsets_i)
-    clo = len(subsets_lo)
-
-    def boundary(J: Tuple[int, ...], g: int, index: Dict[Tuple[int, ...], int]) -> Element:
-        # d(e_J (x) e_g) = sum_l (-1)^l t_{J[l]} e_{J \ J[l]} (x) e_g, the
-        # (|J|-1)-subsets placed in blocks by ``index``.  The l-th terms land
-        # in a block of their own, so no two terms meet.
-        return {
-            (index[J[:l] + J[l + 1 :]] * b + g, mono): ring.neg(c) if l % 2 else c
-            for l, j in enumerate(J)
-            for mono, c in ts[j].items()
-        }
-
-    mapped = [boundary(J, g, lo_index) for J in subsets_i for g in range(b)]
-    sub_lo = [_shift_block(u, blk * b) for blk in range(clo) for u in U]
-    K = preimage_gens(ctx, clo * b, mapped, sub_lo)
-    if not K:
-        return 0
-
-    D: List[Element] = []
-    if i < r:
-        i_index = {J: t for t, J in enumerate(subsets_i)}
-        for J in combinations(range(r), i + 1):
-            for g in range(b):
-                elem = boundary(J, g, i_index)
-                if elem:
-                    D.append(elem)
-    D.extend(_shift_block(u, blk * b) for blk in range(ci) for u in U)
-
-    rels = preimage_gens(ctx, ci * b, K, D)
-    return quotient_ordq(ctx, len(K), rels)
+    K = None  # K_0 = C_0
+    if i:
+        K = _elimination(P, N, m, i)[0]
+        if not K:
+            return 0
+    B = _elimination(P, N, m, i + 1)[1]
+    ctx = PolyContext(ChainRing.from_base(P.base, N), r)
+    return quotient_ordq(ctx, b * comb(r, i), B, K)

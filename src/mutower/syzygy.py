@@ -50,19 +50,35 @@ makes Koszul orders wrong or the quotient look infinite.
 
 The two consumers are:
 
-  * preimage_gens  -- generators of {v : v B in W} for a matrix B and a
-                      submodule W (syzygies, kernels, relation modules);
-  * quotient_ordq  -- q-order of a finite quotient S^s / W read off the
-                      staircase of a strong basis: each standard
-                      position-monomial contributes the minimal leading-
-                      coefficient valuation among the basis leading terms
-                      dividing it.
+  * preimage_gens  -- one strong basis of the graph of a map d: S^s -> S^t
+                      together with a submodule W of S^t, the target block
+                      eliminated, read as two: its elements whose leading
+                      term lies in the source block are a strong basis of
+                      K = {v : d v in W}, and the target-block parts of the
+                      others one of d S^s + W.  Every x in d S^s + W is the
+                      target part of some g in the graph module with the
+                      same leading term (the target terms are the larger),
+                      so the strong-basis property carries over.
+  * quotient_ordq  -- ord_q of K / B for strong bases of B in K (K = S^s
+                      allowed), with no Groebner work.  For a term t let
+                      v_X(t) be the least leading-coefficient valuation among
+                      the basis leading terms of X dividing t (N if none
+                      does); then ord_q(K / B) = sum_t (v_B(t) - v_K(t)),
+                      each summand >= 0.  Once T_k's exponent in t reaches
+                      E_k, the largest in the leading terms of t's position,
+                      raising it changes no divisibility, so the summand
+                      stays the same; a finite sum therefore lies in the box
+                      below the largest leading exponents, and the sum is
+                      finite exactly when the box one wider counts no more.
+                      Along each variable the valuations change only at
+                      leading exponents, so the count works slab by slab and
+                      costs nothing per monomial.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chainring import ChainRing
 from .errors import InvalidInput, TooLarge
@@ -314,10 +330,14 @@ def preimage_gens(
     target_rank: int,
     mapped: Sequence[Element],
     sub: Sequence[Element],
-) -> List[Element]:
-    """Generators of {v in S^s : sum_i v_i * mapped[i] in <sub>}, where
-    ``mapped[i]`` in S^target_rank is the image of the i-th source basis
-    vector.  Computed by module elimination on the graph submodule."""
+) -> Tuple[List[Element], List[Element]]:
+    """(kernel, image): strong bases of {v in S^s : sum_i v_i * mapped[i]
+    in <sub>} and of <mapped> + <sub> in S^target_rank, where ``mapped[i]``
+    in S^target_rank is the image of the i-th source basis vector.  Both
+    come from one strong basis of the graph submodule, the target block
+    eliminated: its elements with a leading term in the source block, moved
+    down to positions 0..s-1, are the kernel's basis, and the target-block
+    parts of the others the image's (module docstring)."""
     zero_mono = (0,) * ctx.nvars
     ring = ctx.ring
     gens: List[Element] = []
@@ -327,51 +347,78 @@ def preimage_gens(
         g[t] = ring.add(g.get(t, ring.zero), ring.one)
         gens.append(g)
     gens.extend(sub)
+    kernel: List[Element] = []
+    image: List[Element] = []
     # The eliminated block's terms are the largest, so an element has one
     # exactly when its leading term, listed first, lies there.
-    return [
-        {(pos - target_rank, mono): c for (pos, mono), c in g.items()}
-        for g in strong_groebner(ctx, gens, split=target_rank)
-        if next(iter(g))[0] >= target_rank
-    ]
+    for g in strong_groebner(ctx, gens, split=target_rank):
+        if next(iter(g))[0] >= target_rank:
+            kernel.append({(pos - target_rank, mono): c for (pos, mono), c in g.items()})
+        else:
+            image.append({t: c for t, c in g.items() if t[0] < target_rank})
+    return kernel, image
 
 
-def quotient_ordq(ctx: PolyContext, rank: int, gens: Sequence[Element]) -> int:
-    """ord_q of S^rank / <gens>; raises InvalidInput if the quotient is not
-    finite (no pure-power unit leading term in some variable)."""
-    ring = ctx.ring
-    if rank == 0:
-        return 0
-    lts: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {pos: [] for pos in range(rank)}
-    for g in strong_groebner(ctx, gens, split=0):
-        lt = next(iter(g))
-        lts[lt[0]].append((lt[1], ring.val(g[lt])))
-
+def quotient_ordq(
+    ctx: PolyContext,
+    rank: int,
+    basis: Sequence[Element],
+    over: Optional[Sequence[Element]] = None,
+) -> int:
+    """ord_q of <over> / <basis> in S^rank (of S^rank / <basis> when
+    ``over`` is None), for strong bases ``basis`` and ``over`` of modules
+    B in K, each element listing its leading term first.  No Groebner work
+    is done: the order is the staircase count of the module docstring, over
+    the box below the largest leading exponents of each position.  Raises
+    InvalidInput when the quotient is not finite."""
+    nvars, N = ctx.nvars, ctx.ring.N
+    low = _leads(ctx.ring, basis)
+    high = {pos: [((0,) * nvars, 0)] for pos in range(rank)} if over is None else _leads(ctx.ring, over)
     total = 0
-    for pos in range(rank):
-        entries = lts[pos]
-        bounds = []
-        for k in range(ctx.nvars):
-            b = None
-            for mono, v in entries:
-                if v == 0 and all(mono[j] == 0 for j in range(ctx.nvars) if j != k):
-                    b = mono[k] if b is None else min(b, mono[k])
-            if b is None:
-                raise InvalidInput("quotient module is not finite")
-            bounds.append(b)
-
-        def walk(prefix):
-            nonlocal total
-            if len(prefix) == ctx.nvars:
-                v = ring.N
-                for mono, vg in entries:
-                    if all(a <= b for a, b in zip(mono, prefix)):
-                        v = min(v, vg)
-                total += v
-                return
-            for x in range(bounds[len(prefix)]):
-                walk(prefix + (x,))
-
-        if all(b > 0 for b in bounds):
-            walk(())
+    for pos, tops in high.items():
+        bottoms = low.get(pos, [])
+        box = [max(mono[k] for mono, _v in tops + bottoms) for k in range(nvars)]
+        low_sum, low_wider = _staircase_sums(bottoms, box, N)
+        high_sum, high_wider = _staircase_sums(tops, box, N)
+        if low_wider - high_wider != low_sum - high_sum:
+            raise InvalidInput("quotient module is not finite")
+        total += low_sum - high_sum
     return total
+
+
+def _leads(ring: ChainRing, elems: Sequence[Element]) -> Dict[int, List[Tuple[Tuple[int, ...], int]]]:
+    """position -> (leading monomial, leading valuation) of each element."""
+    out: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
+    for g in elems:
+        lt = next(iter(g))
+        out.setdefault(lt[0], []).append((lt[1], ring.val(g[lt])))
+    return out
+
+
+def _staircase_sums(leads: List[Tuple[Tuple[int, ...], int]], box: List[int], N: int) -> Tuple[int, int]:
+    """The sums of v(t) over the monomials t with t_k < box[k] and with
+    t_k <= box[k] (at least one variable, every lead's monomial <= box),
+    v(t) the least valuation of the leads whose monomial divides t (N if
+    none does).
+
+    Along the first variable the leads that can divide t change only at
+    their first exponents, so the box splits into slabs, from each such
+    exponent to the next, on each of which the sum is the slab's width
+    times one sum over the other variables, of the leads met so far: the
+    work grows with the number of leads and not with the box.  The wider
+    box only widens the last slab of every variable by one."""
+    head, tail = box[0], box[1:]
+    total = wider = lo = 0
+    rest: List[Tuple[Tuple[int, ...], int]] = []
+    least = N
+    for mono, v in sorted(leads):
+        a = mono[0]
+        if a > lo:
+            inner, inner_wider = _staircase_sums(rest, tail, N) if tail else (least, least)
+            total += (a - lo) * inner
+            wider += (a - lo) * inner_wider
+            lo = a
+        rest.append((mono[1:], v))
+        least = min(least, v)
+    inner, inner_wider = _staircase_sums(rest, tail, N) if tail else (least, least)
+    return total + (head - lo) * inner, wider + (head + 1 - lo) * inner_wider

@@ -888,7 +888,8 @@ def test_zero_residual_stops_the_pass(monkeypatch):
     # leaves a zero (1, 2, 9) residual, which the pass returns over O/pi^N
     # with shift 0, neither divided by pi nor restricted further.  Its
     # projections to levels 0 and 1 take their own passes, which find
-    # nothing, and so does level 2's own pass over the residual.
+    # nothing; level 2 takes no pass of its own, as its loop starts at the
+    # first restriction and the residual is zero.
     spec, base = GroupSpec.abelian(3, 1), RingBase(3, 1, 1)
     g = poly_gen(base, 1, 1)
     row = [poly_add(poly_int(base, 1, 1), g), poly_sub(g, poly_int(base, 1, 1)), poly_int(base, 3, 1)]
@@ -902,7 +903,7 @@ def test_zero_residual_stops_the_pass(monkeypatch):
 
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
-    assert [L for L, _ in calls] == [9, 1, 3, 9]
+    assert [L for L, _ in calls] == [9, 1, 3]
     vals, residual, sub_ring, shift = calls[0][1]
     assert vals == [0] * 9 and residual.shape == (1, 2, 9) and not residual.any()
     assert (sub_ring.N, shift) == (12, 0)
@@ -968,8 +969,9 @@ def test_unit_pass_above_the_int64_bound_runs_on_python_ints(monkeypatch):
     # At N = 19 the rule fails for L = 9 though not for the trivial group:
     # the level's unit pass runs on its compact array of Python ints.  That
     # pass divides by pi five times, and over O/pi^14 the rule admits L = 9,
-    # so every later pass, level 2's own over the residual included, runs
-    # on int64; the form agrees with the per-pivot reference.
+    # so every later pass runs on int64 (level 2 takes none of its own: its
+    # loop starts at the first restriction, and no residual is left); the
+    # form agrees with the per-pivot reference.
     P = quotient_pi(make_module(INT64_BOUND_MODULE, GroupSpec.abelian(3, 1)), 19)
     ring, G, ncols = _level_matrix(P, 2, 19)
     assert ring.dtype is np.int64 and chainring._kernel_dtype(ring.pM, 9) is object
@@ -978,7 +980,7 @@ def test_unit_pass_above_the_int64_bound_runs_on_python_ints(monkeypatch):
     assert diagonalize(ring, G, ncols) == expected
     assert passes[0][:2] == (9, np.dtype(object)) and all(ran == rule for _, ran, rule in passes)
     int64 = np.dtype(np.int64)
-    assert [(L, ran) for L, ran, _ in passes[1:]] == [(1, int64), (3, int64), (9, int64)]
+    assert [(L, ran) for L, ran, _ in passes[1:]] == [(1, int64), (3, int64)]
     assert expected.diag_valuations.count(2) == 9 and expected.diag_valuations.count(5) == 9
 
 
@@ -1087,7 +1089,8 @@ def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     # Ungarnished Lambda (+) Lambda/p^2 (+) Lambda/p^3 at m = 2 (L = 81): the
     # pass eliminates every torsion relation on the compact array.  The
     # residual, the free summand with no rows left, projects to levels 0
-    # and 1 for their own passes, level 2 passes over it once more, and
+    # and 1 for their own passes, level 2 takes no pass of its own (its
+    # loop starts at the first restriction, and no rows are left), and
     # nothing is expanded.
     spec = GroupSpec.abelian(3, 2)
     P = quotient_pi(make_module(GroundTruth(1, (2, 3), seed=1), spec), 6)
@@ -1110,7 +1113,7 @@ def test_unit_pass_builds_no_dense_expansion(monkeypatch):
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     form = diagonalize(ring, G, ncols)
     assert (form.row_count, form.col_count, form.free_cols) == (243, 324, 81)
-    assert events == [("pass", (3, 4, 81)), ("pass", (0, 1, 1)), ("pass", (0, 1, 9)), ("pass", (0, 1, 81))]
+    assert events == [("pass", (3, 4, 81)), ("pass", (0, 1, 1)), ("pass", (0, 1, 9))]
 
 
 # ---------------------------------------------------------------------------
@@ -1336,10 +1339,10 @@ def test_wide_unit_pass_matches_per_pivot_kernel(case):
 def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     # Garnished abelian(3, 2) over the ramified O = Z_3[sqrt 3] at m = 2:
     # g2 - 1 is a unit over <g1, g2^3>, so the descent strips a digit of g2
-    # first, with the O-coordinate axis, at level 1 as at level 2 (after
-    # level 2's own pass over its residual, which finds nothing), and the
-    # unit passes leave nothing for the pass over the trivial group, which
-    # sees only the level-0 projection.
+    # first, with the O-coordinate axis, at level 1 as at level 2 (whose
+    # loop starts at that restriction of its residual), and the unit passes
+    # leave nothing for the pass over the trivial group, which sees only
+    # the level-0 projection.
     spec, base = GroupSpec.abelian(3, 2), RingBase(3, 2, 1)
     P = quotient_pi(make_module(GroundTruth(0, (2,), (Garnish(2),), seed=3), spec, base), 6)
     events, trivial = [], []
@@ -1359,13 +1362,12 @@ def test_wide_g2_garnish_sends_nothing_to_the_kernel(monkeypatch):
     monkeypatch.setattr(chainring, "_eliminate_units", recording_eliminate)
     ring, G, ncols = _level_matrix(P, 2, 6)
     form = diagonalize(ring, G, ncols)
-    assert events[:8] == [
+    assert events[:7] == [
         ("pass", 81, (2,), 6),
         ("pass", 1, (2,), 6),
         ("pass", 9, (2,), 6),
         ("stage", (0, 0), 1),
         ("pass", 3, (2,), 6),
-        ("pass", 81, (2,), 6),
         ("stage", (0, 0), 1),
         ("pass", 27, (2,), 6),
     ]

@@ -187,7 +187,7 @@ def test_quotient_order_pi_and_power():
         for b in (1, 2, 4):
             gens = [poly1(ring, [(0, 3 ** a)]), poly1(ring, [(b, 1)])]
             gens = [g for g in gens if g]
-            assert quotient_ordq(ctx, 1, gens) == min(a, 3) * b
+            assert quotient_ordq(ctx, 1, strong_groebner(ctx, gens)) == min(a, 3) * b
 
 
 def test_quotient_order_infinite_detected():
@@ -196,7 +196,7 @@ def test_quotient_order_infinite_detected():
     # ideal (T0) in R[T0, T1]: no pure T1-power with unit coefficient
     gens = [{(0, (1, 0)): ring.one}]
     with pytest.raises(InvalidInput):
-        quotient_ordq(ctx, 1, gens)
+        quotient_ordq(ctx, 1, strong_groebner(ctx, gens))
 
 
 def _truncation_oracle_r1(ring, gens, D):
@@ -231,7 +231,7 @@ def test_quotient_order_matches_truncation_oracle_r1(seed):
         if g:
             gens.append(g)
     full = gens + [{(0, (D,)): ring.one}]
-    assert quotient_ordq(ctx, 1, full) == _truncation_oracle_r1(ring, gens, D)
+    assert quotient_ordq(ctx, 1, strong_groebner(ctx, full)) == _truncation_oracle_r1(ring, gens, D)
 
 
 def _truncation_oracle_r2(ring, gens, D):
@@ -267,7 +267,7 @@ def test_quotient_order_matches_truncation_oracle_r2(seed):
         if g:
             gens.append(g)
     caps = [{(0, (D, 0)): ring.one}, {(0, (0, D)): ring.one}]
-    assert quotient_ordq(ctx, 1, gens + caps) == _truncation_oracle_r2(ring, gens, D)
+    assert quotient_ordq(ctx, 1, strong_groebner(ctx, gens + caps)) == _truncation_oracle_r2(ring, gens, D)
 
 
 def test_membership_after_groebner():
@@ -297,9 +297,11 @@ def test_preimage_gens_solves_membership():
     ctx = PolyContext(ring, 1)
     t = {(0, (1,)): ring.one}
     w = [{(0, (0,)): ring.from_int(4)}]
-    pre = preimage_gens(ctx, 1, [t], w)
+    pre, image = preimage_gens(ctx, 1, [t], w)
     basis = strong_groebner(ctx, pre)
     keyfn = term_key(0)
+    # the image <T, pi^2> = (T, pi^2): its strong basis is T and pi^2
+    assert sorted(next(iter(g)) for g in image) == [(0, (0,)), (0, (1,))]
     # pi^2 must be in the preimage, pi must not
     assert normal_form(ctx, {(0, (0,)): ring.from_int(4)}, basis, keyfn) == {}
     assert normal_form(ctx, {(0, (0,)): ring.from_int(2)}, basis, keyfn) != {}
