@@ -346,11 +346,6 @@ class ChainRing:
     def _canon(self, coords) -> tuple:
         return tuple(int(c) % m for c, m in zip(coords, self.moduli))
 
-    def from_int(self, n: int):
-        if self.is_simple:
-            return n % self.pM
-        return self._canon((n,) + (0,) * (len(self.moduli) - 1))
-
     def from_coeffs(self, vec: Sequence[int]):
         """Build a scalar from the exact O-coefficient vector of length e*f
         (entry i*f + j is the x^j coordinate of the pi^i digit)."""

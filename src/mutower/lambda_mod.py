@@ -15,10 +15,15 @@ The two computational primitives are
 
   * koszul_homology_ordq: for the abelian presets, the exact q-order of
     H_i(G_m, M) as degree-i Koszul homology of (g_1^(p^m) - 1, ...,
-    g_r^(p^m) - 1).  Since the homology is killed by (pi^N, all g_j^(p^m)-1)
-    it is supported at the maximal ideal, so it is computed faithfully over
-    the polynomial ring R[T_1, ..., T_r] (g_j = 1 + T_j) with strong Groebner
-    bases; no working-depth truncation is involved and the answers are exact.
+    g_r^(p^m) - 1), computed with strong Groebner bases over the polynomial
+    ring R[g_1, ..., g_r], R = O/pi^N, on the relation terms as they are.
+    Over Lambda the homology is taken in the completion of that ring at the
+    maximal ideal (pi, g_1 - 1, ..., g_r - 1); it is killed by pi^N and by
+    every g_j^(p^m) - 1, and R[g]/(pi, g_j^(p^m) - 1) = F_q[g]/((g_j - 1)^(p^m))
+    is local, so it is supported at that ideal alone and the polynomial ring
+    computes it faithfully.  (R[g] = R[T] with T_j = g_j - 1 is only a change
+    of coordinates, so nothing is expanded in T.)  No working-depth
+    truncation is involved and the answers are exact.
     H_i is K_i / B_i, the cycles over the boundaries (both modulo the
     relations), read off two strong bases: K_i from degree i's one
     elimination and B_i from degree i + 1's, so the r + 1 degrees of an
@@ -31,7 +36,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from typing import Dict, List, Optional, Tuple
 
@@ -85,6 +90,23 @@ class Presentation:
                         raise InvalidInput("exponent arity disagrees with the group")
                     if min(exps, default=0) < 0:
                         raise InvalidInput("negative generator exponents are not allowed")
+
+    # The Koszul caches hash P on every lookup, so the matrix is walked on
+    # the first hash only (and not at construction: most presentations are
+    # never hashed).
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.spec, self.base, self.gens, self.rels, self.matrix, self.pi_quotient))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self):
+        # a str hash (spec.kind) differs between processes, so a kept hash
+        # does not travel
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
 
 
 def presentation(spec: GroupSpec, base: RingBase, gens: int, rows) -> Presentation:
@@ -214,90 +236,40 @@ def coinvariants_ordq(P: Presentation, m: int, N: int) -> int:
 # Koszul homology for the abelian presets.
 
 
-# Rows stay cached, so the cache is kept small: a row has at most
-# KOSZUL_BUDGET_CELLS + 1 entries (the budgets are checked before any
-# expansion), and the seed-0 koszul draw uses about 50 rows.
-@lru_cache(maxsize=64)
-def _binomial_row(p: int, M: int, e: int) -> Tuple[int, ...]:
-    """C(e, k) mod p^M for k = 0..e, by the running product C(e, k) =
-    C(e, k-1) (e-k+1) / k on residues mod p^M: the p-parts of numerator and
-    denominator only move the exponent v of C(e, k) = p^v u."""
-    pM = p ** M
-    row = [1]
-    u, v = 1, 0
-    for k in range(1, e + 1):
-        num, den = e - k + 1, k
-        while num % p == 0:
-            num, v = num // p, v + 1
-        while den % p == 0:
-            den, v = den // p, v - 1
-        u = u * num * pow(den, -1, pM) % pM
-        row.append(u * p ** v % pM if v < M else 0)
-    return tuple(row)
-
-
-def _entry_to_spoly(entry: GroupRingPoly, ring: ChainRing, r: int) -> Dict[Tuple[int, ...], object]:
-    """Image of an abelian group-ring polynomial in R[T_1..T_r], g_j = 1 + T_j."""
-    out: Dict[Tuple[int, ...], object] = {}
-    for coeffs, exps in entry.terms:
-        c = ring.from_coeffs(coeffs)
-        monos = {(0,) * r: c}
-        for j, e in enumerate(exps):
-            if e == 0:
-                continue
-            new: Dict[Tuple[int, ...], object] = {}
-            for k, b in enumerate(_binomial_row(ring.p, ring.M, e)):
-                if b:
-                    b = ring.from_int(b)
-                    for mono, cc in monos.items():
-                        new[mono[:j] + (k,) + mono[j + 1 :]] = ring.mul(cc, b)
-            monos = new
-        for mono, cc in monos.items():
-            cur = out.get(mono)
-            tot = cc if cur is None else ring.add(cur, cc)
-            if ring.is_zero(tot):
-                out.pop(mono, None)
-            else:
-                out[mono] = tot
-    return out
-
-
 # An Euler sum asks for r + 1 degrees of one (P, N, m) in a row, so a few
 # entries serve it.
 @lru_cache(maxsize=8)
 def _koszul_module(P: Presentation, N: int, m: int) -> Tuple[Tuple[Element, ...], Tuple[Dict[Tuple[int, ...], object], ...]]:
     """(U, ts) over O/pi^N: the nonzero relation rows of P as elements of
-    S^b, and the tower operators g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k
-    in R[T_1..T_r], none with a zero coefficient.  Cached, so the elements
-    are shared between calls and never mutated.  Raises TooLarge, before
-    expanding any entry, when the relation matrix would expand to more than
-    KOSZUL_BUDGET_CELLS monomials in T; a raise is not cached, so every
-    call for P refuses."""
-    # a term c g^e expands to prod_j (e_j + 1) monomials in T
+    S^b, each term c g^e of an entry kept as it is, and the tower operators
+    g_j^(p^m) - 1 in R[g_1..g_r], none with a zero coefficient.  Cached, so
+    the elements are shared between calls and never mutated.  Raises
+    TooLarge, before building any element, when the relation terms span more
+    than KOSZUL_BUDGET_CELLS monomials below their exponents; a raise is not
+    cached, so every call for P refuses."""
+    # Reducing a term c g^e may walk every monomial below it, prod_j (e_j + 1)
+    # of them, so this bounds the reduction work that high exponents cost.
     terms = sum(prod(e + 1 for e in exps) for row in P.matrix for entry in row for _, exps in entry.terms)
     if terms > KOSZUL_BUDGET_CELLS:
         raise TooLarge(
-            f"the relation matrix expands to {terms} monomials in T_j = g_j - 1 "
-            f"(budget {KOSZUL_BUDGET_CELLS}); lower the generator exponents"
+            f"the relation terms span {terms} monomials below their exponents, which "
+            f"bounds their reduction work (budget {KOSZUL_BUDGET_CELLS}); lower the generator exponents"
         )
     ring = ChainRing.from_base(P.base, N)
     r = P.spec.r
     U = []
     for row in P.matrix:
+        # _norm_terms made the exponents of an entry unique: nothing to merge
         elem: Element = {}
         for j, entry in enumerate(row):
-            if entry.is_zero:
-                continue
-            for mono, c in _entry_to_spoly(entry, ring, r).items():
-                elem[(j, mono)] = c
+            for coeffs, exps in entry.terms:
+                c = ring.from_coeffs(coeffs)
+                if not ring.is_zero(c):
+                    elem[(j, exps)] = c
         if elem:
             U.append(elem)
-    pm = P.spec.p ** m
-    row = _binomial_row(ring.p, ring.M, pm)
-    ts = tuple(
-        {tuple(k if t == j else 0 for t in range(r)): ring.from_int(row[k]) for k in range(1, pm + 1) if row[k]}
-        for j in range(r)
-    )
+    pm, minus_one = P.spec.p ** m, ring.neg(ring.one)
+    ts = tuple({tuple(pm if t == j else 0 for t in range(r)): ring.one, (0,) * r: minus_one} for j in range(r))
     return tuple(U), ts
 
 
@@ -357,7 +329,8 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     """ord_q(H_i(G_m, M)) for pi-power-torsion M of exponent <= N.
 
     Degree 0 equals coinvariants_ordq; higher degrees require an abelian
-    preset (Koszul complex on the commuting operators t_j = g_j^(p^m) - 1).
+    preset (Koszul complex on the commuting operators t_j = g_j^(p^m) - 1
+    of R[g_1..g_r]).
     With M = Lambda^b / U, H_i = K_i / B_i, where K_i, the cycles modulo
     U, comes from degree i's elimination E_i (K_0 = C_0) and B_i =
     d C_(i+1) + U_i from degree i + 1's, E_(i+1) (_elimination).  The order
@@ -366,8 +339,8 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
 
     Raises TooLarge, before any Groebner work, when a chain module that
     degree i reads (degrees i - 1, i and i + 1) exceeds
-    KOSZUL_BUDGET_CELLS, and before expanding any entry when the relation
-    matrix would expand to more than that many monomials in T.
+    KOSZUL_BUDGET_CELLS, or when the relation terms span more than that many
+    monomials below their exponents (_koszul_module).
     """
     spec = P.spec
     if i < 0 or i > spec.r:

@@ -2,9 +2,13 @@
 
 This is the exact linear-algebra substrate for Koszul homology of finitely
 presented modules over the abelian Iwasawa algebra truncations
-(O/pi^N)[[T_1, ..., T_r]]: because the homology in question is supported at
-the maximal ideal (pi, T_1, ..., T_r), it agrees with the homology computed
-over the polynomial ring, where Buchberger-style computation is available.
+(O/pi^N)[[G]] (lambda_mod.koszul_homology_ordq).  The engine is
+variable-agnostic: T_1, ..., T_r stand for whatever polynomial variables the
+caller's exponent tuples count, and lambda_mod passes the group elements
+g_1, ..., g_r themselves.  The homology in question is supported at the
+maximal ideal (pi, g_1 - 1, ..., g_r - 1), so it agrees with the homology
+computed over the polynomial ring, where Buchberger-style computation is
+available.
 
 Elements of a free module S^s are dicts {(position, monomial): scalar} with
 scalars in the chain ring and monomials exponent tuples.  The term order is

@@ -1,11 +1,13 @@
-"""Koszul homology read from two strong bases (lambda_mod.koszul_homology_ordq)
-against the route that pulls the boundaries back onto the cycles' generators,
+"""Koszul homology read from two strong bases in the group variables g_j
+(lambda_mod.koszul_homology_ordq) against the route that expands everything
+in T_j = g_j - 1 and pulls the boundaries back onto the cycles' generators,
 and the staircase count of syzygy.quotient_ordq against brute force and an
 exact identity."""
 
 import time
 import tracemalloc
 from itertools import combinations, product
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -14,15 +16,70 @@ from hypothesis import strategies as st
 from mutower import lambda_mod, syzygy
 from mutower.chainring import ChainRing, RingBase
 from mutower.errors import InvalidInput, TooLarge
-from mutower.groupring import GroupSpec
+from mutower.groupring import GroupRingPoly, GroupSpec, poly_gen, poly_int, poly_sub
 from mutower.lambda_mod import _elimination, _koszul_module, koszul_homology_ordq, presentation, quotient_pi
 from mutower.synth import Garnish, GroundTruth, make_module
 from mutower.syzygy import PolyContext, quotient_ordq, strong_groebner
 
 # ---------------------------------------------------------------------------
-# The reference: H_i as the quotient of the cycles' generators by the pull-back
-# of the boundaries onto them, three Groebner calls per degree, and the order
-# of that quotient walked cell by cell over its staircase.
+# The reference: the relations and the tower operators expanded in
+# T_j = g_j - 1 (the same ring, R[g] = R[T], in other coordinates), H_i as
+# the quotient of the cycles' generators by the pull-back of the boundaries
+# onto them, three Groebner calls per degree, and the order of that quotient
+# walked cell by cell over its staircase.
+
+
+def _binomial_row(p, M, e):
+    """C(e, k) mod p^M for k = 0..e, by the running product C(e, k) =
+    C(e, k-1) (e-k+1) / k on residues mod p^M: the p-parts of numerator and
+    denominator only move the exponent v of C(e, k) = p^v u."""
+    pM = p ** M
+    row = [1]
+    u, v = 1, 0
+    for k in range(1, e + 1):
+        num, den = e - k + 1, k
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        u = u * num * pow(den, -1, pM) % pM
+        row.append(u * p ** v % pM if v < M else 0)
+    return tuple(row)
+
+
+def _integer(ring, n):
+    return ring.from_coeffs((n,) + (0,) * (len(ring.moduli) - 1))
+
+
+def _entry_to_spoly(entry, ring, r):
+    """Image of an abelian group-ring polynomial in R[T_1..T_r], g_j = 1 + T_j."""
+    out = {}
+    for coeffs, exps in entry.terms:
+        monos = {(0,) * r: ring.from_coeffs(coeffs)}
+        for j, e in enumerate(exps):
+            new = {}
+            for k, b in enumerate(_binomial_row(ring.p, ring.M, e)):
+                if b:
+                    for mono, c in monos.items():
+                        new[mono[:j] + (k,) + mono[j + 1 :]] = ring.mul(c, _integer(ring, b))
+            monos = new
+        for mono, c in monos.items():
+            out[mono] = ring.add(out.get(mono, ring.zero), c)
+    return {mono: c for mono, c in out.items() if not ring.is_zero(c)}
+
+
+def _t_module(P, ring, m):
+    """(U, ts) in T: the nonzero relation rows and the tower operators
+    g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k, none with a zero
+    coefficient."""
+    r = P.spec.r
+    U = []
+    for row in P.matrix:
+        elem = {(j, mono): c for j, entry in enumerate(row) for mono, c in _entry_to_spoly(entry, ring, r).items()}
+        if elem:
+            U.append(elem)
+    towers = [poly_sub(poly_gen(P.base, j + 1, r, power=P.spec.p ** m), poly_int(P.base, 1, r)) for j in range(r)]
+    return U, [_entry_to_spoly(t, ring, r) for t in towers]
 
 
 def _reference_preimage(ctx, target_rank, mapped, sub):
@@ -70,7 +127,7 @@ def reference_koszul_ordq(P, m, i, N):
     r, b = P.spec.r, P.gens
     ring = ChainRing.from_base(P.base, N)
     ctx = PolyContext(ring, r)
-    U, ts = _koszul_module(P, N, m)
+    U, ts = _t_module(P, ring, m)
 
     def shifted(u, blk):
         return {(pos + blk * b, mono): c for (pos, mono), c in u.items()}
@@ -134,6 +191,19 @@ def test_reference_route_gives_the_euler_characteristic():
     P = make_module(gt, spec, RingBase(2, 1, 1))
     euler = sum((-1) ** i * reference_koszul_ordq(P, 0, i, 2) for i in range(3))
     assert euler == gt.expected_rep().mu_total
+
+
+def test_reference_expansion_in_t():
+    # the reference's own change of coordinates: its binomial rows are
+    # C(e, k) mod p^M, and c g_1^2 g_2 = c (1 + T_1)^2 (1 + T_2)
+    for p, M in [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)]:
+        for e in range(61):
+            assert _binomial_row(p, M, e) == tuple(comb(e, k) % p ** M for k in range(e + 1))
+    ring = ChainRing.from_base(RingBase(3, 1, 2), 2)
+    c = ring.from_coeffs((2, 1))
+    binomials = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1}
+    expected = {t: ring.mul(c, _integer(ring, b)) for t, b in binomials.items()}
+    assert _entry_to_spoly(GroupRingPoly((((2, 1), (2, 1)),)), ring, 2) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -310,8 +380,8 @@ def test_staircase_count_of_huge_exponents_allocates_nothing(nvars):
     def power(j, k):
         return tuple(k if i == j else 0 for i in range(nvars))
 
-    small = [{(0, zero): ring.from_int(9)}] + [{(0, power(j, e)): 1} for j in range(nvars)]
-    big = [{(0, zero): ring.from_int(3)}] + [{(0, power(j, e // 2)): 1} for j in range(nvars)]
+    small = [{(0, zero): ring.from_coeffs((9,))}] + [{(0, power(j, e)): 1} for j in range(nvars)]
+    big = [{(0, zero): ring.from_coeffs((3,))}] + [{(0, power(j, e // 2)): 1} for j in range(nvars)]
     tracemalloc.start()
     start = time.perf_counter()
     try:

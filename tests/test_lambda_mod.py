@@ -1,9 +1,9 @@
+import pickle
 import random
 import time
 import tracemalloc
 import warnings
 from itertools import permutations
-from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +18,7 @@ from mutower.groupring import (
     GroupSpec,
     _norm_terms,
     group_level,
+    poly_add,
     poly_gen,
     poly_int,
     poly_mul,
@@ -27,8 +28,6 @@ from mutower.groupring import (
 )
 from mutower.lambda_mod import (
     Presentation,
-    _binomial_row,
-    _entry_to_spoly,
     _koszul_module,
     _level_matrix,
     check_expansion_budget,
@@ -247,85 +246,41 @@ def test_koszul_euler_characteristic_over_extended_rings(base, r):
             assert euler == gt.expected_rep().mu_total, (alphas, seed)
 
 
-@pytest.mark.parametrize("p, M", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)])
-def test_binomial_rows_are_binomials_mod_p_power(p, M):
-    for e in range(61):
-        assert _binomial_row(p, M, e) == tuple(comb(e, k) % p ** M for k in range(e + 1))
-
-
-@pytest.mark.parametrize(
-    "base, N",
-    [(BASE2, 4), (BASE3, 3), (RingBase(2, 2, 1), 4), (RingBase(2, 2, 1), 1), (RingBase(3, 1, 2), 2)],
-    ids=str,
-)
-def test_tower_operator_expansion(base, N):
-    # g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k, the zero coefficients dropped
-    ring = ChainRing.from_base(base, N)
-    r = 2
-    for m in range(3):
-        pm = base.p ** m
-        for j in range(r):
-            g = poly_sub(poly_gen(base, j + 1, r, power=pm), poly_int(base, 1, r))
-            expected = {}
-            for k in range(1, pm + 1):
-                c = ring.from_int(comb(pm, k))
-                if not ring.is_zero(c):
-                    expected[tuple(k if t == j else 0 for t in range(r))] = c
-            assert _entry_to_spoly(g, ring, r) == expected, (m, j)
-
-
 @pytest.mark.parametrize("base, N", [(BASE2, 4), (BASE3, 3), (RingBase(2, 2, 1), 4), (RingBase(3, 1, 2), 2)], ids=str)
-def test_tower_operators_built_from_binomial_rows(base, N):
-    # the direct construction equals the T-expansion of g_j^(p^m) - 1
+def test_tower_operators_are_two_term_binomials(base, N):
+    # t_j = g_j^(p^m) - 1 in R[g_1, g_2], with no expansion in T
     ring = ChainRing.from_base(base, N)
     P = quotient_pi(free_module(GroupSpec.abelian(base.p, 2), base, 1), N)
     for m in range(3):
-        towers = [
-            _entry_to_spoly(poly_sub(poly_gen(base, j, 2, power=base.p ** m), poly_int(base, 1, 2)), ring, 2)
-            for j in (1, 2)
-        ]
+        pm = base.p ** m
+        towers = [{(pm, 0): ring.one, (0, 0): ring.neg(ring.one)}, {(0, pm): ring.one, (0, 0): ring.neg(ring.one)}]
         assert list(_koszul_module(P, N, m)[1]) == towers
 
 
-def test_euler_sum_expands_each_relation_entry_once(monkeypatch):
+def test_euler_sum_builds_the_koszul_module_once():
     # r + 1 degrees of one module share one conversion of its relations
     spec = GroupSpec.abelian(2, 2)
     gt = GroundTruth(0, (1, 2), (Garnish(2),), seed=5)
     P = make_module(gt, spec, BASE2)
-    calls = []
-
-    def counted(entry, ring, r):
-        calls.append(entry)
-        return _entry_to_spoly(entry, ring, r)
-
-    monkeypatch.setattr(lambda_mod, "_entry_to_spoly", counted)
     _koszul_module.cache_clear()
     N = max(gt.alphas)
     euler = sum((-1) ** i * koszul_homology_ordq(P, 0, i, N) for i in range(spec.r + 1))
     assert euler == gt.expected_rep().mu_total
-    assert len(calls) == sum(not entry.is_zero for row in P.matrix for entry in row) > 0
+    assert _koszul_module.cache_info().misses == 1
 
 
-def test_entry_expansion_of_a_product_of_generators():
-    # c g_1^2 g_2 = c (1 + T_1)^2 (1 + T_2)
+def test_relation_terms_stay_in_the_group_variables():
+    # c g_1^2 g_2 is one term of the relation element, its scalar from the
+    # coefficient vector
     base = RingBase(3, 1, 2)
     ring = ChainRing.from_base(base, 2)
     entry = GroupRingPoly((((2, 1), (2, 1)),))
-    c = ring.from_coeffs((2, 1))
-    binomials = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1}
-    assert _entry_to_spoly(entry, ring, 2) == {t: ring.mul(c, ring.from_int(b)) for t, b in binomials.items()}
+    P = presentation(GroupSpec.abelian(3, 2), base, 2, [[GroupRingPoly(()), entry]])
+    assert _koszul_module(P, 2, 0)[0] == ({(1, (2, 1)): ring.from_coeffs((2, 1))},)
 
 
-def test_large_exponents_expand_fast():
-    # the row C(10^4, k) is one running product on residues mod 3
-    ring = ChainRing(3, 1, 1, 1)
-    g = poly_sub(poly_gen(BASE3, 1, 1, power=10 ** 4), poly_int(BASE3, 1, 1))
-    start = time.perf_counter()
-    out = _entry_to_spoly(g, ring, 1)
-    assert time.perf_counter() - start < 1.0
-    for k in (1, 2, 3, 9, 10, 81, 1000, 4096, 9999, 10 ** 4):
-        assert out.get((k,), 0) == comb(10 ** 4, k) % 3
-    # H_0 of Lambda/3 at level m is F_3[T]/(T^(3^m)), of order 3^(3^m)
+def test_koszul_at_high_levels_is_fast():
+    # H_0 of Lambda/3 at level m is F_3[g]/(g^(3^m) - 1), of order 3^(3^m)
     P = quotient_pi(free_module(GroupSpec.abelian(3, 1), BASE3, 1), 1)
     start = time.perf_counter()
     assert koszul_homology_ordq(P, 8, 0, 1) == 3 ** 8
@@ -333,12 +288,21 @@ def test_large_exponents_expand_fast():
     assert koszul_homology_ordq(P, 12, 0, 1) == 3 ** 12
 
 
-def test_koszul_expansion_budget_refuses_before_expanding(monkeypatch):
-    # g^(10^9) - 1 would expand to 10^9 + 1 monomials in T
-    def refuse(*args, **kwargs):
-        raise AssertionError("relation matrix expanded above the budget")
+def test_long_reduction_chain_of_an_admitted_relation_term():
+    # Lambda/(g^e + 2) = 0 over Z_2: reducing g^e + 2 by g - 1 walks e
+    # steps down to the unit 3.  e = 2^16 is within the relation-term budget.
+    spec = GroupSpec.abelian(2, 1)
+    e = 2 ** 16
+    P = presentation(spec, BASE2, 1, [[poly_add(poly_gen(BASE2, 1, 1, power=e), poly_int(BASE2, 2, 1))]])
+    assert [koszul_homology_ordq(P, 0, i, 3) for i in range(2)] == [0, 0]
 
-    monkeypatch.setattr(lambda_mod, "_entry_to_spoly", refuse)
+
+def test_koszul_relation_term_budget_refuses_before_groebner(monkeypatch):
+    # g^(10^9) - 1 spans 10^9 + 1 monomials below its exponent
+    def refuse(*args, **kwargs):
+        raise AssertionError("Groebner work started above the budget")
+
+    monkeypatch.setattr(lambda_mod, "preimage_gens", refuse)
     spec = GroupSpec.abelian(3, 1)
     g = poly_sub(poly_gen(BASE3, 1, 1, power=10 ** 9), poly_int(BASE3, 1, 1))
     P = quotient_pi(presentation(spec, BASE3, 1, [[g]]), 1)
@@ -360,7 +324,7 @@ def test_koszul_budget_refuses_before_groebner(monkeypatch):
         raise AssertionError("Koszul work started above the budget")
 
     monkeypatch.setattr(syzygy, "strong_groebner", refuse)
-    monkeypatch.setattr(lambda_mod, "_entry_to_spoly", refuse)
+    monkeypatch.setattr(lambda_mod, "preimage_gens", refuse)
     P = quotient_pi(free_module(GroupSpec.abelian(3, 2), BASE3, 1), 1)
     assert 3 ** 14 > lambda_mod.KOSZUL_BUDGET_CELLS
     for i in range(3):
@@ -395,6 +359,29 @@ def test_presentation_validation():
         presentation(spec, RingBase(2, 1, 1), 1, [])  # prime mismatch
     with pytest.raises(InvalidInput):
         presentation(spec, BASE3, 2, [[poly_int(BASE3, 1, 1)]])  # ragged
+
+
+def test_presentation_keeps_its_hash(monkeypatch):
+    # equal presentations hash and compare equal, and the second hash of one
+    # does not walk its matrix again; a pickled copy hashes afresh
+    spec = GroupSpec.abelian(2, 2)
+    gt = GroundTruth(0, (1, 2), (Garnish(2),), seed=5)
+    P, Q = make_module(gt, spec, BASE2), make_module(gt, spec, BASE2)
+    walks = []
+    entry_hash = GroupRingPoly.__hash__
+
+    def counted(entry):
+        walks.append(entry)
+        return entry_hash(entry)
+
+    monkeypatch.setattr(GroupRingPoly, "__hash__", counted)
+    assert P is not Q and P == Q
+    assert hash(P) == hash(Q)
+    first = len(walks)
+    assert first == 2 * sum(len(row) for row in P.matrix) > 0
+    assert hash(P) == hash(Q) and len(walks) == first
+    copy = pickle.loads(pickle.dumps(P))
+    assert copy == P and hash(copy) == hash(P) and len(walks) > first
 
 
 def test_presentation_rejects_negative_exponents():

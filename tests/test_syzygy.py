@@ -176,7 +176,7 @@ def mono(r, **kw):
 
 def poly1(ring, pairs):
     # univariate helper: pairs of (degree, scalar)
-    return {(0, (d,)): ring.from_int(c) for d, c in pairs if ring.from_int(c) != ring.zero}
+    return {(0, (d,)): ring.from_coeffs((c,)) for d, c in pairs if ring.from_coeffs((c,)) != ring.zero}
 
 
 def test_quotient_order_pi_and_power():
@@ -261,7 +261,7 @@ def test_quotient_order_matches_truncation_oracle_r2(seed):
         g = {}
         for _ in range(rng.randrange(1, 3)):
             m = (rng.randrange(2), rng.randrange(2))
-            c = ring.from_int(rng.randrange(4))
+            c = ring.from_coeffs((rng.randrange(4),))
             if not ring.is_zero(c):
                 g[(0, m)] = c
         if g:
@@ -296,15 +296,15 @@ def test_preimage_gens_solves_membership():
     ring = ChainRing(2, 1, 1, 3)
     ctx = PolyContext(ring, 1)
     t = {(0, (1,)): ring.one}
-    w = [{(0, (0,)): ring.from_int(4)}]
+    w = [{(0, (0,)): ring.from_coeffs((4,))}]
     pre, image = preimage_gens(ctx, 1, [t], w)
     basis = strong_groebner(ctx, pre)
     keyfn = term_key(0)
     # the image <T, pi^2> = (T, pi^2): its strong basis is T and pi^2
     assert sorted(next(iter(g)) for g in image) == [(0, (0,)), (0, (1,))]
     # pi^2 must be in the preimage, pi must not
-    assert normal_form(ctx, {(0, (0,)): ring.from_int(4)}, basis, keyfn) == {}
-    assert normal_form(ctx, {(0, (0,)): ring.from_int(2)}, basis, keyfn) != {}
+    assert normal_form(ctx, {(0, (0,)): ring.from_coeffs((4,))}, basis, keyfn) == {}
+    assert normal_form(ctx, {(0, (0,)): ring.from_coeffs((2,))}, basis, keyfn) != {}
     # and every generator really maps into W
     wb = strong_groebner(ctx, w)
     for v in pre:
