@@ -193,17 +193,52 @@ def test_reference_route_gives_the_euler_characteristic():
     assert euler == gt.expected_rep().mu_total
 
 
-def test_reference_expansion_in_t():
-    # the reference's own change of coordinates: its binomial rows are
-    # C(e, k) mod p^M, and c g_1^2 g_2 = c (1 + T_1)^2 (1 + T_2)
-    for p, M in [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)]:
-        for e in range(61):
-            assert _binomial_row(p, M, e) == tuple(comb(e, k) % p ** M for k in range(e + 1))
+@pytest.mark.parametrize("p, M", [(2, 1), (2, 5), (3, 1), (3, 4), (5, 3), (7, 2)])
+def test_binomial_rows_are_binomials_mod_p_power(p, M):
+    # the reference's binomial rows are C(e, k) mod p^M
+    for e in range(61):
+        assert _binomial_row(p, M, e) == tuple(comb(e, k) % p ** M for k in range(e + 1))
+
+
+@pytest.mark.parametrize(
+    "base, N",
+    [(RingBase(2, 1, 1), 4), (RingBase(3, 1, 1), 3), (RingBase(2, 2, 1), 4), (RingBase(2, 2, 1), 1), (RingBase(3, 1, 2), 2)],
+    ids=str,
+)
+def test_tower_operator_expansion(base, N):
+    # g_j^(p^m) - 1 = sum_{k >= 1} C(p^m, k) T_j^k, the zero coefficients dropped
+    ring = ChainRing.from_base(base, N)
+    r = 2
+    for m in range(3):
+        pm = base.p ** m
+        for j in range(r):
+            g = poly_sub(poly_gen(base, j + 1, r, power=pm), poly_int(base, 1, r))
+            expected = {}
+            for k in range(1, pm + 1):
+                c = _integer(ring, comb(pm, k))
+                if not ring.is_zero(c):
+                    expected[tuple(k if t == j else 0 for t in range(r))] = c
+            assert _entry_to_spoly(g, ring, r) == expected, (m, j)
+
+
+def test_entry_expansion_of_a_product_of_generators():
+    # c g_1^2 g_2 = c (1 + T_1)^2 (1 + T_2)
     ring = ChainRing.from_base(RingBase(3, 1, 2), 2)
     c = ring.from_coeffs((2, 1))
     binomials = {(0, 0): 1, (1, 0): 2, (2, 0): 1, (0, 1): 1, (1, 1): 2, (2, 1): 1}
     expected = {t: ring.mul(c, _integer(ring, b)) for t, b in binomials.items()}
     assert _entry_to_spoly(GroupRingPoly((((2, 1), (2, 1)),)), ring, 2) == expected
+
+
+def test_large_exponents_expand_fast():
+    # the reference's row C(10^4, k) is one running product on residues mod 3
+    base = RingBase(3, 1, 1)
+    g = poly_sub(poly_gen(base, 1, 1, power=10 ** 4), poly_int(base, 1, 1))
+    start = time.perf_counter()
+    out = _entry_to_spoly(g, ChainRing.from_base(base, 1), 1)
+    assert time.perf_counter() - start < 1.0
+    for k in (1, 2, 3, 9, 10, 81, 1000, 4096, 9999, 10 ** 4):
+        assert out.get((k,), 0) == comb(10 ** 4, k) % 3
 
 
 # ---------------------------------------------------------------------------
