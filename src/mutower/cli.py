@@ -1,17 +1,18 @@
 """Batch front end.
 
 Subcommands: invariants, compare, tower, synth, selftest.  Reports are JSON
-(or a parallel plain-text rendering) and embed the full configuration, so a
-fixed (config, inputs, seed) produces byte-identical output.
+(or a parallel plain-text rendering) and embed the options the command read,
+so a fixed (config, inputs, seed) produces byte-identical output.
 
 Exit codes: 0 success/Equal, 2 Inconclusive or non-converged, 3 Unequal,
-1 error.
+1 error (usage errors included).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -21,7 +22,7 @@ from typing import List, Optional
 from . import compare as cmp
 from . import invariants as inv
 from . import modfile, synth
-from .chainring import ChainRing, RingBase
+from .chainring import ChainRing, RingBase, cokernel_ordq
 from .errors import InconsistentProfile, InvalidInput, MutowerError, NotConverged, ProfileTooShort
 from .groupring import GroupSpec
 
@@ -64,51 +65,66 @@ def _parse_error_c(text: str) -> Fraction:
     return c
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidInput, so they exit EXIT_ERROR with one
+    `error:` line like every other input error (argparse would exit 2,
+    which here means inconclusive)."""
+
+    def error(self, message):
+        raise InvalidInput(f"{self.prog}: {message}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process: building it costs
-    about a tenth of a small invariants run, and parsing leaves it as it is."""
-    ap = argparse.ArgumentParser(
+    about a tenth of a small invariants run, and parsing leaves it as it is.
+    Each command takes only the options its run_* reads, and its report's
+    config echoes exactly those (see _config_dict)."""
+    ap = _Parser(
         prog="mutower",
         description="structure invariants of finitely presented Iwasawa modules",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name, run, summary):
+        sp = sub.add_parser(name, help=summary)
+        sp.add_argument("--format", choices=["json", "text"], default="json")
+        sp.add_argument("--out", type=str, default=None)
+        sp.set_defaults(run=run)
+        return sp
+
+    def levels(sp):
         sp.add_argument("--n-max", type=int, default=inv.DEFAULT_N_MAX)
         sp.add_argument("--levels", type=str, default=None, help="comma-separated level list")
-        sp.add_argument("--ring", type=str, default=None, help="p,e,f (tower command only needs p)")
-        sp.add_argument("--error-C", dest="error_c", type=str, default="1")
-        sp.add_argument("--format", choices=["json", "text"], default="json")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", type=str, default=None)
 
-    sp = sub.add_parser("invariants", help="recover mu/theta/elementary representation")
+    sp = command("invariants", run_invariants, "recover mu/theta/elementary representation")
     sp.add_argument("module", type=str)
-    common(sp)
+    levels(sp)
 
-    sp = sub.add_parser("compare", help="compare two module files")
+    sp = command("compare", run_compare, "compare two module files")
     sp.add_argument("left", type=str)
     sp.add_argument("right", type=str)
     sp.add_argument("--mode", choices=[cmp.MODE_UP_TO_THETA, cmp.MODE_ALL_N], default=cmp.MODE_ALL_N)
-    common(sp)
+    levels(sp)
 
-    sp = sub.add_parser("tower", help="compare two tower CSV files")
+    sp = command("tower", run_tower, "compare two tower CSV files")
     sp.add_argument("left", type=str)
     sp.add_argument("right", type=str)
     sp.add_argument("--dim", type=int, required=True, help="dimension r of the tower group")
-    common(sp)
+    sp.add_argument("--ring", type=str, default=None, help="p,e,f (only p is used)")
+    sp.add_argument("--error-C", dest="error_C", type=str, default="1")
 
-    sp = sub.add_parser("synth", help="emit a ground-truth corpus of module files")
+    sp = command("synth", run_synth, "emit a ground-truth corpus of module files")
     sp.add_argument("--count", type=int, default=8)
     sp.add_argument("--out-dir", type=str, required=True)
-    common(sp)
+    sp.add_argument("--ring", type=str, default=None, help="p,e,f (default 3,1,1)")
+    sp.add_argument("--seed", type=int, default=0)
 
-    sp = sub.add_parser("selftest", help="run corpus round-trips and oracle agreements")
+    sp = command("selftest", run_selftest, "run corpus round-trips and oracle agreements")
     sp.add_argument("--cases", type=int, default=6)
     sp.add_argument("--oracle-cases", type=int, default=40)
     sp.add_argument("--inject-corruption", action="store_true")
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -124,7 +140,7 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _render_text(report: dict, indent: int = 0) -> str:
+def _render_text(report: dict) -> str:
     lines = []
 
     def walk(obj, depth):
@@ -144,21 +160,16 @@ def _render_text(report: dict, indent: int = 0) -> str:
                 else:
                     lines.append(f"{pad}- {v}")
 
-    walk(report, indent)
+    walk(report, 0)
     return "\n".join(lines) + "\n"
 
 
-def _config_dict(args, extra: dict) -> dict:
-    cfg = {
-        "command": args.command,
-        "n_max": getattr(args, "n_max", None),
-        "levels": getattr(args, "levels", None),
-        "ring": getattr(args, "ring", None),
-        "error_C": getattr(args, "error_c", None),
-        "format": args.format,
-        "seed": getattr(args, "seed", None),
-    }
-    cfg.update(extra)
+def _config_dict(args, **derived) -> dict:
+    """The parsed options, which are exactly those the command reads, and
+    the values derived from them; `out` names where the report goes and is
+    not part of it."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("out", "run")}
+    cfg.update(derived)
     return cfg
 
 
@@ -195,8 +206,7 @@ def _emit_verdict(config: dict, verdict: cmp.Verdict, args) -> int:
 def run_invariants(args) -> int:
     P = modfile.load_presentation(args.module)
     m_range = _parse_levels(args.levels) or inv.default_m_range(P.spec)
-    config = _config_dict(args, {"module": args.module, "m_range": m_range})
-    report = {"config": config}
+    report = {"config": _config_dict(args, m_range=m_range)}
     code = EXIT_OK
     try:
         profile = inv.mu_profile(P, args.n_max, m_range)
@@ -220,11 +230,8 @@ def run_compare(args) -> int:
     P = modfile.load_presentation(args.left)
     Q = modfile.load_presentation(args.right)
     m_range = _parse_levels(args.levels) or inv.default_m_range(P.spec)
-    config = _config_dict(
-        args, {"left": args.left, "right": args.right, "mode": args.mode, "m_range": m_range}
-    )
     verdict = cmp.compare_modules(P, Q, mode=args.mode, m_range=m_range, n_max=args.n_max)
-    return _emit_verdict(config, verdict, args)
+    return _emit_verdict(_config_dict(args, m_range=m_range), verdict, args)
 
 
 def _check_counts(args, *names: str) -> None:
@@ -237,12 +244,11 @@ def run_tower(args) -> int:
     base = _parse_ring(args.ring)
     if base is None:
         raise InvalidInput("tower command requires --ring p,e,f (p is used)")
-    error_c = _parse_error_c(args.error_c)
+    error_c = _parse_error_c(args.error_C)
     A = modfile.load_tower_csv(args.left, base.p, args.dim)
     B = modfile.load_tower_csv(args.right, base.p, args.dim)
-    config = _config_dict(args, {"left": args.left, "right": args.right, "dim": args.dim})
     verdict = cmp.tower_compare(A, B, error_c)
-    return _emit_verdict(config, verdict, args)
+    return _emit_verdict(_config_dict(args), verdict, args)
 
 
 def _default_gts(count: int, seed: int):
@@ -265,13 +271,11 @@ def _default_gts(count: int, seed: int):
 
 
 def run_synth(args) -> int:
-    import os
-
     _check_counts(args, "count")
     base = _parse_ring(args.ring) or RingBase(3, 1, 1)
     spec = GroupSpec.abelian(base.p, 1)
     os.makedirs(args.out_dir, exist_ok=True)
-    manifest = {"config": _config_dict(args, {"out_dir": args.out_dir, "count": args.count}), "modules": []}
+    manifest = {"config": _config_dict(args), "modules": []}
     for i, gt in enumerate(_default_gts(args.count, args.seed)):
         P = synth.make_module(gt, spec, base)
         name = f"module_{i:03d}.json"
@@ -294,10 +298,7 @@ def run_synth(args) -> int:
 def run_selftest(args) -> int:
     _check_counts(args, "cases", "oracle_cases")
     rng = random.Random(args.seed)
-    config = _config_dict(
-        args,
-        {"cases": args.cases, "oracle_cases": args.oracle_cases, "inject_corruption": args.inject_corruption},
-    )
+    config = _config_dict(args)
     results = []
 
     def record(name, passed, total):
@@ -320,8 +321,6 @@ def run_selftest(args) -> int:
         ring = rng.choice(pool)
         nr, nc = rng.randrange(0, 3), rng.randrange(1, 3)
         rows = [[ring.random_scalar(rng) for _ in range(nc)] for _ in range(nr)]
-        from .chainring import cokernel_ordq
-
         if synth.brute_force_ordq(ring, rows, nc) == cokernel_ordq(ring, rows, nc):
             ok += 1
     record("oracle-agreement", ok, args.oracle_cases)
@@ -381,19 +380,9 @@ def run_selftest(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        if args.command == "invariants":
-            return run_invariants(args)
-        if args.command == "compare":
-            return run_compare(args)
-        if args.command == "tower":
-            return run_tower(args)
-        if args.command == "synth":
-            return run_synth(args)
-        if args.command == "selftest":
-            return run_selftest(args)
-        raise InvalidInput(f"unknown command {args.command!r}")
+        args = build_parser().parse_args(argv)
+        return args.run(args)
     except (MutowerError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_ERROR

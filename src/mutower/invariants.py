@@ -103,7 +103,11 @@ def fit_mu(orders: Dict[int, int], p: int, r: int) -> Fit:
 
     top, second = nearest(ms[-1]), nearest(ms[-2])
     mu = orders[ms[-1]] // p ** (r * ms[-1]) if top is None else top
-    c_hat = max(Fraction(abs(orders[m] - mu * p ** (r * m)), p ** ((r - 1) * m)) for m in ms)
+    # every denominator p^((r-1)m) divides p^((r-1)top): compare the
+    # residuals over that one denominator and build a single Fraction
+    t = ms[-1]
+    scaled = max(abs(orders[m] - mu * p ** (r * m)) * p ** ((r - 1) * (t - m)) for m in ms)
+    c_hat = Fraction(scaled, p ** ((r - 1) * t))
     return Fit(mu, top is not None and top == second, c_hat, (top, second))
 
 

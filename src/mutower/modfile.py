@@ -16,6 +16,7 @@ header ``n,m,ord``.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from typing import Dict, Tuple
 
@@ -114,39 +115,49 @@ def save_presentation(P: Presentation, path: str) -> None:
         fh.write("\n")
 
 
-def load_presentation(path: str) -> Presentation:
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are an input error."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidInput(
-                f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInput(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+
+
+def load_presentation(path: str) -> Presentation:
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidInput(
+            f"{path}: JSON parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    except RecursionError:
+        raise InvalidInput(f"{path}: JSON nested too deeply") from None
     return presentation_from_dict(data)
 
 
 def load_tower_csv(path: str, p: int, r: int) -> TowerSeries:
     data: Dict[Tuple[int, int], int] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(_read_text(path)))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InvalidInput(f"{path}: empty tower file") from None
+    if [h.strip() for h in header] != ["n", "m", "ord"]:
+        raise InvalidInput(f"{path}: expected header 'n,m,ord', got {header!r}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise InvalidInput(f"{path}: line {lineno}: expected 3 fields")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InvalidInput(f"{path}: empty tower file") from None
-        if [h.strip() for h in header] != ["n", "m", "ord"]:
-            raise InvalidInput(f"{path}: expected header 'n,m,ord', got {header!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 3:
-                raise InvalidInput(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                n, m, o = (int(c.strip(), 10) for c in row)
-            except ValueError as exc:
-                raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
-            if (n, m) in data:
-                raise InvalidInput(f"{path}: line {lineno}: duplicate grid point ({n}, {m})")
-            data[(n, m)] = o
+            n, m, o = (int(c.strip(), 10) for c in row)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
+        if (n, m) in data:
+            raise InvalidInput(f"{path}: line {lineno}: duplicate grid point ({n}, {m})")
+        data[(n, m)] = o
     return TowerSeries(r=r, p=p, data=data)
 
 

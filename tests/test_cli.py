@@ -1,3 +1,4 @@
+import argparse
 import json
 import time
 import tracemalloc
@@ -213,6 +214,83 @@ def test_parser_is_built_once_and_reused(tmp_path):
     assert cli.main(["invariants", str(path), "--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
     assert config["levels"] is None and config["format"] == "json"
+
+
+def write_tower(path):
+    save_tower_csv(TowerSeries(r=1, p=3, data={(n, m): n * 3 ** m for n in (1, 2) for m in range(3)}), str(path))
+
+
+def option_dests(command):
+    """The dests of the options and positionals `build_parser` gives `command`."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def test_each_report_echoes_exactly_the_options_its_command_parsed(tmp_path):
+    module = tmp_path / "m.json"
+    write_module(module, GroundTruth(0, (1,), seed=1))
+    tower = tmp_path / "t.csv"
+    write_tower(tower)
+    runs = {
+        "invariants": [str(module)],
+        "compare": [str(module), str(module)],
+        "tower": [str(tower), str(tower), "--dim", "1", "--ring", "3,1,1"],
+        "synth": ["--out-dir", str(tmp_path / "corpus"), "--count", "1"],
+        "selftest": ["--cases", "0"],
+    }
+    for command, args in runs.items():
+        out = tmp_path / f"{command}.json"
+        assert cli.main([command] + args + ["--out", str(out)]) == 0
+        expect = {"command"} | option_dests(command) - {"out"}
+        if command in ("invariants", "compare"):
+            expect.add("m_range")
+        assert set(json.loads(out.read_text())["config"]) == expect, command
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["invariants", "m.json", "--bogus"],
+        ["invariants", "m.json", "--n-max", "six"],
+        [],
+        ["tower", "t.csv", "t.csv", "--ring", "3,1,1"],
+        ["invariants", "m.json", "--seed", "1"],
+    ],
+    ids=["unknown-option", "bad-integer", "no-command", "tower-without-dim", "dropped-option"],
+)
+def test_usage_errors_exit_1_with_one_error_line(tmp_path, capsys, argv):
+    # the input files exist and are valid, so only the usage error can fail
+    write_module(tmp_path / "m.json", GroundTruth(0, (1,), seed=1))
+    write_tower(tmp_path / "t.csv")
+    argv = [str(tmp_path / a) if a.endswith((".json", ".csv")) else a for a in argv]
+    assert cli.main(argv) == cli.EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as stop:
+        cli.main(["invariants", "--help"])
+    assert stop.value.code == 0
+    assert "--n-max" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name, content, argv",
+    [
+        ("m.json", b'{"ring": "\xff"}', ["invariants"]),
+        ("t.csv", b"n,m,ord\n1,0,\xff\n", ["tower", "--dim", "1", "--ring", "3,1,1"]),
+        ("m.json", b"[" * 100000 + b"]" * 100000, ["invariants"]),
+    ],
+    ids=["module-not-utf8", "tower-not-utf8", "module-nested-too-deeply"],
+)
+def test_hostile_input_files_exit_1_with_one_error_line(tmp_path, capsys, name, content, argv):
+    path = tmp_path / name
+    path.write_bytes(content)
+    files = [str(path)] * (2 if argv[0] == "tower" else 1)
+    assert cli.main(argv[:1] + files + argv[1:]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:") and err.count("\n") == 1
 
 
 def test_compare_command_exit_codes(tmp_path):

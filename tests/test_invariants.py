@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mutower import invariants
 from mutower.chainring import RingBase
@@ -110,6 +112,25 @@ def test_fit_mu_reports_the_top_two_roundings_with_none_for_a_tie():
     assert fit_mu({0: 2, 1: 5, 2: 8}, 2, 1).rounded == (2, None)
     # 3^2 * 4 + 4 rounds to 4 and 3 * 4 + 2 to 5 (up): not converged
     assert fit_mu({0: 4, 1: 14, 2: 40}, 3, 1) == (4, False, Fraction(4), (4, 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.lists(st.integers(0, 6), min_size=2, max_size=5, unique=True),
+    st.data(),
+)
+def test_fit_mu_c_hat_is_the_largest_per_level_fraction(p, r, ms, data):
+    # orders near mu p^(rm), so the residuals differ in size and sign
+    mu = data.draw(st.integers(0, 8))
+    orders = {}
+    for m in ms:
+        noise = data.draw(st.integers(-3, 3)) * p ** ((r - 1) * m + data.draw(st.integers(0, 1)))
+        orders[m] = max(0, mu * p ** (r * m) + noise)
+    fit = fit_mu(orders, p, r)
+    expect = max(Fraction(abs(orders[m] - fit.mu * p ** (r * m)), p ** ((r - 1) * m)) for m in ms)
+    assert fit.c_hat == expect
 
 
 def test_recover_examples():
