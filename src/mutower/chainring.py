@@ -43,17 +43,15 @@ allows it for the order L' of its group and its precision N', and on
 Python ints otherwise, so a Python-int level goes back to int64 at the
 first stage small enough.  What is left after a pass descends through
 index-p subgroups Q > Q' > ... down to the trivial group, each
-Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)> (groupring.GroupLevel.stage):
-restricted to Q', an entry x is a p x p block of elements of
-(O/pi^N)[Q'], the same matrix with its rows and columns permuted, and an
-entry such as g - 1, in the augmentation ideal of Q, has diagonal blocks -1
-over a Q' that does not contain g.  Each step strips one base-p digit of a
-generator chosen for the matrix at hand (_next_generator): the first whose
-restriction has a unit entry, so that a g_2 - 1 entry is cleared as soon
-as a g_1 - 1 one would be.  _eliminate_units runs again after each
-restriction (_pivots), until no residual is left or Q_d = 1.  _restrict is
-the one gather, and the expansion is the restriction to the trivial
-subgroup: the last stage's p x p gather, whose pass diagonalizes whole.
+Q_d = <g_1^(p^d_1), ..., g_r^(p^d_r)>: restricted to Q'
+(groupring.GroupLevel.stage), an entry such as g - 1, in the augmentation
+ideal of Q, has diagonal blocks -1 over a Q' that does not contain g.  Each
+step strips one base-p digit of the first generator whose restriction has
+a unit entry (_next_generator), so that a g_2 - 1 entry is cleared as soon
+as a g_1 - 1 one would be, and _eliminate_units runs again after it
+(_pivots), until no residual is left or Q_d = 1.  _restrict is the one
+gather; the expansion is the restriction to the trivial subgroup.  The
+order of Q's elements is the level's: its tables, stages and digit sums.
 
 Towers.  One unit pass per tower: a level-M matrix with its level also
 yields the forms of every level m < M (_tower, DiagonalForm.below).  The
@@ -61,10 +59,9 @@ augmentation of G/G_M factors through G/G_m, and the projection
 (O/pi^N)[G/G_M] -> (O/pi^N)[G/G_m] is a ring map, so it carries every step
 of the pass over G/G_M, divisions by pi included, to level m, where each
 pivot stands for L_m pivots of the same valuation.  Only the residual is
-projected (every exponent reduced mod p^m, _project), and every level,
-M included, ends in the same loop: _pivots on its residual, over its own
-subgroups down to the trivial group.  Level M's loop starts at its first
-restriction, since the top pass was its pass over G/G_M.
+projected (GroupLevel.digit_sums), and every level, M included, ends in
+_pivots on its residual.  Level M's loop starts at its first restriction,
+since the top pass was its pass over G/G_M.
 """
 
 from __future__ import annotations
@@ -73,7 +70,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import product
-from math import prod
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -507,11 +503,11 @@ class GroupRingMatrix:
     """A matrix over the group ring (O/pi^N)[Q] (see the module docstring):
     coords[i, j, h], of shape (rels, gens, L, e*f), holds the O-coordinates
     of the coefficient of the h-th element of Q in entry (i, j), element 0
-    the identity.  level is the group level of Q (groupring.GroupLevel, read
-    through its m, spec.p, spec.r, division_table(), stage(d, k) and
-    quotient(m)), through whose index-p subgroups the unit passes descend
-    (_pivots) and whose quotient levels diagonalize derives from the first
-    pass (_tower)."""
+    the identity, in the order of level, the group level of Q
+    (groupring.GroupLevel, read through its m, spec, division_table(),
+    stage(d, k), digit_sums(X, d, keep) and quotient(m)), through whose
+    index-p subgroups the unit passes descend (_pivots) and whose quotient
+    levels diagonalize derives from the first pass (_tower)."""
 
     coords: np.ndarray
     level: object
@@ -662,27 +658,22 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple
     return vals, R[d:, d:], ring, shift
 
 
-def _next_generator(R: np.ndarray, d: Tuple[int, ...], m: int, ring: "ChainRing") -> int:
+def _next_generator(R: np.ndarray, d: Tuple[int, ...], level, ring: "ChainRing") -> int:
     """The generator g_k whose digit d_k the descent strips next from Q_d
-    (R as in _eliminate_units, its entries in (O/pi^N)[Q_d], digits 0..m-1
-    per generator): the first whose restriction has a unit entry, else the
-    first with digits left.
+    (R as in _eliminate_units, over Q_d in the group level ``level``): the
+    first whose restriction has a unit entry, else the first with digits left.
 
     Q' = Q_(d + e_k) has index p, so it is normal, and block (s, s') of a
     restricted entry x has as augmentation the sum of x over the coset
-    Q' t_s^-1 t_s'.  So the p coset sums of each entry decide, and no table
-    is built: Q_d runs in increasing index, over the grid of the exponents
-    e_j / p^d_j of extents p^(m - d_j), and the coset of an element is its
-    g_k digit at position d_k, the lowest base-p digit along axis k."""
-    left = [k for k, dk in enumerate(d) if dk < m]
+    Q' t_s^-1 t_s'.  So the p coset sums of each entry decide
+    (level.digit_sums), and no table is built."""
+    left = [k for k, dk in enumerate(d) if dk < level.m]
     if len(left) > 1:
         p = ring.p
         X = R[..., None] if R.ndim == 3 else R[..., : ring.f]  # the pi^0-digit coordinates
-        extents = [p ** (m - dk) for dk in d]
         for k in left:
-            grid = (prod(extents[:k]) * extents[k] // p, p, prod(extents[k + 1 :]))
-            sums = X.reshape(*X.shape[:2], *grid, X.shape[3]).sum(axis=(2, 4))
-            if (sums % p).any():
+            keep = tuple(p if j == k else 1 for j in range(len(d)))
+            if (level.digit_sums(X, d, keep) % p).any():
                 return k
     return left[0]
 
@@ -707,7 +698,7 @@ def _pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level, passed: bo
         passed = False
         if len(div) == 1 or not R.any():
             return vals
-        k = _next_generator(R, d, level.m, ring)
+        k = _next_generator(R, d, level, ring)
         gather, div = level.stage(d, k)
         R = _restrict(R, gather)
         d = d[:k] + (d[k] + 1,) + d[k + 1 :]
@@ -798,19 +789,6 @@ def _coordinate_array(ring: ChainRing, rows, ncols: Optional[int]) -> np.ndarray
     return np.array(coords, dtype=ring.dtype).reshape(len(rows), ncols, k)
 
 
-def _project(R: np.ndarray, level, m: int) -> np.ndarray:
-    """R (shape (rels, gens, L, ...), entries in the group ring of a group
-    level of order L) mapped to its quotient level m, not reduced.  An
-    element's index has one base-p^M digit per generator, its exponent, and
-    the quotient keeps each exponent mod p^m (groupring.GroupLevel.quotient):
-    so each digit axis splits into (p^(M - m), p^m) and the high parts are
-    summed."""
-    p, r, M = level.spec.p, level.spec.r, level.m
-    head, tail = R.shape[:2], R.shape[3:]
-    X = R.reshape(*head, *(p ** (M - m), p ** m) * r, *tail)
-    return X.sum(axis=tuple(range(2, 2 + 2 * r, 2))).reshape(*head, p ** (r * m), *tail)
-
-
 def _form(vals: List[int], nrows: int, nc: int) -> DiagonalForm:
     return DiagonalForm(tuple(sorted(vals)), nc - len(vals), nrows, nc)
 
@@ -825,17 +803,18 @@ def _tower(R: np.ndarray, ring: ChainRing, level) -> DiagonalForm:
     projection is a ring map, so it carries every step of the pass,
     divisions by pi included, to a valid step at level m.  So level m has
     the pass's pivots, each standing for L_m pivots there with the same
-    valuation, and those of the projection of the residual (_pivots over
-    G/G_m).  Level M takes the residual itself, last, as its passes
-    overwrite it, and starts at its first restriction: a pass over Q would
-    find nothing, since the top pass stopped there."""
+    valuation, and those of the projection of the residual (level.digit_sums,
+    then _pivots over G/G_m).  Level M takes the residual itself, last, as
+    its passes overwrite it, and starts at its first restriction: a pass
+    over Q would find nothing, since the top pass stopped there."""
     rels, gens, L = R.shape[:3]
+    p, r = level.spec.p, level.spec.r
     top, R, ring, shift = _eliminate_units(R, level.division_table(), ring)
     top = top[::L]  # one entry per pivot: each stands for L of the expansion
     mod = ring.pM if ring.is_simple else np.array(ring.moduli, dtype=R.dtype)
     forms = []
     for m in range(level.m + 1):
-        sub, X = (level, R) if m == level.m else (level.quotient(m), _project(R, level, m) % mod)
+        sub, X = (level, R) if m == level.m else (level.quotient(m), level.digit_sums(R, (0,) * r, (p ** m,) * r) % mod)
         div = sub.division_table()
         Lm, more = len(div), _pivots(X, div, ring, sub, passed=m == level.m)
         forms.append(_form(top * Lm + [v + shift for v in more], rels * Lm, gens * Lm))

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Sequence, Tuple
 
 import numpy as np
@@ -90,7 +91,7 @@ def quotient_order(spec: GroupSpec, m: int) -> int:
 
 
 class GroupLevel:
-    """The finite quotient G/G_m with a fixed lexicographic element order."""
+    """The finite quotient G/G_m and the one owner of its lexicographic element order."""
 
     def __init__(self, spec: GroupSpec, m: int):
         if m < 0:
@@ -198,11 +199,35 @@ class GroupLevel:
         group_level.trim()
         return stage
 
+    def digit_sums(self, X: np.ndarray, d: Tuple[int, ...], keep: Tuple[int, ...]) -> np.ndarray:
+        """X (shape (rels, gens, |Q_d|, ...), Q_d in _members order, the grid
+        of the j_k = e_k / p^d_k < p^(m - d_k)) summed, not reduced, over all
+        but the lowest keep_k (a power of p) values of each j_k: prod(keep)
+        elements, the j_k mod keep_k in lexicographic order.  At d = 0, keep =
+        (p^m',) * r projects to the quotient level m'; keep = p on axis k and
+        1 elsewhere gives the sums over the cosets of Q_(d + e_k) in Q_d."""
+        head, tail = X.shape[:2], X.shape[3:]
+        grid = [s for dk, c in zip(d, keep) for s in (self.spec.p ** (self.m - dk) // c, c)]
+        X = X.reshape(*head, *grid, *tail)
+        return X.sum(axis=tuple(range(2, 2 + 2 * len(d), 2))).reshape(*head, prod(keep), *tail)
+
     @property
     def nbytes(self) -> int:
         """Bytes of the division table and of every stage built so far."""
         tables = [] if self._div is None else [self._div]
         return sum(a.nbytes for a in tables + [a for stage in self._stages.values() for a in stage])
+
+
+def _chain_bytes(p: int, L: int) -> int:
+    """Bytes that the stages of one descent through a group of order L > 1
+    hold at once, whichever generator each step strips: division tables of
+    L/p, L/p^2, ..., 1 elements, at most 8 L^2/(p^2 - 1) bytes, one more
+    table of the first stage while it is built, 8 L^2/p^2, and the
+    p x p x L' gathers, the last one (L' = 1) the expansion's, at most
+    8 p^2 L/(p - 1).  The stages of earlier descents that a kept level also
+    holds (about twice one path's tables for r = 2) are bounded only by
+    LEVEL_CACHE_BYTES."""
+    return 8 * L * L // (p * p - 1) + 8 * L * L // (p * p) + 8 * p * p * L // (p - 1)
 
 
 # Bytes of division tables and descent stages that group_level keeps between

@@ -48,6 +48,7 @@ from .groupring import (
     ABELIAN,
     GroupRingPoly,
     GroupSpec,
+    _chain_bytes,
     group_level,
     poly_pi_pow,
     quotient_order,
@@ -150,19 +151,6 @@ def quotient_pi(P: Presentation, n: int) -> Presentation:
 # the top level's residual, never larger than it, before the top level's
 # own descent.
 EXPANSION_BUDGET_BYTES = 2 ** 30
-
-
-def _chain_bytes(p: int, L: int) -> int:
-    """Bytes that the stages of one descent through a group of order L > 1
-    hold at once, whichever generator each step strips, down to the trivial
-    group: division tables of L/p, L/p^2, ..., 1 elements, at most
-    8 L^2/(p^2 - 1) bytes, one more table of the first stage while it is
-    built, 8 L^2/p^2, and the p x p x L' gathers, the last one (L' = 1) the
-    expansion's, at most 8 p^2 L/(p - 1).  A level that group_level keeps also
-    keeps the stages of earlier descents, which may have stripped other
-    generators (about twice one path's tables for r = 2); those are not
-    counted here, and only LEVEL_CACHE_BYTES bounds them."""
-    return 8 * L * L // (p * p - 1) + 8 * L * L // (p * p) + 8 * p * p * L // (p - 1)
 
 
 def check_expansion_budget(spec: GroupSpec, base: RingBase, rels: int, gens: int, m: int, N: int) -> None:

@@ -8,9 +8,9 @@ A module file is a JSON object
      "matrix": [[[{"c": ["3"], "e": [0]}], []], ...]}
 
 where matrix[i][j] is the list of terms of the (i, j) entry, each term being
-the exact O-coefficient vector c (arbitrary-precision integers as decimal
-strings) and the generator-exponent tuple e.  A tower file is a CSV with
-header ``n,m,ord``.
+the exact O-coefficient vector c (decimal strings) and the generator-exponent
+tuple e.  Integers past sys.get_int_max_str_digits() digits (4300 by default)
+are refused, on load and on save.  A tower file has the CSV header ``n,m,ord``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from typing import Dict, Tuple
 
 from .chainring import RingBase
@@ -28,35 +29,38 @@ from .lambda_mod import Presentation
 
 
 def presentation_to_dict(P: Presentation) -> dict:
-    return {
-        "ring": {"p": P.base.p, "e": P.base.e, "f": P.base.f},
-        "group": {"kind": P.spec.kind, "r": P.spec.r},
-        "gens": P.gens,
-        "rels": P.rels,
-        "matrix": [
-            [
+    try:
+        return {
+            "ring": {"p": P.base.p, "e": P.base.e, "f": P.base.f},
+            "group": {"kind": P.spec.kind, "r": P.spec.r},
+            "gens": P.gens,
+            "rels": P.rels,
+            "matrix": [
                 [
-                    {"c": [str(c) for c in coeffs], "e": list(exps)}
-                    for coeffs, exps in entry.terms
+                    [
+                        {"c": [str(c) for c in coeffs], "e": list(exps)}
+                        for coeffs, exps in entry.terms
+                    ]
+                    for entry in row
                 ]
-                for entry in row
-            ]
-            for row in P.matrix
-        ],
-    }
+                for row in P.matrix
+            ],
+        }
+    except ValueError:  # str() of an int past the conversion limit
+        raise InvalidInput(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from None
 
 
 def _as_int(v) -> int:
-    if isinstance(v, bool):
-        raise InvalidInput(f"expected an integer, got {v!r}")
-    if isinstance(v, int):
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, str):
         try:
             return int(v, 10)
-        except ValueError as exc:
-            raise InvalidInput(f"bad integer literal {v!r}") from exc
-    raise InvalidInput(f"expected an integer, got {v!r}")
+        except ValueError:
+            pass
+    text = v if isinstance(v, str) else repr(v)  # may be thousands of characters long
+    shown = repr(v) if len(text) <= 40 else f"{text[:20]!r}... of {len(text)} characters"
+    raise InvalidInput(f"expected an integer, got {shown}")
 
 
 def _field(obj, key: str, where: str):
@@ -110,8 +114,9 @@ def presentation_from_dict(d: dict) -> Presentation:
 
 
 def save_presentation(P: Presentation, path: str) -> None:
+    data = presentation_to_dict(P)  # before the file is opened, so a refusal writes nothing
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(presentation_to_dict(P), fh, sort_keys=True, indent=1)
+        json.dump(data, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
@@ -134,6 +139,8 @@ def load_presentation(path: str) -> Presentation:
         ) from exc
     except RecursionError:
         raise InvalidInput(f"{path}: JSON nested too deeply") from None
+    except ValueError:  # an int past the conversion limit: not a JSONDecodeError
+        raise InvalidInput(f"{path}: a JSON number has more than {sys.get_int_max_str_digits()} digits") from None
     return presentation_from_dict(data)
 
 

@@ -1168,6 +1168,9 @@ class CommutedLevel:
     def quotient(self, m):
         return self.level.quotient(m)
 
+    def digit_sums(self, X, d, keep):
+        return self.level.digit_sums(X, d, keep)
+
     def stage(self, d, k):
         gather, sub_div = self.level.stage(d, k)
         if any(d):

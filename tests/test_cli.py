@@ -293,6 +293,28 @@ def test_hostile_input_files_exit_1_with_one_error_line(tmp_path, capsys, name, 
     assert err.startswith(f"error: {path}:") and err.count("\n") == 1
 
 
+# 5000 digits are past Python's default 4300-digit int-string limit.
+@pytest.mark.parametrize(
+    "coefficient", ['"' + "9" * 5000 + '"', "9" * 5000, json.dumps([0] * 2000)], ids=["string", "json-number", "list"]
+)
+def test_long_bad_integer_exits_1_with_a_short_error(tmp_path, capsys, coefficient):
+    d = presentation_to_dict(make_module(GroundTruth(0, (1,), seed=1), AB1, BASE3))
+    d["matrix"][0][0] = [{"c": ["@"], "e": [0]}]
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(d).replace('"@"', coefficient))
+    assert cli.main(["invariants", str(path)]) == cli.EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and len(err) < 200
+
+
+def test_saving_a_coefficient_past_the_conversion_limit_is_invalid_input(tmp_path):
+    P = presentation(AB1, BASE3, 1, [[poly_int(BASE3, 10 ** 5000, 1)]])
+    path = tmp_path / "m.json"
+    with pytest.raises(InvalidInput, match="more than .* digits"):
+        save_presentation(P, str(path))
+    assert not path.exists()
+
+
 def test_compare_command_exit_codes(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -268,6 +268,45 @@ def test_reduce_commutes_with_projection(spec):
             assert pushed == reduce_poly([poly], spec, m - 1, ring)[0, :, 0].tolist()
 
 
+DIGIT_SPECS = [GroupSpec.abelian(3, 1), GroupSpec.abelian(2, 2), GroupSpec.metacyclic(3)]
+
+
+@pytest.mark.parametrize("spec", DIGIT_SPECS, ids=str)
+def test_digit_sums_at_d_0_is_the_projection_to_each_quotient(spec):
+    rng = np.random.default_rng(5)
+    r, M = spec.r, 3 if spec.r == 1 else 2
+    level = group_level(spec, M)
+    X = rng.integers(-50, 50, size=(2, 3, level.order, 2))
+    exps = list(itertools.product(range(level.radix), repeat=r))
+    for m in range(M + 1):
+        low = level.quotient(m)
+        where = [level.index(x) for x in exps]
+        to = np.array([low.index(x) for x in exps])
+        Y = np.zeros((low.order, 2, 3, 2), dtype=X.dtype)
+        np.add.at(Y, to, X[:, :, where].transpose(2, 0, 1, 3))
+        assert np.array_equal(level.digit_sums(X, (0,) * r, (spec.p ** m,) * r), Y.transpose(1, 2, 0, 3))
+
+
+@pytest.mark.parametrize("spec", DIGIT_SPECS, ids=str)
+def test_digit_sums_are_the_coset_sums_of_each_stage(spec):
+    # Row s of stage (d, k)'s gather, gather[s, s'], runs over the coset
+    # Q' t_s^-1 t_s' of Q' = Q_(d + e_k) in Q_d, which is digit_sums' coset
+    # s' - s mod p.
+    rng = np.random.default_rng(7)
+    p, r, M = spec.p, spec.r, 3 if spec.r == 1 else 2
+    level = group_level(spec, M)
+    for d in itertools.product(range(M + 1), repeat=r):
+        size = level.order // p ** sum(d)
+        X = rng.integers(-50, 50, size=(2, 1, size, 1))
+        for k in [k for k in range(r) if d[k] < M]:
+            gather, _ = level.stage(d, k)
+            keep = tuple(p if j == k else 1 for j in range(r))
+            sums = level.digit_sums(X, d, keep)
+            assert sums.shape == (2, 1, p, 1)
+            for s, t in itertools.product(range(p), repeat=2):
+                assert np.array_equal(X[:, :, gather[s, t]].sum(axis=2), sums[:, :, (t - s) % p])
+
+
 @pytest.mark.parametrize("m", [0, 1, 2])
 def test_metacyclic_level_group_is_a_group(m):
     # order p^(2m), associativity, identity, inverses: exhaustive for p=3, m<=2

@@ -5,11 +5,12 @@ import tracemalloc
 import warnings
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mutower import lambda_mod, syzygy
+from mutower import groupring, lambda_mod, syzygy
 from mutower.chainring import ChainRing, RingBase, diagonalize
 from mutower.errors import InvalidInput, NonAbelianUnsupported, SaturationWarning, TooLarge
 from mutower.groupring import (
@@ -36,11 +37,19 @@ from mutower.lambda_mod import (
     presentation,
     quotient_pi,
 )
-from mutower.invariants import mu_profile
+from mutower.invariants import DEFAULT_N_MAX, default_m_range, mu_profile
 from mutower.synth import Garnish, GroundTruth, alpha_multisets, make_module
 
 BASE2 = RingBase(2, 1, 1)
 BASE3 = RingBase(3, 1, 1)
+# The acceptance-corpus presets.
+CORPUS_SPECS = [
+    GroupSpec.abelian(2, 1),
+    GroupSpec.abelian(3, 1),
+    GroupSpec.abelian(2, 2),
+    GroupSpec.abelian(3, 2),
+    GroupSpec.metacyclic(3),
+]
 
 
 def free_module(spec, base, rank):
@@ -90,6 +99,28 @@ def test_quotient_pi_cuts_down():
     P = quotient_pi(pi_quotient_module(spec, BASE3, 3), 2)
     for m in (0, 1):
         assert coinvariants_ordq(P, m, 2) == 2 * 3 ** m
+
+
+@pytest.mark.parametrize(
+    "spec, base",
+    [(spec, RingBase(spec.p, 1, 1)) for spec in CORPUS_SPECS]
+    + [(GroupSpec.abelian(3, 1), RingBase(3, 2, 1)), (GroupSpec.abelian(2, 2), RingBase(2, 1, 2))],
+    ids=str,
+)
+def test_pi_n_max_relations_of_mu_profile_vanish(spec, base):
+    # mu_profile diagonalizes quotient_pi(P, n_max) at N = n_max, where each
+    # appended relation pi^N e_j is zero in O/pi^N: _level_matrix drops all
+    # of them at every level, and the compact array is P's own.
+    N = DEFAULT_N_MAX
+    garnish = (Garnish(2),) if spec.r == 2 else ()
+    for gt in (GroundTruth(1, (1, 3), seed=3), GroundTruth(0, (2, 7), garnish, seed=5)):
+        P = make_module(gt, spec, base)
+        Q = quotient_pi(P, N)
+        assert Q.rels == P.rels + P.gens
+        for m in default_m_range(spec):
+            _, G, _ = _level_matrix(P, m, N)
+            _, H, _ = _level_matrix(Q, m, N)
+            assert H.coords.dtype == G.coords.dtype and np.array_equal(H.coords, G.coords)
 
 
 @pytest.mark.parametrize(
@@ -460,8 +491,9 @@ def level_peak(P, m, N):
 def test_subgroup_chain_peak_is_its_budget_term(spec, m):
     # A descent builds one stage per index-p step down to order p, and the
     # stages of every path have the same sizes: past the division table,
-    # building them peaks within _chain_bytes, which check_expansion_budget
-    # counts, and above their tables alone, 8 L^2/(p^2 - 1) bytes at most.
+    # building them peaks within groupring._chain_bytes, which
+    # check_expansion_budget counts, and above their tables alone,
+    # 8 L^2/(p^2 - 1) bytes at most.
     L, p, r = quotient_order(spec, m), spec.p, spec.r
     for order in permutations(range(r)):
         group_level.cache_clear()
@@ -477,7 +509,7 @@ def test_subgroup_chain_peak_is_its_budget_term(spec, m):
         finally:
             tracemalloc.stop()
         assert len(level._stages) == r * m - 1 and len(sub_div) == p
-        assert 8 * L * L // (p * p - 1) < peak <= lambda_mod._chain_bytes(p, L) + 2 ** 16
+        assert 8 * L * L // (p * p - 1) < peak <= groupring._chain_bytes(p, L) + 2 ** 16
     group_level.cache_clear()
 
 
