@@ -34,8 +34,13 @@ a group ring (O/pi^N)[Q], Q of order L, standing for the matrix of L x L
 blocks rho(x) (row k = g_k * x).  (O/pi^N)[Q] is local with maximal ideal
 (pi, I), I the augmentation ideal: rho(x) is invertible exactly when the
 augmentation of x is a unit of O/pi^N, and inverses, Schur complements and
-division by pi stay in the group ring.  A plain matrix is the case Q = 1,
-where I = 0: every non-unit lies in (pi), and the pass diagonalizes whole.
+division by pi stay in the group ring.  A pivot's inverse and Schur update
+are formed only when its row and its column both have a nonzero entry
+left; when either is clear, the complement is the block as it stands.
+Blocks of group-ring entries are gathered, through the division table or
+a stage, by one ndarray.take along the group axis.  A plain matrix is the
+case Q = 1, where I = 0: every non-unit lies in (pi), and the pass
+diagonalizes whole.
 A level-m matrix is a GroupRingMatrix over Q = G/G_m, eliminated on the
 compact array with group-ring products (L^2 O-products each).  Every pass
 runs in int64 when the one exactness rule _kernel_dtype(p^M', L' e f)
@@ -528,13 +533,14 @@ def _group_ring_products(X: np.ndarray, Y: np.ndarray, div: np.ndarray, S: np.nd
     """The products X_i Y_j in (O/pi^N)[Q] of the O-coordinates X (shape
     (r, L, k)) and Y (shape (c, L, k)), k = e*f > 1, as an array of shape
     (r, c, L, k) that is not reduced: (X_i Y_j)(h) = sum_g X_i(g) Y_j(g^-1 h),
-    one matrix product over (g, a) through the multiplication matrices of the
+    one matrix product over (g, a) of Y gathered at g^-1 h (one take of
+    div.T along the group axis) and the multiplication matrices of the
     X_i(g) (S as in _product_matrix), so each coordinate sums L k products of
     residues."""
     r, L, k = X.shape
     c = len(Y)
     MX = (X @ S).reshape(r * L, k, k) % moduli  # MX[(i, g), a, t]: coordinate t of b_a X_i(g)
-    Z = Y[:, div.T].reshape(c * L, L * k) @ MX.reshape(r, L * k, k).transpose(1, 0, 2).reshape(L * k, r * k)
+    Z = Y.take(div.T, axis=1).reshape(c * L, L * k) @ MX.reshape(r, L * k, k).transpose(1, 0, 2).reshape(L * k, r * k)
     return Z.reshape(c, L, r, k).transpose(2, 0, 1, 3)
 
 
@@ -601,6 +607,12 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple
     lies in (pi).  Over the trivial group (L = 1, div = [[0]]) every
     non-unit lies in (pi), so the pass diagonalizes R whole.
 
+    A pivot x takes the Schur update T - B[1:, 0] x^-1 B[0, 1:], and its
+    inverse is formed, only when its column B[1:, 0] and its row B[0, 1:]
+    both have a nonzero entry: otherwise the update is T, which is already
+    reduced.  Blocks are gathered through the division table by take along
+    the group axis.
+
     The pass runs in the dtype of the one exactness rule, int64 when
     _kernel_dtype(p^M, L e f) is and object (Python ints) otherwise: R is
     cast to it first, and overwritten only when it already has it.  Returns
@@ -632,13 +644,14 @@ def _eliminate_units(R: np.ndarray, div: np.ndarray, ring: "ChainRing") -> Tuple
                 B[[0, i]] = B[[i, 0]]
             if j:
                 B[:, [0, j]] = B[:, [j, 0]]
-            if min(B.shape[:2]) > 1:  # the last pivot leaves nothing to update
+            # A clear column or row (the last pivot's is empty) leaves T as it is.
+            if B[1:, 0].any() and B[0, 1:].any():
                 # Z = x^-1 B[0, 1:], then T -= B[1:, 0] Z through the division table.
                 inv = _group_ring_inverse(B[0, 0], div, ring)
                 T = B[1:, 1:]
                 if simple:
-                    Z = inv @ B[0, 1:][:, div] % mod
-                    T -= (B[1:, 0] @ Z[:, div].transpose(1, 0, 2).reshape(L, T.shape[1] * L)).reshape(T.shape)
+                    Z = inv @ B[0, 1:].take(div, axis=1) % mod
+                    T -= (B[1:, 0] @ Z.take(div, axis=1).transpose(1, 0, 2).reshape(L, T.shape[1] * L)).reshape(T.shape)
                 else:
                     Z = _group_ring_products(inv[None], B[0, 1:], div, S, mod)[0] % mod
                     T -= _group_ring_products(B[1:, 0], Z, div, S, mod)
@@ -706,12 +719,11 @@ def _pivots(R: np.ndarray, div: np.ndarray, ring: "ChainRing", level, passed: bo
 
 def _restrict(R: np.ndarray, gather: np.ndarray) -> np.ndarray:
     """R (shape (rels, gens, L, ...)) over a subgroup of index p, in one
-    gather: entry (i, j) becomes the p x p block R[i, j, gather[s, s']] at
-    rows i p + s and columns j p + s'."""
+    gather, a take along the group axis: entry (i, j) becomes the p x p
+    block R[i, j, gather[s, s']] at rows i p + s and columns j p + s'."""
     rels, gens = R.shape[:2]
     p, _, L = gather.shape
-    A = R[np.arange(rels)[:, None, None, None, None], np.arange(gens)[:, None, None], gather[:, None]]
-    return A.reshape(rels * p, gens * p, L, *R.shape[3:])
+    return R.take(gather, axis=2).swapaxes(1, 2).reshape(rels * p, gens * p, L, *R.shape[3:])
 
 
 @lru_cache(maxsize=None)

@@ -50,6 +50,14 @@ def presentation_to_dict(P: Presentation) -> dict:
         raise InvalidInput(f"a coefficient has more than {sys.get_int_max_str_digits()} digits") from None
 
 
+def _quote(v) -> str:
+    """v for an error message: its repr, or for a value whose text is longer
+    than 20 characters (a field may be thousands long) the first 20 quoted
+    and the length."""
+    text = v if isinstance(v, str) else repr(v)
+    return repr(v) if len(text) <= 20 else f"{text[:20]!r}... of {len(text)} characters"
+
+
 def _as_int(v) -> int:
     if isinstance(v, int) and not isinstance(v, bool):
         return v
@@ -58,9 +66,7 @@ def _as_int(v) -> int:
             return int(v, 10)
         except ValueError:
             pass
-    text = v if isinstance(v, str) else repr(v)  # may be thousands of characters long
-    shown = repr(v) if len(text) <= 40 else f"{text[:20]!r}... of {len(text)} characters"
-    raise InvalidInput(f"expected an integer, got {shown}")
+    raise InvalidInput(f"expected an integer, got {_quote(v)}")
 
 
 def _field(obj, key: str, where: str):
@@ -159,9 +165,9 @@ def load_tower_csv(path: str, p: int, r: int) -> TowerSeries:
         if len(row) != 3:
             raise InvalidInput(f"{path}: line {lineno}: expected 3 fields")
         try:
-            n, m, o = (int(c.strip(), 10) for c in row)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}: line {lineno}: {exc}") from exc
+            n, m, o = (_as_int(c.strip()) for c in row)
+        except InvalidInput as exc:
+            raise InvalidInput(f"{path}: line {lineno}: {exc}") from None
         if (n, m) in data:
             raise InvalidInput(f"{path}: line {lineno}: duplicate grid point ({n}, {m})")
         data[(n, m)] = o

@@ -1458,3 +1458,190 @@ def test_trivial_group_inverse_is_the_scalar_inverse(ring, monkeypatch):
         y = _group_ring_inverse(x, div, ring)
         assert y.shape == x.shape and y.dtype == x.dtype
         assert tuple(y.ravel().tolist()) == ring.to_coeffs(ring.inv(a))
+
+
+# ---------------------------------------------------------------------------
+# The unit pass against the reference pass that inverts every pivot.
+
+
+def reference_group_ring_products(X, Y, div, S, moduli):
+    """_group_ring_products with the broadcast-index gather Y[:, div.T]."""
+    r, L, k = X.shape
+    c = len(Y)
+    MX = (X @ S).reshape(r * L, k, k) % moduli
+    Z = Y[:, div.T].reshape(c * L, L * k) @ MX.reshape(r, L * k, k).transpose(1, 0, 2).reshape(L * k, r * k)
+    return Z.reshape(c, L, r, k).transpose(2, 0, 1, 3)
+
+
+def reference_eliminate_units(R, div, ring):
+    """Reference: the unit pass that forms the pivot's inverse and the Schur
+    update at every pivot with a row and a column left, clear or not, and
+    gathers group-ring blocks by broadcast indexing.  Same contract as
+    _eliminate_units."""
+    p, f = ring.p, ring.f
+    L = len(div)
+    R = R.astype(chainring._kernel_dtype(ring.pM, L * ring.e * ring.f), copy=False)
+    simple = R.ndim == 3
+    if simple:
+        mod = ring.pM
+    else:
+        mod = np.array(ring.moduli, dtype=R.dtype)
+        S = chainring._product_matrix(ring, R.dtype)
+    vals, shift, d = [], 0, 0
+    while d < min(R.shape[:2]):
+        B = R[d:, d:]
+        hit = ((B.sum(axis=2) if simple else B[..., :f].sum(axis=2)) % p).ravel().nonzero()[0]
+        if hit.size:
+            i, j = divmod(int(hit[0]) // f, B.shape[1])
+            if i:
+                B[[0, i]] = B[[i, 0]]
+            if j:
+                B[:, [0, j]] = B[:, [j, 0]]
+            if min(B.shape[:2]) > 1:
+                inv = _group_ring_inverse(B[0, 0], div, ring)
+                T = B[1:, 1:]
+                if simple:
+                    Z = inv @ B[0, 1:][:, div] % mod
+                    T -= (B[1:, 0] @ Z[:, div].transpose(1, 0, 2).reshape(L, T.shape[1] * L)).reshape(T.shape)
+                else:
+                    Z = reference_group_ring_products(inv[None], B[0, 1:], div, S, mod)[0] % mod
+                    T -= reference_group_ring_products(B[1:, 0], Z, div, S, mod)
+                np.remainder(T, mod, out=T)
+            vals += [shift] * L
+            d += 1
+        elif ring.N > 1 and B.any() and not (B % p if simple else B[..., :f] % p).any():
+            if simple:
+                B //= p
+            else:
+                B[...] = _div_pi_pow(B, ring, 1)
+            ring = ChainRing.from_base(ring.base, ring.N - 1)
+            mod = ring.pM if simple else np.array(ring.moduli, dtype=R.dtype)
+            shift += 1
+        else:
+            break
+    return vals, R[d:, d:], ring, shift
+
+
+def reference_restrict(R, gather):
+    """_restrict by one broadcast-index gather."""
+    rels, gens = R.shape[:2]
+    p, _, L = gather.shape
+    A = R[np.arange(rels)[:, None, None, None, None], np.arange(gens)[:, None, None], gather[:, None]]
+    return A.reshape(rels * p, gens * p, L, *R.shape[3:])
+
+
+# (spec, m) for the group orders L = 1, p, p^2 and the metacyclic 9.
+PASS_LEVELS = [
+    (GroupSpec.abelian(2, 1), 0),
+    (GroupSpec.abelian(2, 1), 1),
+    (GroupSpec.abelian(2, 2), 1),
+    (GroupSpec.abelian(3, 1), 0),
+    (GroupSpec.abelian(3, 1), 1),
+    (GroupSpec.abelian(3, 1), 2),
+    (GroupSpec.metacyclic(3), 1),
+]
+PASS_RINGS = [RingBase(2, 1, 1), RingBase(3, 1, 1), RingBase(2, 2, 1), RingBase(2, 1, 2), RingBase(3, 2, 1), RingBase(3, 1, 2)]
+PATTERNS = {
+    "full": lambda i, j: True,
+    "upper": lambda i, j: i <= j,
+    "lower": lambda i, j: i >= j,
+    "diagonal": lambda i, j: i == j,
+}
+
+
+def pass_input(ring, L, rels, gens, seed):
+    """A reduced (rels, gens, L, e*f) coordinate array over ring, e*f = 1
+    without the last axis, zero outside a pattern, full half the time and
+    else triangular or diagonal: each entry zero, in the augmentation ideal,
+    a random element or p^s times one, and in a triangular or diagonal
+    pattern every diagonal entry a unit, so that the pivots' rows or
+    columns are clear; a third of them times p, so that the pass divides
+    by pi first."""
+    rng = random.Random(seed)
+    pattern = rng.choice(["full", "full", "full", "upper", "lower", "diagonal"])
+    moduli = np.array(ring.moduli, dtype=object)
+    R = np.zeros((rels, gens, L, len(moduli)), dtype=object)
+    for i, j in np.ndindex(rels, gens):
+        if not PATTERNS[pattern](i, j):
+            continue
+        x = np.array([ring.to_coeffs(ring.random_scalar(rng)) for _ in range(L)], dtype=object)
+        kind = rng.randrange(5)
+        if i == j and pattern != "full" or kind == 0:
+            x[0, 0] += 1 - x[:, 0].sum()  # augmentation 1
+        elif kind == 1:
+            x[0] -= x.sum(axis=0)  # augmentation 0
+        elif kind == 2:
+            x *= ring.p ** rng.randrange(1, 3)
+        elif kind == 3:
+            x[...] = 0
+        R[i, j] = x
+    if rng.randrange(3) == 0:
+        R *= ring.p
+    R = (R % moduli).astype(chainring._kernel_dtype(ring.pM, L * len(moduli)))
+    return R[..., 0] if ring.is_simple else R
+
+
+@st.composite
+def unit_pass_inputs(draw):
+    base = draw(st.sampled_from(PASS_RINGS))
+    spec, m = draw(st.sampled_from([(s, m) for s, m in PASS_LEVELS if s.p == base.p]))
+    # N > 20 runs the pass on Python ints.
+    N = draw(st.sampled_from([1, 2, 3, 5, 41]))
+    rels, gens = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    ring, level = ChainRing.from_base(base, N), group_level(spec, m)
+    return ring, level, pass_input(ring, level.order, rels, gens, draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(unit_pass_inputs())
+def test_unit_pass_matches_the_reference_pass(case):
+    ring, level, R = case
+    div = level.division_table()
+    expected_vals, expected_residual, expected_ring, expected_shift = reference_eliminate_units(R.copy(), div, ring)
+    vals, residual, sub_ring, shift = _eliminate_units(R.copy(), div, ring)
+    assert (vals, sub_ring, shift) == (expected_vals, expected_ring, expected_shift)
+    assert residual.dtype == expected_residual.dtype and residual.shape == expected_residual.shape
+    assert (residual == expected_residual).all()
+    if R.ndim == 4:
+        S, moduli = chainring._product_matrix(ring, R.dtype), np.array(ring.moduli, dtype=R.dtype)
+        products = chainring._group_ring_products(R[:, 0], R[0], div, S, moduli)
+        assert (products == reference_group_ring_products(R[:, 0], R[0], div, S, moduli)).all()
+    # Every gather of the descent and the expansion's.
+    gathers = [div[:, :, None]] + [level.stage((0,) * level.spec.r, k)[0] for k in range(level.spec.r) if level.m]
+    for gather in gathers:
+        restricted = _restrict(R, gather)
+        assert restricted.dtype == R.dtype and (restricted == reference_restrict(R, gather)).all()
+
+
+@pytest.mark.parametrize("spec, m", [(GroupSpec.abelian(3, 1), 2), (GroupSpec.metacyclic(3), 1), (GroupSpec.abelian(2, 2), 1)], ids=str)
+@pytest.mark.parametrize("pattern, inverses", [("diagonal", 0), ("upper", 0), ("lower", 0), ("full", 3)])
+def test_unit_pass_inverts_only_pivots_with_a_row_and_a_column_to_clear(spec, m, pattern, inverses, monkeypatch):
+    # A 4 x 4 matrix over a level with unit entries x.  A diagonal or
+    # triangular one has a clear column or row at each pivot: no inverse.
+    # The full one keeps a full Schur complement, with its pivots on the
+    # diagonal: one inverse per pivot but the last, whose row and column
+    # are empty.
+    ring, level = ChainRing(spec.p, 1, 1, 4), group_level(spec, m)
+    L, div = level.order, level.division_table()
+    x = np.random.default_rng(5).integers(0, 81, size=L)
+    x[0] += 1 - x.sum()  # augmentation 1
+    rows = []
+    for i in range(4):
+        if pattern == "full":
+            # (min(i, j) + 1) x, x times entry (i, j) of L U, L and U the
+            # unitriangular matrices of ones: each Schur complement is the
+            # same matrix one size smaller.
+            rows.append([(min(i, j) + 1) * x for j in range(4)])
+        else:
+            rows.append([x if PATTERNS[pattern](i, j) else np.zeros(L, dtype=np.int64) for j in range(4)])
+    R = np.array(rows, dtype=np.int64) % ring.pM
+    calls, inverse = [], chainring._group_ring_inverse
+
+    def counted(x, div, ring):
+        calls.append(len(div))
+        return inverse(x, div, ring)
+
+    monkeypatch.setattr(chainring, "_group_ring_inverse", counted)
+    vals, residual, _, shift = _eliminate_units(R, div, ring)
+    assert calls == [L] * inverses
+    assert (vals, residual.size, shift) == ([0] * 4 * L, 0, 0)
