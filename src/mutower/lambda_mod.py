@@ -27,7 +27,9 @@ The two computational primitives are
     H_i is K_i / B_i, the cycles over the boundaries (both modulo the
     relations), read off two strong bases: K_i from degree i's one
     elimination and B_i from degree i + 1's, so the r + 1 degrees of an
-    Euler sum share r + 1 Groebner calls.
+    Euler sum share r + 1 Groebner calls.  The bases stay packed
+    (syzygy.StrongBasis), and the order is counted from their leading
+    terms alone.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from functools import cached_property, lru_cache
 from math import comb, prod
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +56,7 @@ from .groupring import (
     quotient_order,
     reduce_poly,
 )
-from .syzygy import Element, PolyContext, preimage_gens, quotient_ordq
+from .syzygy import Element, PolyContext, StrongBasis, preimage_gens, quotient_ordq
 
 
 @dataclass(frozen=True)
@@ -286,17 +288,18 @@ def _boundary(
 # An Euler sum needs E_1, ..., E_(r+1) of one (P, N, m), and each E_i
 # serves degrees i - 1 and i, so a few entries serve it.
 @lru_cache(maxsize=8)
-def _elimination(P: Presentation, N: int, m: int, i: int) -> Tuple[List[Element], List[Element]]:
+def _elimination(P: Presentation, N: int, m: int, i: int) -> Tuple[StrongBasis, StrongBasis]:
     """E_i for 1 <= i <= r + 1: (strong basis of K_i, strong basis of
-    B_(i-1)) over O/pi^N, from one strong basis of the graph of the Koszul
-    boundary d_i: C_i -> C_(i-1) with the relation blocks U_(i-1) of
-    C_(i-1), the target block eliminated (syzygy.preimage_gens).  Here
-    C_i = Lambda^b (x) ext^i has a block of b positions for each i-subset
-    of the generators (in combinations order), U_i is U copied into each
-    block of C_i, K_i = {v in C_i : d_i v in U_(i-1)} and
-    B_(i-1) = d_i C_i + U_(i-1).  E_(r+1) has no source (C_(r+1) = 0): its
-    image is a strong basis of U_r.  Cached, so the bases are shared by
-    the two degrees that read them and never mutated."""
+    B_(i-1)) over O/pi^N, the two halves of one strong basis of the graph
+    of the Koszul boundary d_i: C_i -> C_(i-1) with the relation blocks
+    U_(i-1) of C_(i-1), the target block eliminated (syzygy.preimage_gens),
+    both still packed.  Here C_i = Lambda^b (x) ext^i has a block of b
+    positions for each i-subset of the generators (in combinations order),
+    U_i is U copied into each block of C_i, K_i = {v in C_i : d_i v in
+    U_(i-1)} and B_(i-1) = d_i C_i + U_(i-1).  E_(r+1) has no source
+    (C_(r+1) = 0): its image is a strong basis of U_r.  Cached, so the
+    bases are shared by the two degrees that read their leads and never
+    mutated."""
     r, b = P.spec.r, P.gens
     U, ts = _koszul_module(P, N, m)
     ring = ChainRing.from_base(P.base, N)
@@ -322,13 +325,15 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     With M = Lambda^b / U, H_i = K_i / B_i, where K_i, the cycles modulo
     U, comes from degree i's elimination E_i (K_0 = C_0) and B_i =
     d C_(i+1) + U_i from degree i + 1's, E_(i+1) (_elimination).  The order
-    is read off the two strong bases by quotient_ordq (finite, as every t_j
-    maps K_i into B_i), so an Euler sum makes r + 1 strong_groebner calls.
+    is read off the leads of the two strong bases by quotient_ordq (finite,
+    as every t_j maps K_i into B_i), so an Euler sum makes r + 1
+    strong_groebner calls and decodes no basis element.
 
     Raises TooLarge, before any Groebner work, when a chain module that
     degree i reads (degrees i - 1, i and i + 1) exceeds
     KOSZUL_BUDGET_CELLS, or when the relation terms span more than that many
-    monomials below their exponents (_koszul_module).
+    monomials below their exponents (_koszul_module).  The check starts
+    from r m log2 p, so a huge m is refused without forming p^(r m).
     """
     spec = P.spec
     if i < 0 or i > spec.r:
@@ -344,6 +349,11 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
     b, r = P.gens, spec.r
     if b == 0:
         return 0
+    if r * m * math.log2(spec.p) > math.log2(KOSZUL_BUDGET_CELLS):
+        raise TooLarge(
+            f"Koszul degree {i} at level m={m} reads chains of {spec.p}^{r * m} coordinates "
+            f"per generator (budget {KOSZUL_BUDGET_CELLS}); lower m"
+        )
     k = max(range(max(i - 1, 0), min(i + 1, r) + 1), key=lambda d: comb(r, d))
     cells = spec.p ** (r * m) * b * comb(r, k)
     if cells > KOSZUL_BUDGET_CELLS:
@@ -351,11 +361,12 @@ def koszul_homology_ordq(P: Presentation, m: int, i: int, N: int) -> int:
             f"Koszul degree {i} at level m={m} reads the degree-{k} chains, {cells} "
             f"coordinates (p^(r m) b C(r, {k}); budget {KOSZUL_BUDGET_CELLS}); lower m"
         )
-    K = None  # K_0 = C_0
+    over = None  # K_0 = C_0
     if i:
         K = _elimination(P, N, m, i)[0]
         if not K:
             return 0
+        over = K.leads
     B = _elimination(P, N, m, i + 1)[1]
     ctx = PolyContext(ChainRing.from_base(P.base, N), r)
-    return quotient_ordq(ctx, b * comb(r, i), B, K)
+    return quotient_ordq(ctx, b * comb(r, i), B.leads, over)

@@ -35,7 +35,12 @@ does not fit raises TooLarge instead of carrying into the next field.  With
 t's guard bits clear, l (same position) divides t exactly when
 ((t | G) - l) & G == G: a field of t below l's borrows its guard bit.
 Inputs are encoded on entry (an exponent or a degree past the fields raises
-TooLarge) and the basis is decoded on exit.
+TooLarge), and the basis stays packed: strong_groebner returns a StrongBasis,
+the packed elements with their layout and the (position, monomial,
+valuation) of each leading term, which is all its consumers read.  One
+layout is kept per (nvars, maxpos, EXPONENT_BITS) in a small bounded cache
+(LAYOUTS, MEMO_ENTRIES), so its memos pack and unpack a monomial once for
+all the calls that share the layout.
 
 The Buchberger loop stores each basis element's leading term and leading
 valuation v once, when the element is appended, and reduces with a heap of
@@ -62,26 +67,34 @@ The two consumers are:
                       others one of d S^s + W.  Every x in d S^s + W is the
                       target part of some g in the graph module with the
                       same leading term (the target terms are the larger),
-                      so the strong-basis property carries over.
-  * quotient_ordq  -- ord_q of K / B for strong bases of B in K (K = S^s
-                      allowed), with no Groebner work.  For a term t let
-                      v_X(t) be the least leading-coefficient valuation among
-                      the basis leading terms of X dividing t (N if none
-                      does); then ord_q(K / B) = sum_t (v_B(t) - v_K(t)),
-                      each summand >= 0.  Once T_k's exponent in t reaches
-                      E_k, the largest in the leading terms of t's position,
-                      raising it changes no divisibility, so the summand
-                      stays the same; a finite sum therefore lies in the box
-                      below the largest leading exponents, and the sum is
-                      finite exactly when the box one wider counts no more.
-                      Along each variable the valuations change only at
-                      leading exponents, so the count works slab by slab and
-                      costs nothing per monomial.
+                      so the strong-basis property carries over.  The split
+                      reads only the packed leading positions: no tail is
+                      decoded or copied.
+  * quotient_ordq  -- ord_q of K / B from the leads of strong bases of B in
+                      K (K = S^s allowed), with no Groebner work.  For a
+                      term t let v_X(t) be the least leading-coefficient
+                      valuation among the basis leading terms of X dividing
+                      t (N if none does); then ord_q(K / B) =
+                      sum_t (v_B(t) - v_K(t)), each summand >= 0.  Once T_k's
+                      exponent in t reaches E_k, the largest in the leading
+                      terms of t's position, raising it changes no
+                      divisibility, so the summand stays the same; a finite
+                      sum therefore lies in the box below the largest
+                      leading exponents, and the sum is finite exactly when
+                      the box one wider counts no more.  Along each variable
+                      the valuations change only at leading exponents, so
+                      the count works slab by slab and costs nothing per
+                      monomial.
+
+StrongBasis.decode gives the full {(position, monomial): scalar} elements,
+each listing its leading term first, for reference checks and membership
+tests.
 """
 
 from __future__ import annotations
 
 import heapq
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chainring import ChainRing
@@ -89,6 +102,8 @@ from .errors import InvalidInput, TooLarge
 
 Term = Tuple[int, Tuple[int, ...]]
 Element = Dict[Term, object]
+# (position, leading monomial, valuation of the leading coefficient)
+Lead = Tuple[int, Tuple[int, ...], int]
 
 # Value bits of the degree and exponent fields of a packed term: every
 # exponent and total degree, of the inputs and of every term the kernel
@@ -106,29 +121,40 @@ class PolyContext:
         self.nvars = nvars
 
 
+# Bounds of the kept layouts: at most LAYOUTS of them, each memo emptied
+# before it would pass MEMO_ENTRIES monomials.  The seed-0 koszul benchmark
+# draw uses 14 layouts and a few hundred monomials in all.
+LAYOUTS = 32
+MEMO_ENTRIES = 2 ** 10
+
+
 class _Memo(dict):
-    """A dict that fills a missing key with fn(key)."""
+    """A dict that fills a missing key with fn(key), emptied first when it
+    already holds MEMO_ENTRIES keys."""
 
     def __init__(self, fn):
         super().__init__()
         self.fn = fn
 
     def __missing__(self, key):
+        if len(self) >= MEMO_ENTRIES:
+            self.clear()
         value = self[key] = self.fn(key)
         return value
 
 
 class _Layout:
-    """The packed-term fields of one strong_groebner call (module
-    docstring) for nvars exponents and positions up to maxpos.
-    ``fields[mono]`` is mono's degree and exponent fields, in place above
-    the position field, and ``monos[bits]`` the monomial of the exponent
-    fields ``(t >> pos_bits) & exp_mask`` of a term t: each monomial is
-    packed and unpacked once per call."""
+    """The packed-term fields (module docstring) of width-bit values for
+    nvars exponents and positions up to maxpos.  ``fields[mono]`` is mono's
+    degree and exponent fields, in place above the position field, and
+    ``monos[bits]`` the monomial of the exponent fields
+    ``(t >> pos_bits) & exp_mask`` of a term t.  Layouts are kept
+    (_layout), so the memos serve every call with the same fields."""
 
-    def __init__(self, nvars: int, maxpos: int):
-        w = self.width = EXPONENT_BITS
+    def __init__(self, nvars: int, maxpos: int, width: int):
+        w = self.width = width
         self.nvars = nvars
+        self.maxpos = maxpos
         self.pos_bits = maxpos.bit_length()
         self.pos_mask = (1 << self.pos_bits) - 1
         self.deg_shift = self.pos_bits + nvars * (w + 1)
@@ -157,15 +183,70 @@ class _Layout:
         return TooLarge(f"a Groebner term outgrew the {self.width}-bit exponent fields")
 
 
-def strong_groebner(ctx: PolyContext, gens: Sequence[Element], split: int = 0) -> List[Element]:
+_layout = lru_cache(maxsize=LAYOUTS)(_Layout)
+
+
+class StrongBasis:
+    """A strong basis as the Buchberger loop leaves it: ``elems``, packed
+    elements each listing its leading term first, the ``layout`` that packed
+    them, and ``leads``, the Lead of each element.  Its positions are the
+    layout's less ``offset``, and only its terms of positions below
+    ``below`` (all when None) belong to it: preimage_gens reads one basis as
+    two this way.  len is the basis size, and bases compare equal, with each
+    other or with lists of elements, when their decodes are equal."""
+
+    __slots__ = ("layout", "elems", "leads", "offset", "below")
+
+    def __init__(
+        self,
+        layout: _Layout,
+        elems: List[Dict[int, object]],
+        leads: List[Lead],
+        offset: int = 0,
+        below: Optional[int] = None,
+    ):
+        self.layout = layout
+        self.elems = elems
+        self.leads = leads
+        self.offset = offset
+        self.below = below
+
+    def __len__(self) -> int:
+        return len(self.elems)
+
+    def decode(self) -> List[Element]:
+        """The elements as {(position, monomial): scalar} dicts, each listing
+        its leading term first."""
+        layout = self.layout
+        top = layout.maxpos - self.offset
+        below = top + 1 if self.below is None else self.below
+        monos, pos_bits, pos_mask, exp_mask = layout.monos, layout.pos_bits, layout.pos_mask, layout.exp_mask
+        out = []
+        for elem in self.elems:
+            g: Element = {}
+            for t, c in elem.items():
+                pos = top - (t & pos_mask)
+                if pos < below:
+                    g[(pos, monos[(t >> pos_bits) & exp_mask])] = c
+            out.append(g)
+        return out
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StrongBasis):
+            other = other.decode()
+        return self.decode() == other
+
+    __hash__ = None
+
+
+def strong_groebner(ctx: PolyContext, gens: Sequence[Element], split: int = 0) -> StrongBasis:
     """Strong Groebner basis of the submodule generated by ``gens``, by the
     Buchberger loop of the module docstring: pairs in the normal strategy's
-    order, the chain criterion on S-pairs, every annihilator pair reduced.
-    Each element of the basis lists its leading term first."""
+    order, the chain criterion on S-pairs, every annihilator pair reduced."""
     ring = ctx.ring
     is_zero = ring.is_zero
     maxpos = max((pos for g in gens for pos, _mono in g), default=0)
-    layout = _Layout(ctx.nvars, maxpos)
+    layout = _layout(ctx.nvars, maxpos, EXPONENT_BITS)
     fields, flag = layout.fields, layout.flag
     packed = []
     for g in gens:
@@ -177,16 +258,17 @@ def strong_groebner(ctx: PolyContext, gens: Sequence[Element], split: int = 0) -
         if elem:
             lt = max(elem)
             packed.append({lt: elem.pop(lt), **elem})
-    monos, pos_bits, pos_mask, exp_mask = layout.monos, layout.pos_bits, layout.pos_mask, layout.exp_mask
-    return [
-        {(maxpos - (t & pos_mask), monos[(t >> pos_bits) & exp_mask]): c for t, c in elem.items()}
-        for elem in _buchberger(ring, layout, packed)
-    ]
+    basis, lead, monos = _buchberger(ring, layout, packed)
+    pos_mask = layout.pos_mask
+    return StrongBasis(layout, basis, [(maxpos - (lt & pos_mask), mono, v) for (lt, v), mono in zip(lead, monos)])
 
 
-def _buchberger(ring: ChainRing, layout: _Layout, gens: List[Dict[int, object]]) -> List[Dict[int, object]]:
+def _buchberger(
+    ring: ChainRing, layout: _Layout, gens: List[Dict[int, object]]
+) -> Tuple[List[Dict[int, object]], List[Tuple[int, int]], List[Tuple[int, ...]]]:
     """The Buchberger loop on packed elements, each listing its leading
-    term first."""
+    term first: (basis, (leading term, its valuation) and leading monomial
+    of each element)."""
     mul, add, neg, sub, is_zero = ring.mul, ring.add, ring.neg, ring.sub, ring.is_zero
     val, div_pi_pow, unit_part, inv, one = ring.val, ring.div_pi_pow, ring.unit_part, ring.inv, ring.one
     N = ring.N
@@ -326,7 +408,7 @@ def _buchberger(ring: ChainRing, layout: _Layout, gens: List[Dict[int, object]])
         rem = reduce(cand)
         if rem:
             append(rem, next(iter(rem)))
-    return basis
+    return basis, lead, monos
 
 
 def preimage_gens(
@@ -334,7 +416,7 @@ def preimage_gens(
     target_rank: int,
     mapped: Sequence[Element],
     sub: Sequence[Element],
-) -> Tuple[List[Element], List[Element]]:
+) -> Tuple[StrongBasis, StrongBasis]:
     """(kernel, image): strong bases of {v in S^s : sum_i v_i * mapped[i]
     in <sub>} and of <mapped> + <sub> in S^target_rank, where ``mapped[i]``
     in S^target_rank is the image of the i-th source basis vector.  Both
@@ -351,33 +433,33 @@ def preimage_gens(
         g[t] = ring.add(g.get(t, ring.zero), ring.one)
         gens.append(g)
     gens.extend(sub)
-    kernel: List[Element] = []
-    image: List[Element] = []
+    basis = strong_groebner(ctx, gens, split=target_rank)
+    kernel = StrongBasis(basis.layout, [], [], offset=target_rank)
+    image = StrongBasis(basis.layout, [], [], below=target_rank)
     # The eliminated block's terms are the largest, so an element has one
-    # exactly when its leading term, listed first, lies there.
-    for g in strong_groebner(ctx, gens, split=target_rank):
-        if next(iter(g))[0] >= target_rank:
-            kernel.append({(pos - target_rank, mono): c for (pos, mono), c in g.items()})
-        else:
-            image.append({t: c for t, c in g.items() if t[0] < target_rank})
+    # exactly when its leading term lies there.
+    for elem, (pos, mono, v) in zip(basis.elems, basis.leads):
+        half = kernel if pos >= target_rank else image
+        half.elems.append(elem)
+        half.leads.append((pos - half.offset, mono, v))
     return kernel, image
 
 
 def quotient_ordq(
     ctx: PolyContext,
     rank: int,
-    basis: Sequence[Element],
-    over: Optional[Sequence[Element]] = None,
+    basis: Sequence[Lead],
+    over: Optional[Sequence[Lead]] = None,
 ) -> int:
     """ord_q of <over> / <basis> in S^rank (of S^rank / <basis> when
-    ``over`` is None), for strong bases ``basis`` and ``over`` of modules
-    B in K, each element listing its leading term first.  No Groebner work
-    is done: the order is the staircase count of the module docstring, over
-    the box below the largest leading exponents of each position.  Raises
+    ``over`` is None), from the leads (StrongBasis.leads) of strong bases
+    ``basis`` and ``over`` of modules B in K.  No Groebner work is done:
+    the order is the staircase count of the module docstring, over the box
+    below the largest leading exponents of each position.  Raises
     InvalidInput when the quotient is not finite."""
     nvars, N = ctx.nvars, ctx.ring.N
-    low = _leads(ctx.ring, basis)
-    high = {pos: [((0,) * nvars, 0)] for pos in range(rank)} if over is None else _leads(ctx.ring, over)
+    low = _by_position(basis)
+    high = {pos: [((0,) * nvars, 0)] for pos in range(rank)} if over is None else _by_position(over)
     total = 0
     for pos, tops in high.items():
         bottoms = low.get(pos, [])
@@ -390,12 +472,11 @@ def quotient_ordq(
     return total
 
 
-def _leads(ring: ChainRing, elems: Sequence[Element]) -> Dict[int, List[Tuple[Tuple[int, ...], int]]]:
-    """position -> (leading monomial, leading valuation) of each element."""
+def _by_position(leads: Sequence[Lead]) -> Dict[int, List[Tuple[Tuple[int, ...], int]]]:
+    """position -> (leading monomial, leading valuation) of each lead."""
     out: Dict[int, List[Tuple[Tuple[int, ...], int]]] = {}
-    for g in elems:
-        lt = next(iter(g))
-        out.setdefault(lt[0], []).append((lt[1], ring.val(g[lt])))
+    for pos, mono, v in leads:
+        out.setdefault(pos, []).append((mono, v))
     return out
 
 

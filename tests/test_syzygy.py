@@ -13,6 +13,7 @@ from mutower.synth import Garnish, GroundTruth, make_module
 from mutower import syzygy
 from mutower.errors import TooLarge
 from mutower.syzygy import PolyContext, preimage_gens, quotient_ordq, strong_groebner
+from test_koszul import _reference_quotient_ordq
 
 # The reference: the Buchberger loop of mutower.syzygy on dict terms
 # {(pos, mono): scalar}, ordered by term_key.  The kernel must return its
@@ -187,7 +188,7 @@ def test_quotient_order_pi_and_power():
         for b in (1, 2, 4):
             gens = [poly1(ring, [(0, 3 ** a)]), poly1(ring, [(b, 1)])]
             gens = [g for g in gens if g]
-            assert quotient_ordq(ctx, 1, strong_groebner(ctx, gens)) == min(a, 3) * b
+            assert quotient_ordq(ctx, 1, strong_groebner(ctx, gens).leads) == min(a, 3) * b
 
 
 def test_quotient_order_infinite_detected():
@@ -196,7 +197,7 @@ def test_quotient_order_infinite_detected():
     # ideal (T0) in R[T0, T1]: no pure T1-power with unit coefficient
     gens = [{(0, (1, 0)): ring.one}]
     with pytest.raises(InvalidInput):
-        quotient_ordq(ctx, 1, strong_groebner(ctx, gens))
+        quotient_ordq(ctx, 1, strong_groebner(ctx, gens).leads)
 
 
 def _truncation_oracle_r1(ring, gens, D):
@@ -231,7 +232,7 @@ def test_quotient_order_matches_truncation_oracle_r1(seed):
         if g:
             gens.append(g)
     full = gens + [{(0, (D,)): ring.one}]
-    assert quotient_ordq(ctx, 1, strong_groebner(ctx, full)) == _truncation_oracle_r1(ring, gens, D)
+    assert quotient_ordq(ctx, 1, strong_groebner(ctx, full).leads) == _truncation_oracle_r1(ring, gens, D)
 
 
 def _truncation_oracle_r2(ring, gens, D):
@@ -267,7 +268,7 @@ def test_quotient_order_matches_truncation_oracle_r2(seed):
         if g:
             gens.append(g)
     caps = [{(0, (D, 0)): ring.one}, {(0, (0, D)): ring.one}]
-    assert quotient_ordq(ctx, 1, strong_groebner(ctx, gens + caps)) == _truncation_oracle_r2(ring, gens, D)
+    assert quotient_ordq(ctx, 1, strong_groebner(ctx, gens + caps).leads) == _truncation_oracle_r2(ring, gens, D)
 
 
 def test_membership_after_groebner():
@@ -276,7 +277,7 @@ def test_membership_after_groebner():
     ring = ChainRing(3, 1, 1, 2)
     ctx = PolyContext(ring, 1)
     gens = [poly1(ring, [(0, 3), (1, 2)]), poly1(ring, [(2, 1), (0, 4)])]
-    basis = strong_groebner(ctx, gens)
+    basis = strong_groebner(ctx, gens).decode()
     keyfn = term_key(0)
     for g in gens:
         assert normal_form(ctx, g, basis, keyfn) == {}
@@ -297,8 +298,8 @@ def test_preimage_gens_solves_membership():
     ctx = PolyContext(ring, 1)
     t = {(0, (1,)): ring.one}
     w = [{(0, (0,)): ring.from_coeffs((4,))}]
-    pre, image = preimage_gens(ctx, 1, [t], w)
-    basis = strong_groebner(ctx, pre)
+    pre, image = (half.decode() for half in preimage_gens(ctx, 1, [t], w))
+    basis = strong_groebner(ctx, pre).decode()
     keyfn = term_key(0)
     # the image <T, pi^2> = (T, pi^2): its strong basis is T and pi^2
     assert sorted(next(iter(g)) for g in image) == [(0, (0,)), (0, (1,))]
@@ -306,7 +307,7 @@ def test_preimage_gens_solves_membership():
     assert normal_form(ctx, {(0, (0,)): ring.from_coeffs((4,))}, basis, keyfn) == {}
     assert normal_form(ctx, {(0, (0,)): ring.from_coeffs((2,))}, basis, keyfn) != {}
     # and every generator really maps into W
-    wb = strong_groebner(ctx, w)
+    wb = strong_groebner(ctx, w).decode()
     for v in pre:
         image = {}
         for (pos, m), c in v.items():
@@ -364,7 +365,7 @@ def test_basis_certificate(data):
     ctx, split, gens = data
     ring = ctx.ring
     keyfn = term_key(split)
-    basis = strong_groebner(ctx, gens, split)
+    basis = strong_groebner(ctx, gens, split).decode()
     for g in gens:
         assert normal_form(ctx, g, basis, keyfn) == {}
     zero = (0,) * ctx.nvars
@@ -404,13 +405,88 @@ def test_packed_kernel_matches_reference_over_ramified_ring(data):
     assert strong_groebner(ctx, gens, split) == reference_groebner(ctx, gens, split)
 
 
+def _first_term_leads(ring, elems):
+    """(position, monomial, valuation) of the first term of each element."""
+    return [(pos, mono, ring.val(g[pos, mono])) for g in elems for pos, mono in [next(iter(g))]]
+
+
+def _check_lead_hand_off(ctx, split, gens):
+    ring, zero = ctx.ring, (0,) * ctx.nvars
+    basis = strong_groebner(ctx, gens, split)
+    decoded = basis.decode()
+    assert len(basis) == len(decoded)
+    assert basis.leads == _first_term_leads(ring, decoded)
+    # preimage_gens on the graph of the even generators, restricted to the
+    # first split + 1 positions, with the odd ones restricted there as W;
+    # its halves against the full decode split by leading position
+    target_rank = split + 1
+    mapped = [{t: c for t, c in g.items() if t[0] < target_rank} for g in gens[::2]]
+    sub = [w for g in gens[1::2] if (w := {t: c for t, c in g.items() if t[0] < target_rank})]
+    graph = []
+    for i, b in enumerate(mapped):
+        g = dict(b)
+        g[target_rank + i, zero] = ring.one
+        graph.append(g)
+    full = strong_groebner(ctx, graph + sub, split=target_rank).decode()
+    kernel_ref = [
+        {(pos - target_rank, mono): c for (pos, mono), c in g.items()} for g in full if next(iter(g))[0] >= target_rank
+    ]
+    image_ref = [{t: c for t, c in g.items() if t[0] < target_rank} for g in full if next(iter(g))[0] < target_rank]
+    kernel, image = preimage_gens(ctx, target_rank, mapped, sub)
+    assert kernel.leads == _first_term_leads(ring, kernel_ref)
+    assert image.leads == _first_term_leads(ring, image_ref)
+    assert kernel.decode() == kernel_ref and image.decode() == image_ref
+    # the staircase count on the packed leads, in any block order, against
+    # the cell-by-cell count of the same module
+    rank = 1 + max(pos for g in gens for pos, _mono in g)
+    caps = [
+        {(pos, tuple(3 if k == j else 0 for k in range(ctx.nvars))): ring.one}
+        for pos in range(rank)
+        for j in range(ctx.nvars)
+    ]
+    expected = _reference_quotient_ordq(ctx, rank, gens + caps)
+    assert quotient_ordq(ctx, rank, strong_groebner(ctx, gens + caps, split).leads) == expected
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(generator_sets(max_nvars=3))
+def test_packed_leads_hand_off(data):
+    _check_lead_hand_off(*data)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(generator_sets(max_nvars=2, ring=ChainRing(2, 2, 1, 3)))
+def test_packed_leads_hand_off_over_ramified_ring(data):
+    _check_lead_hand_off(*data)
+
+
+def test_kept_layouts_stay_bounded():
+    # One relation with 2^12 distinct monomials, four times the memo bound:
+    # its layout is kept for the next call with the same fields, and its
+    # memos stay within MEMO_ENTRIES however many monomials a call packs
+    # and unpacks.
+    ring = ChainRing(3, 1, 1, 1)
+    ctx = PolyContext(ring, 2)
+    elem = {(0, (a, b)): 1 for a in range(64) for b in range(64)}
+    assert len(elem) == 2 ** 12 > syzygy.MEMO_ENTRIES
+    basis = strong_groebner(ctx, [elem])
+    assert basis == [elem]
+    layout = basis.layout
+    assert 0 < len(layout.fields) <= syzygy.MEMO_ENTRIES
+    assert 0 < len(layout.monos) <= syzygy.MEMO_ENTRIES
+    assert strong_groebner(ctx, [{(0, (1, 1)): 1}]).layout is layout
+    for maxpos in range(syzygy.LAYOUTS + 4):
+        strong_groebner(ctx, [{(maxpos, (0, 0)): 1}])
+    assert syzygy._layout.cache_info().currsize <= syzygy.LAYOUTS
+
+
 def test_basis_lists_leading_terms_first():
     ring = ChainRing(3, 1, 1, 2)
     ctx = PolyContext(ring, 2)
     gens = [{(0, (0, 0)): 1, (0, (1, 2)): 2, (1, (2, 0)): 1}, {(1, (0, 1)): 3, (0, (1, 0)): 1}]
     for split in (0, 1):
         keyfn = term_key(split)
-        basis = strong_groebner(ctx, gens, split)
+        basis = strong_groebner(ctx, gens, split).decode()
         assert basis == reference_groebner(ctx, gens, split)
         assert all(next(iter(g)) == max(g, key=keyfn) for g in basis)
 
